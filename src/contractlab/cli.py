@@ -19,18 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import cml, io, products, reference
-from .contractivity import (
-    JacobiConvergenceError,
-    RowSumError,
-    contractivity_l2,
-    contractivity_linf,
-    contractivity_weighted_bound,
-    decompose_affine,
-    empirical_contractivity,
-)
+from .contractivity import contractivity, decompose_affine, empirical_contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph, is_irreducible
 from .matcore import delta, is_scrambling, is_stochastic, mu, row_sum_profile
-from .projections import NormError, norm_from_name
+from .projections import L1, norm_from_name
 
 log = logging.getLogger("contractlab")
 
@@ -77,6 +69,12 @@ def _norm_from_args(args):
     return norm_from_name(args.norm, weights)
 
 
+def _classification(rep) -> str:
+    if rep.is_set_contractive:
+        return "set-contractive"
+    return "set-nonexpansive" if rep.is_set_nonexpansive else "expansive"
+
+
 def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
     A = io.load_matrix(path, zero_tol)
     profile = row_sum_profile(A, row_sum_tol)
@@ -98,16 +96,11 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
         "digraph": G.to_json(),
     }
     if profile.is_constant:
-        rinf = contractivity_linf(A, row_sum_tol)
-        rl2 = contractivity_l2(A, row_sum_tol)
-        report["c_linf"] = rinf.c
-        report["c_l2"] = rl2.c
-        report["classification"] = {
-            "linf": "set-contractive" if rinf.is_set_contractive
-                    else "set-nonexpansive" if rinf.is_set_nonexpansive else "expansive",
-            "l2": "set-contractive" if rl2.is_set_contractive
-                  else "set-nonexpansive" if rl2.is_set_nonexpansive else "expansive",
-        }
+        reps = {name: contractivity(A, norm_from_name(name), row_sum_tol)
+                for name in ("linf", "l2")}
+        report["c_linf"] = reps["linf"].c
+        report["c_l2"] = reps["l2"].c
+        report["classification"] = {name: _classification(rep) for name, rep in reps.items()}
     else:
         report["c_linf"] = None
         report["c_l2"] = None
@@ -137,14 +130,8 @@ def cmd_analyze(args) -> int:
 def cmd_contractivity(args) -> int:
     A = io.load_matrix(args.matrix, args.zero_tol)
     norm = _norm_from_args(args)
-    if norm.kind == "linf":
-        rep = contractivity_linf(A, args.row_sum_tol)
-    elif norm.kind == "l2":
-        rep = contractivity_l2(A, args.row_sum_tol)
-    elif norm.kind == "wl2":
-        rep = contractivity_weighted_bound(A, norm.weights, args.row_sum_tol)
-    else:
-        rep = None  # l1: sampling only
+    # l1 has no closed form: sampling only
+    rep = None if norm.kind == L1 else contractivity(A, norm, args.row_sum_tol)
     doc = {"input": str(args.matrix), "norm": args.norm}
     if rep is not None:
         doc.update(rep.to_json())
@@ -160,17 +147,19 @@ def cmd_contractivity(args) -> int:
 
 def cmd_product(args) -> int:
     seq = io.load_sequence(args.sequence, args.zero_tol)
+    if seq.items is None:
+        raise io.InputError(f"{args.sequence}: product needs a finite list of matrices")
     norm = _norm_from_args(args)
-    c_exact, c_bound = products.product_contractivity_bound(seq, norm)
-    c_values = [products.contractivity(m, norm).c for m in seq.items]
-    conv = products.check_convergence_condition(c_values)
     full = products.product(seq, 0, len(seq.items) - 1)
+    c_values = [contractivity(m, norm, args.row_sum_tol).c for m in seq.items]
+    conv = products.check_convergence_condition(c_values)
     doc = {
         "input": str(args.sequence),
         "norm": args.norm,
         "length": len(seq.items),
-        "c_exact": c_exact,
-        "c_bound": c_bound,
+        "c_exact": contractivity(full, norm, args.row_sum_tol).c,
+        # the last running product is the product of the factor coefficients
+        "c_bound": conv["running_products"][-1],
         "per_item_c": c_values,
         "running_products": conv["running_products"],
         "product_numerically_zero": conv["converges_to_zero_over_horizon"],
@@ -310,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ergodicity", help="finite-horizon weak-ergodicity diagnostic")
     p.add_argument("sequence")
     p.add_argument("--norm", choices=["linf", "l2"], default="linf")
-    p.add_argument("--weights")
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--block-len", type=int, default=None)
     p.set_defaults(func=cmd_ergodicity)
@@ -343,13 +331,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (io.InputError, NormError, RowSumError, OSError) as exc:
+    # LinAlgError subclasses ValueError, so it has to be caught first.
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
+    except (ValueError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except JacobiConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

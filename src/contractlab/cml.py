@@ -120,10 +120,11 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
 
     maps may be a single MapDef or a sequence, cycled when shorter than
     the horizon.  The envelope column multiplies c(A_k) * rho_k per step
-    when the coefficient is available for the chosen norm; it is marked
-    void from the first step where a state leaves the declared map domain
-    (the Lipschitz constant only holds there).  Non-finite states flag
-    divergence and truncate the trace.
+    when the coefficient is available for the chosen norm; c(A_k) is
+    recomputed only when A_k is not the same object as A_(k-1).  The
+    envelope is marked void from the first step where a state leaves the
+    declared map domain (the Lipschitz constant only holds there).
+    Non-finite states flag divergence and truncate the trace.
     """
     if norm is None:
         norm = linf()
@@ -148,6 +149,7 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     domain_exits = []
     synchronized_at = 0 if d0 < sync_tol else None
     diverged = False
+    A_prev = c = None
 
     for k in range(steps):
         mp = maps[k % len(maps)]
@@ -166,7 +168,9 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
         d = distance_to_diagonal(x, norm)
         distances.append(d)
         if bound_available:
-            c = _coefficient_or_none(A, norm)
+            if A is not A_prev:  # a repeated coupling keeps its coefficient
+                c = _coefficient_or_none(A, norm)
+                A_prev = A
             if c is None:
                 bound_available = False
             else:

@@ -5,7 +5,10 @@ c(A) = sup_{x not in X*} d(Ax, X*) / d(x, X*) has closed forms:
 c = r - mu(A) under the max norm and c = ||A K||_2 under the Euclidean
 norm, where K is an orthonormal basis of the orthogonal complement of e.
 Under a weighted Euclidean norm only the upper bound
-||W^(1/2) A W^(-1) K||_2 is available.
+||W^(1/2) A W^(-1) K||_2 is available.  ``contractivity(A, norm)`` is
+the one dispatch from a norm to its formula; spectral norms come from
+the LAPACK SVD through numpy, so a non-converging SVD surfaces as
+np.linalg.LinAlgError.
 
 Also provides Monte Carlo / exhaustive sampling oracles, the spectral
 paracontractivity check, and the affine stochastic decomposition of
@@ -26,10 +29,6 @@ _EXACT_TOL = 1e-12
 
 class RowSumError(ValueError):
     """Operation requires constant row sums and the input does not have them."""
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi sweep limit reached before off-diagonal tolerance."""
 
 
 @dataclass(frozen=True)
@@ -80,54 +79,19 @@ def basis_K(n: int) -> BasisK:
     return BasisK(n=n, columns=K)
 
 
-def _jacobi_max_eigenvalue(G: np.ndarray, off_tol: float = 1e-14,
-                           max_sweeps: int = 100) -> float:
-    """Largest eigenvalue of a small symmetric matrix by cyclic Jacobi."""
-    A = np.array(G, dtype=float)
-    m = A.shape[0]
-    if m == 1:
-        return float(A[0, 0])
-    scale = max(1.0, float(np.linalg.norm(A)))
-    for _ in range(max_sweeps):
-        off_sq = float(np.sum(A * A * (1.0 - np.eye(m))))
-        if off_sq <= (off_tol * scale) ** 2:
-            return float(np.diag(A).max())
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * off_tol * scale:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # rotation angle ~ 1/(2 theta)
-                    t = 0.5 / theta
-                elif theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                A[[p, q], :] = rot.T @ A[[p, q], :]
-                A[:, [p, q]] = A[:, [p, q]] @ rot
-                A[p, q] = A[q, p] = 0.0
-    raise JacobiConvergenceError(
-        f"Jacobi iteration did not reach off-diagonal tolerance in {max_sweeps} sweeps")
-
-
 def spectral_norm_2(M) -> float:
-    """Largest singular value of a rectangular matrix.
+    """Largest singular value of a rectangular matrix, from the LAPACK SVD
+    behind ``np.linalg.norm(M, 2)``.
 
-    Uses cyclic Jacobi on the Gram matrix of the smaller side; relative
-    accuracy about 1e-10 on well-scaled inputs.
+    Raises ValueError for input that is not 2-d or not finite, and
+    np.linalg.LinAlgError if the SVD does not converge.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     if not np.all(np.isfinite(M)):
         raise ValueError("entries must be finite")
-    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    lam = _jacobi_max_eigenvalue(G)
-    return float(np.sqrt(max(0.0, lam)))
+    return float(np.linalg.norm(M, 2))
 
 
 def _require_constant_row_sum(A: Matrix, row_sum_tol: float) -> float:

@@ -295,6 +295,8 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if seq.items is not None and horizon > len(seq.items):
+        raise ValueError("horizon exceeds sequence length")
     if norm is None:
         norm = linf()
     if block_len is None:

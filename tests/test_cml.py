@@ -8,6 +8,7 @@ from contractlab import (
     make_map,
     simulate,
 )
+from contractlab import cml, contractivity
 from contractlab.cml import MapDef
 from contractlab.contractivity import RowSumError
 from contractlab import l1, l2, linf
@@ -181,3 +182,43 @@ def test_corollary_implies_envelope_decay():
             tr = simulate(fin, mp, x0, steps=40)
             assert np.all(tr.distances <= tr.bound + 1e-10)
             assert tr.bound[-1] < tr.bound[0] + 1e-12
+
+
+def counting_coefficient(monkeypatch):
+    """Wrap the coefficient routine cml calls; return the list of its
+    arguments, one entry per call."""
+    calls = []
+    original = cml.contractivity
+
+    def counting(A, norm, *args, **kwargs):
+        calls.append(A)
+        return original(A, norm, *args, **kwargs)
+
+    monkeypatch.setattr(cml, "contractivity", counting)
+    return calls
+
+
+def test_simulate_repeated_matrix_computes_coefficient_once(monkeypatch):
+    calls = counting_coefficient(monkeypatch)
+    mp = make_map({"kind": "affine", "a": 1.05, "b": 0.0})
+    tr = simulate(MatrixSequence(items=[A4] * 50), mp, [0.1, 0.9, 0.4], steps=50)
+    assert len(calls) == 1
+    c = contractivity(A4, linf()).c
+    expected = [tr.distances[0]]
+    for _ in range(50):
+        expected.append(expected[-1] * c * mp.rho)
+    assert tr.bound.tolist() == expected
+
+
+def test_simulate_alternating_matrices_recompute_each_step(monkeypatch):
+    calls = counting_coefficient(monkeypatch)
+    B = np.full((3, 3), 0.05) + 0.85 * np.eye(3)
+    cs = [contractivity(M, linf()).c for M in (A4.a, B)]
+    assert cs[0] != cs[1]
+    seq = MatrixSequence(items=[A4.a, B] * 10)
+    mp = make_map({"kind": "affine", "a": 1.05, "b": 0.0})
+    tr = simulate(seq, mp, [0.1, 0.9, 0.4], steps=20)
+    assert len(calls) == 20
+    assert all(M is seq[k] for k, M in enumerate(calls))
+    for k in range(20):
+        assert tr.bound[k + 1] == tr.bound[k] * cs[k % 2] * mp.rho

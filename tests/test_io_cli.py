@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from contractlab import cli
+from contractlab import cli, l2, product_contractivity_bound
 from contractlab.io import InputError, load_matrix, load_sequence, load_vector, parse_weights
-from contractlab.reference import A4
+from contractlab.reference import A1, A4
 
 
 def write(tmp_path, name, text):
@@ -210,6 +210,74 @@ def test_cli_exit_code_on_malformed_input(tmp_path, capsys):
     assert code == 2 and "error" in err
     code, _, _ = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def repeated_sequence(tmp_path, A, name):
+    write(tmp_path, f"{name}.json", json.dumps({"rows": A.a.tolist()}))
+    return write(tmp_path, f"{name}_seq.json",
+                 json.dumps({"matrices": [f"{name}.json"], "repeat": 5}))
+
+
+def test_cli_ergodicity_l2_outside_hypotheses_exits_2(tmp_path, capsys):
+    spec = repeated_sequence(tmp_path, A4, "a4")
+    code, _, err = run_cli(capsys, "ergodicity", spec, "--norm", "l2", "--horizon", "5")
+    assert code == 2 and "set-nonexpansive" in err
+    assert "Traceback" not in err
+
+
+def test_cli_ergodicity_not_stochastic_exits_2(tmp_path, capsys):
+    spec = repeated_sequence(tmp_path, A1, "a1")
+    code, _, err = run_cli(capsys, "ergodicity", spec, "--horizon", "5")
+    assert code == 2 and "not stochastic" in err
+    assert "Traceback" not in err
+
+
+def test_cli_ergodicity_horizon_past_sequence_exits_2(tmp_path, capsys):
+    spec = repeated_sequence(tmp_path, A4, "a4")
+    code, _, err = run_cli(capsys, "ergodicity", spec, "--horizon", "6")
+    assert code == 2 and "horizon exceeds sequence length" in err
+
+
+def test_cli_product_generator_exits_2(tmp_path, capsys):
+    spec = write(tmp_path, "gen.json", json.dumps(
+        {"generator": {"kind": "random_stochastic_spanning_tree", "n": 3}}))
+    code, _, err = run_cli(capsys, "product", spec)
+    assert code == 2 and "finite" in err
+
+
+def test_cli_ergodicity_rejects_weights(tmp_path):
+    spec = repeated_sequence(tmp_path, A4, "a4")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ergodicity", spec, "--weights", "1,2,3"])
+    assert exc.value.code == 2
+
+
+def test_cli_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
+    norm = np.linalg.norm
+
+    def failing_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", failing_norm)
+    code, out, err = run_cli(capsys, "analyze", a4_json(tmp_path))
+    assert code == 3 and out == ""
+    assert "numerical failure" in err and "SVD did not converge" in err
+
+
+def test_cli_product_matches_library_bound(tmp_path, capsys):
+    a4_json(tmp_path)
+    write(tmp_path, "mix.json", json.dumps({"rows": (0.5 * A4.a + 0.5 * np.eye(3)).tolist()}))
+    spec = write(tmp_path, "seq.json", json.dumps(
+        {"matrices": ["a4.json", "mix.json", "a4.json"]}))
+    c_exact, c_bound = product_contractivity_bound(load_sequence(spec), l2())
+    code, out, _ = run_cli(capsys, "product", spec, "--norm", "l2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["c_exact"] == float(f"{c_exact:.12g}")
+    assert doc["c_bound"] == float(f"{c_bound:.12g}")
+    assert doc["c_bound"] == doc["running_products"][-1]
 
 
 def test_cli_reproduce_paper(capsys):
