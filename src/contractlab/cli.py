@@ -31,13 +31,14 @@ EXIT_NUMERICAL_ERROR = 3
 
 
 def _round12(value):
-    """Render floats at 12 significant digits, recursively."""
+    """Render floats at 12 significant digits, recursively; non-finite
+    floats become None, since JSON has no literal for them."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.12g}")
+        return float(f"{float(value):.12g}") if np.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return [_round12(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -48,7 +49,8 @@ def _round12(value):
 
 
 def _dump(doc, pretty: bool) -> str:
-    return json.dumps(_round12(doc), indent=2 if pretty else None, sort_keys=True)
+    return json.dumps(_round12(doc), indent=2 if pretty else None, sort_keys=True,
+                      allow_nan=False)
 
 
 def _emit(doc, args, path=None) -> None:
@@ -221,7 +223,7 @@ def cmd_simulate(args) -> int:
             for rec in records:
                 if args.full_state:
                     rec = dict(rec, x=trace.states[rec["k"]].tolist())
-                fh.write(json.dumps(_round12(rec), sort_keys=True) + "\n")
+                fh.write(json.dumps(_round12(rec), sort_keys=True, allow_nan=False) + "\n")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("k,d,bound\n")

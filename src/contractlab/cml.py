@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contractivity import contractivity, RowSumError
-from .matcore import mu, row_sum_profile
+from .contractivity import contractivity, contractivity_linf, RowSumError
+from .matcore import row_sum_profile
 from .products import MatrixSequence, PRODUCT_ZERO_THRESHOLD
 from .projections import L1, Norm, distance_to_diagonal, linf
 
@@ -222,11 +222,7 @@ def check_sync_corollary(A_seq: MatrixSequence, rho_values) -> bool:
         count = rho_values.size
     if rho_values.size != count:
         raise ValueError("need one Lipschitz constant per matrix")
-    worst = -np.inf
-    for k in range(count):
-        A = A_seq[k]
-        profile = row_sum_profile(A)
-        if not profile.is_constant:
-            raise RowSumError("coupling matrices must have constant row sums")
-        worst = max(worst, profile.r - mu(A) - 1.0 / rho_values[k])
+    # contractivity_linf raises RowSumError for non-constant row sums
+    worst = max((contractivity_linf(A_seq[k]).c - 1.0 / rho_values[k] for k in range(count)),
+                default=-np.inf)
     return bool(worst < 0)

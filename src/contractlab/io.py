@@ -19,6 +19,8 @@ class InputError(ValueError):
 
 
 def _finite_rows(rows, source: str) -> np.ndarray:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError(f"{source}: expected a list of rows")
     if not rows:
         raise InputError(f"{source}: empty matrix")
     width = len(rows[0])
@@ -111,16 +113,22 @@ def load_sequence(path, zero_tol: float = DEFAULT_ZERO_TOL) -> MatrixSequence:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     if "generator" in doc:
+        if not isinstance(doc["generator"], dict):
+            raise InputError(f"{path}: 'generator' must be an object")
         try:
             return MatrixSequence(generator=doc["generator"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}: bad generator spec ({exc})") from exc
-    if "matrices" not in doc:
-        raise InputError(f"{path}: expected 'matrices' or 'generator'")
-    repeat = int(doc.get("repeat", 1))
+    matrices = doc.get("matrices")
+    if not isinstance(matrices, list) or not all(isinstance(p, str) for p in matrices):
+        raise InputError(f"{path}: expected 'matrices' (a list of paths) or 'generator'")
+    try:
+        repeat = int(doc.get("repeat", 1))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: repeat must be an integer ({exc})") from exc
     if repeat < 1:
         raise InputError(f"{path}: repeat must be >= 1")
-    items = [load_matrix(path.parent / p, zero_tol) for p in doc["matrices"]]
+    items = [load_matrix(path.parent / p, zero_tol) for p in matrices]
     if not items:
         raise InputError(f"{path}: empty matrix list")
     return MatrixSequence(items=items * repeat)

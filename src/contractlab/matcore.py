@@ -6,16 +6,23 @@ the two rows; for nonnegative A it is positive exactly when A is
 scrambling.  delta(A) is the maximum over row pairs of the summed
 positive part of the row difference; for constant row sum matrices it
 contracts the spread max(x) - min(x) of any vector x under x -> Ax.
+
+All row-pair sums come from one blocked kernel, ``_row_pairs``, which
+builds the n x n table a block of rows at a time, so memory stays O(n^2)
+(no n x n x n temporary).  The scrambling test is one matrix product of
+the 0/1 nonzero pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-12
 DEFAULT_ROW_SUM_TOL = 1e-9
+# Elements in one block x n x n temporary of _row_pairs (8 MiB of float64).
+_BLOCK_ELEMENTS = 1 << 20
 
 
 class MatrixError(ValueError):
@@ -68,6 +75,20 @@ def as_matrix(A, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
     return Matrix(np.asarray(A, dtype=float), zero_tol=zero_tol)
 
 
+def _row_pairs(a: np.ndarray, f) -> np.ndarray:
+    """n x n array whose [i, j] entry is sum_k f(a[i, k], a[j, k]).
+
+    Rows are taken a block at a time so that each block x n x n
+    temporary holds about _BLOCK_ELEMENTS floats.
+    """
+    n = a.shape[0]
+    step = max(1, _BLOCK_ELEMENTS // (n * n))
+    out = np.empty((n, n))
+    for i in range(0, n, step):
+        out[i:i + step] = f(a[i:i + step, None, :], a[None, :, :]).sum(axis=2)
+    return out
+
+
 def mu(A) -> float:
     """min over row pairs j != k of sum_i min(A[j,i], A[k,i]).
 
@@ -75,12 +96,11 @@ def mu(A) -> float:
     so that pairwise-quantified inequalities hold vacuously.
     """
     A = as_matrix(A)
-    a = A.a
     if A.n == 1:
-        return float(a.sum())
-    pair_sums = np.minimum(a[:, None, :], a[None, :, :]).sum(axis=2)
-    iu = np.triu_indices(A.n, k=1)
-    return float(pair_sums[iu].min())
+        return float(A.a.sum())
+    pair_sums = _row_pairs(A.a, np.minimum)
+    np.fill_diagonal(pair_sums, np.inf)  # the table is symmetric; skip j == k
+    return float(pair_sums.min())
 
 
 def delta(A) -> float:
@@ -88,9 +108,7 @@ def delta(A) -> float:
     A = as_matrix(A)
     if A.n == 1:
         return 0.0
-    a = A.a
-    pos = np.maximum(0.0, a[:, None, :] - a[None, :, :]).sum(axis=2)
-    return float(pos.max())
+    return float(_row_pairs(A.a, lambda x, y: np.maximum(0.0, x - y)).max())
 
 
 def delta_halfsum(A) -> float:
@@ -101,8 +119,7 @@ def delta_halfsum(A) -> float:
     A = as_matrix(A)
     if A.n == 1:
         return 0.0
-    a = A.a
-    return float(0.5 * np.abs(a[:, None, :] - a[None, :, :]).sum(axis=2).max())
+    return float(0.5 * _row_pairs(A.a, lambda x, y: np.abs(x - y)).max())
 
 
 def is_scrambling(A) -> bool:
@@ -111,10 +128,12 @@ def is_scrambling(A) -> bool:
     A = as_matrix(A)
     if A.n == 1:
         return True
-    nz = A.nonzero_pattern()
-    shared = (nz[:, None, :] & nz[None, :, :]).any(axis=2)
-    iu = np.triu_indices(A.n, k=1)
-    return bool(shared[iu].all())
+    p = A.nonzero_pattern().astype(float)
+    # (p @ p.T)[i, j] counts the columns rows i and j share, exactly in
+    # float64.  A diagonal entry is zero only for an all-zero row, which
+    # shares no column with any row, so the minimum is positive iff every
+    # pair shares one.
+    return bool((p @ p.T).min() > 0)
 
 
 def is_stochastic(A, tol: float = DEFAULT_ROW_SUM_TOL) -> bool:

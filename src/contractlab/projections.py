@@ -113,25 +113,8 @@ def project(x, norm: Norm) -> Projection:
     middle order statistics; the lower median is returned (the distance
     does not depend on the choice).
     """
-    x = _check_vector(x)
-    n = x.size
-    if norm.kind == L2:
-        alpha = float(x.mean())
-        dist = float(np.sqrt(np.sum((x - alpha) ** 2)))
-    elif norm.kind == LINF:
-        hi, lo = float(x.max()), float(x.min())
-        alpha = 0.5 * (hi + lo)
-        dist = 0.5 * (hi - lo)
-    elif norm.kind == L1:
-        xs = np.sort(x)
-        # lower median: order statistic ceil(n/2) in 1-based indexing
-        alpha = float(xs[(n + 1) // 2 - 1])
-        dist = float(xs[(n + 1) // 2:].sum() - xs[: n // 2].sum())
-    else:
-        w = _weights_for(norm, n)
-        alpha = float(w @ x / w.sum())
-        dist = float(np.sqrt(np.sum(w * (x - alpha) ** 2)))
-    return Projection(alpha=alpha, distance=dist)
+    alpha, dist = project_columns(_check_vector(x)[:, None], norm)
+    return Projection(alpha=float(alpha[0]), distance=float(dist[0]))
 
 
 def distance_to_diagonal(x, norm: Norm) -> float:
@@ -139,7 +122,8 @@ def distance_to_diagonal(x, norm: Norm) -> float:
 
 
 def project_columns(X: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized form of project over the columns of an n x m array.
+    """project applied to each column of an n x m array; project itself
+    is the one-column case.
 
     Returns (alpha, distance) arrays of length m.
     """

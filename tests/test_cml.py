@@ -166,6 +166,9 @@ def test_check_sync_corollary():
         check_sync_corollary(seq_of(A4.a), [0.0])
     with pytest.raises(ValueError):
         check_sync_corollary(seq_of(A4.a, A4.a), [1.0])
+    with pytest.raises(RowSumError):
+        check_sync_corollary(seq_of(A4.a, [[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]]),
+                             [1.0, 1.0])
 
 
 def test_corollary_implies_envelope_decay():

@@ -296,3 +296,52 @@ def test_cli_output_deterministic(tmp_path, capsys):
     run_cli(capsys, "--output", str(f1), "analyze", p)
     run_cli(capsys, "--output", str(f2), "analyze", p)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+MALFORMED_SPECS = [
+    {"matrices": 5},
+    {"matrices": [7]},
+    {"matrices": ["a4.json"], "repeat": None},
+    {"matrices": ["a4.json"], "repeat": [2]},
+    {"matrices": ["a4.json"], "repeat": float("inf")},
+    {"generator": [1, 2]},
+    {"generator": {"kind": "random_stochastic_spanning_tree", "n": [3]}},
+]
+
+
+@pytest.mark.parametrize("command", [
+    *[("product", spec) for spec in MALFORMED_SPECS],
+    *[("ergodicity", spec) for spec in MALFORMED_SPECS],
+    ("analyze", {"rows": [1, 2]}),
+], ids=lambda c: f"{c[0]}-{json.dumps(c[1])}")
+def test_cli_malformed_spec_exits_2(tmp_path, capsys, command):
+    name, doc = command
+    a4_json(tmp_path)
+    path = write(tmp_path, "input.json", json.dumps(doc))
+    extra = ["--horizon", "1"] if name == "ergodicity" else []
+    code, out, err = run_cli(capsys, name, path, *extra)
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+def test_cli_simulate_trace_has_no_nonfinite_literals(tmp_path, capsys):
+    # identity coupling: c = 1, so the envelope d0 * 3.9^k overflows to inf
+    write(tmp_path, "eye.json", json.dumps({"rows": np.eye(2).tolist()}))
+    config = write(tmp_path, "sim.json", json.dumps({
+        "matrix": "eye.json",
+        "map": {"kind": "logistic", "a": 3.9},
+        "x0": [0.1, 0.7],
+        "steps": 700,
+    }))
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(capsys, "--output", str(trace), "simulate", config)
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    json.loads(out, parse_constant=reject)
+    records = [json.loads(line, parse_constant=reject)
+               for line in trace.read_text().splitlines()]
+    assert len(records) == 701
+    assert any(rec["bound"] is None for rec in records)

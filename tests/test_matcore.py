@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,50 @@ def test_delta_halfsum_agrees_for_constant_row_sums():
         n = int(rng.integers(2, 9))
         A = random_stochastic(n, rng)
         assert delta(A) == pytest.approx(delta_halfsum(A), abs=1e-12)
+
+
+def test_delta_equals_r_minus_mu_for_constant_row_sums():
+    # r - sum_k min(a_ik, a_jk) = sum_k max(0, a_ik - a_jk) when row i sums to r
+    rng = np.random.default_rng(105)
+    for trial in range(500):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n)) if trial % 2 else rng.random((n, n))
+        a += (rng.uniform(-2.0, 2.0) - a.sum(axis=1, keepdims=True)) / n
+        r = row_sum_profile(a).r
+        assert r is not None
+        assert delta(a) == pytest.approx(r - mu(a), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [101, 150, 257])
+@pytest.mark.parametrize("signed", [False, True])
+def test_row_pair_functionals_match_direct_broadcast(n, signed):
+    # several row blocks at n = 150 and 257, with a shorter last block
+    rng = np.random.default_rng(n)
+    iu = np.triu_indices(n, k=1)
+    scrambling = set()
+    for zero_fraction in (0.5, 0.97):
+        a = rng.standard_normal((n, n)) if signed else rng.random((n, n))
+        a[rng.random((n, n)) < zero_fraction] = 0.0
+        x, y = a[:, None, :], a[None, :, :]
+        assert mu(a) == float(np.minimum(x, y).sum(axis=2)[iu].min())
+        assert delta(a) == float(np.maximum(0.0, x - y).sum(axis=2).max())
+        assert delta_halfsum(a) == float(0.5 * np.abs(x - y).sum(axis=2).max())
+        nz = np.abs(a) > 1e-12
+        expected = bool((nz[:, None, :] & nz[None, :, :]).any(axis=2)[iu].all())
+        assert is_scrambling(a) == expected
+        scrambling.add(expected)
+    assert scrambling == {True, False}
+
+
+@pytest.mark.parametrize("fn", [mu, delta, is_scrambling])
+def test_row_pair_functionals_memory_is_quadratic(fn):
+    # an n x n x n float temporary at n = 400 would take 488 MiB
+    a = np.random.default_rng(106).random((400, 400))
+    A = Matrix(a)
+    tracemalloc.start()
+    try:
+        fn(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
