@@ -183,21 +183,15 @@ def cmd_ergodicity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise io.InputError(f"{args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise io.InputError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(config, dict):
-        raise io.InputError(f"{args.config}: expected a JSON object")
+    config = io.load_object(args.config)
     base = Path(args.config).parent
     try:
+        steps = int(config.get("steps", args.steps))
         if "sequence" in config:
             seq = io.load_sequence(base / config["sequence"], args.zero_tol)
         elif "matrix" in config:
             A = io.load_matrix(base / config["matrix"], args.zero_tol)
-            seq = products.MatrixSequence(items=[A] * int(config.get("steps", args.steps)))
+            seq = products.MatrixSequence(items=[A] * steps)
         else:
             raise io.InputError(f"{args.config}: field 'matrix' or 'sequence' required")
         map_spec = config.get("map")
@@ -208,10 +202,9 @@ def cmd_simulate(args) -> int:
         if x0 is None:
             raise io.InputError(f"{args.config}: field 'x0' required")
         x0 = io.load_vector(base / x0) if isinstance(x0, str) else np.asarray(x0, float)
-        steps = int(config.get("steps", args.steps))
         norm = norm_from_name(config.get("norm", args.norm),
                               config.get("weights"))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, io.InputError):
             raise
         raise io.InputError(f"{args.config}: {exc}") from exc
@@ -241,10 +234,7 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     A = io.load_matrix(args.matrix, args.zero_tol)
     x = io.load_vector(args.vector)
-    try:
-        dec = decompose_affine(A, x, args.row_sum_tol)
-    except ValueError as exc:
-        raise io.InputError(str(exc)) from exc
+    dec = decompose_affine(A, x, args.row_sum_tol)
     residual = float(np.abs(dec.B.a @ x + dec.xstar - A.a @ x).max())
     doc = {
         "input": str(args.matrix),

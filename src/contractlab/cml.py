@@ -15,7 +15,7 @@ import numpy as np
 
 from .contractivity import contractivity, contractivity_linf, RowSumError
 from .matcore import row_sum_profile
-from .products import MatrixSequence, PRODUCT_ZERO_THRESHOLD
+from .products import PRODUCT_ZERO_THRESHOLD, MatrixSequence, check_convergence_condition
 from .projections import L1, Norm, distance_to_diagonal, linf
 
 DEFAULT_SYNC_TOL = 1e-10
@@ -40,30 +40,39 @@ def make_map(spec: dict) -> MapDef:
     and rho = a; {"kind": "tent", "s": s} on [0,1] with rho = s;
     {"kind": "affine", "a": a, "b": b} on R with rho = |a|;
     {"kind": "custom_table", "xs": [...], "ys": [...]} piecewise linear
-    with rho estimated as the largest segment slope.
+    with rho estimated as the largest segment slope.  A spec that is not
+    a dict, or that lacks a parameter of its kind, raises ValueError.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("map spec must be an object")
     kind = spec.get("kind")
+
+    def param(name):
+        if name not in spec:
+            raise ValueError(f"{kind} map needs parameter {name!r}")
+        return spec[name]
+
     if kind == "logistic":
-        a = float(spec["a"])
+        a = float(param("a"))
         if not np.isfinite(a) or a < 0:
             raise ValueError("logistic parameter must be finite and nonnegative")
         return MapDef(kind, lambda x: a * x * (1.0 - x), rho=a,
                       domain=(0.0, 1.0), params={"a": a})
     if kind == "tent":
-        s = float(spec["s"])
+        s = float(param("s"))
         if not np.isfinite(s) or s < 0:
             raise ValueError("tent slope must be finite and nonnegative")
         return MapDef(kind, lambda x: s * np.minimum(x, 1.0 - x), rho=s,
                       domain=(0.0, 1.0), params={"s": s})
     if kind == "affine":
-        a, b = float(spec["a"]), float(spec["b"])
+        a, b = float(param("a")), float(param("b"))
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("affine parameters must be finite")
         return MapDef(kind, lambda x: a * x + b, rho=abs(a),
                       domain=None, params={"a": a, "b": b})
     if kind == "custom_table":
-        xs = np.asarray(spec["xs"], dtype=float)
-        ys = np.asarray(spec["ys"], dtype=float)
+        xs = np.asarray(param("xs"), dtype=float)
+        ys = np.asarray(param("ys"), dtype=float)
         if xs.size < 2 or xs.size != ys.size or np.any(np.diff(xs) <= 0):
             raise ValueError("table needs >= 2 strictly increasing abscissae")
         rho = float(np.abs(np.diff(ys) / np.diff(xs)).max())
@@ -124,7 +133,8 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     recomputed only when A_k is not the same object as A_(k-1).  The
     envelope is marked void from the first step where a state leaves the
     declared map domain (the Lipschitz constant only holds there).
-    Non-finite states flag divergence and truncate the trace.
+    Non-finite states flag divergence and truncate the trace.  Raises
+    ValueError when steps exceed a finite sequence.
     """
     if norm is None:
         norm = linf()
@@ -133,6 +143,8 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     maps = list(maps)
     if not maps:
         raise ValueError("need at least one map")
+    if A_seq.items is not None and steps > len(A_seq.items):
+        raise ValueError("steps exceed sequence length")
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size != A_seq.n:
         raise ValueError("x0 dimension must match the matrix sequence")
@@ -191,22 +203,21 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
 def check_sync_condition(c_values, rho_values, horizon: int | None = None,
                          threshold: float = PRODUCT_ZERO_THRESHOLD) -> dict:
     """Running products of c(A_k) * rho_k and a finite-horizon verdict on
-    whether they reach (numerically) zero."""
+    whether they reach (numerically) zero.  Signs are checked per factor:
+    c < 0 with rho = 0 gives c * rho = -0.0, which check_convergence_condition
+    accepts."""
     c_values = np.asarray(c_values, dtype=float)
     rho_values = np.asarray(rho_values, dtype=float)
     if c_values.shape != rho_values.shape:
         raise ValueError("sequences must have equal length")
     if np.any(c_values < 0) or np.any(rho_values < 0):
         raise ValueError("inputs must be nonnegative")
-    if horizon is not None:
-        if horizon > c_values.size:
-            raise ValueError("horizon exceeds sequence length")
-        c_values = c_values[:horizon]
-        rho_values = rho_values[:horizon]
-    running = np.cumprod(c_values * rho_values)
+    if horizon is not None and horizon > c_values.size:
+        raise ValueError("horizon exceeds sequence length")
+    conv = check_convergence_condition(c_values * rho_values, horizon, threshold)
     return {
-        "criterion_holds_over_horizon": bool(running.size and running[-1] < threshold),
-        "running_product": running,
+        "criterion_holds_over_horizon": conv["converges_to_zero_over_horizon"],
+        "running_product": conv["running_products"],
     }
 
 

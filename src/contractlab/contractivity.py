@@ -5,7 +5,8 @@ c(A) = sup_{x not in X*} d(Ax, X*) / d(x, X*) has closed forms:
 c = r - mu(A) under the max norm and c = ||A K||_2 under the Euclidean
 norm, where K is an orthonormal basis of the orthogonal complement of e.
 Under a weighted Euclidean norm only the upper bound
-||W^(1/2) A W^(-1) K||_2 is available.  ``contractivity(A, norm)`` is
+||W^(1/2) A W^(-1) K||_2 is available; the Euclidean c is its w = e
+case, and one routine computes both.  ``contractivity(A, norm)`` is
 the one dispatch from a norm to its formula; spectral norms come from
 the LAPACK SVD through numpy, so a non-converging SVD surfaces as
 np.linalg.LinAlgError.
@@ -101,31 +102,37 @@ def _require_constant_row_sum(A: Matrix, row_sum_tol: float) -> float:
     return profile.r
 
 
+def _report(norm: Norm, c: float, method: str, bound_only: bool = False) -> ContractivityReport:
+    """The one verdict rule: nonexpansive iff c <= 1, contractive iff c < 1, up to _EXACT_TOL."""
+    c = float(c)
+    return ContractivityReport(
+        norm=norm, c=c,
+        is_set_nonexpansive=c <= 1.0 + _EXACT_TOL,
+        is_set_contractive=c < 1.0 - _EXACT_TOL,
+        method=method, is_bound_only=bound_only)
+
+
+def _spectral_coefficient(A: Matrix, w: np.ndarray) -> float:
+    """||W^(1/2) A W^(-1) K||_2; with w = e every scaling is by 1.0, which
+    is exact, so this is ||A K||_2 to the bit."""
+    if A.n == 1:
+        return 0.0
+    M = np.sqrt(w)[:, None] * A.a * (1.0 / w)[None, :] @ basis_K(A.n).columns
+    return spectral_norm_2(M)
+
+
 def contractivity_linf(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
     """Exact c(A) = r - mu(A) under the max norm (constant row sums only)."""
     A = as_matrix(A)
     r = _require_constant_row_sum(A, row_sum_tol)
-    c = r - mu(A)
-    return ContractivityReport(
-        norm=linf(), c=float(c),
-        is_set_nonexpansive=c <= 1.0 + _EXACT_TOL,
-        is_set_contractive=c < 1.0 - _EXACT_TOL,
-        method="closed_form_linf")
+    return _report(linf(), r - mu(A), "closed_form_linf")
 
 
 def contractivity_l2(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
     """Exact c(A) = ||A K||_2 under the Euclidean norm."""
     A = as_matrix(A)
     _require_constant_row_sum(A, row_sum_tol)
-    if A.n == 1:
-        c = 0.0
-    else:
-        c = spectral_norm_2(A.a @ basis_K(A.n).columns)
-    return ContractivityReport(
-        norm=Norm(L2), c=float(c),
-        is_set_nonexpansive=c <= 1.0 + _EXACT_TOL,
-        is_set_contractive=c < 1.0 - _EXACT_TOL,
-        method="spectral_l2")
+    return _report(Norm(L2), _spectral_coefficient(A, np.ones(A.n)), "spectral_l2")
 
 
 def contractivity_weighted_bound(A, w, row_sum_tol: float = 1e-9) -> ContractivityReport:
@@ -139,18 +146,8 @@ def contractivity_weighted_bound(A, w, row_sum_tol: float = 1e-9) -> Contractivi
     norm = weighted_l2(w)  # validates positivity, renormalizes max(w) = 1
     if norm.weights.size != A.n:
         raise ValueError("weight vector length must equal matrix dimension")
-    if A.n == 1:
-        bound = 0.0
-    else:
-        wv = norm.weights
-        K = basis_K(A.n).columns
-        M = np.sqrt(wv)[:, None] * A.a * (1.0 / wv)[None, :] @ K
-        bound = spectral_norm_2(M)
-    return ContractivityReport(
-        norm=norm, c=float(bound),
-        is_set_nonexpansive=bound <= 1.0 + _EXACT_TOL,
-        is_set_contractive=bound < 1.0 - _EXACT_TOL,
-        method="weighted_bound", is_bound_only=True)
+    return _report(norm, _spectral_coefficient(A, norm.weights), "weighted_bound",
+                   bound_only=True)
 
 
 def contractivity(A, norm: Norm, row_sum_tol: float = 1e-9) -> ContractivityReport:

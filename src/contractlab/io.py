@@ -36,22 +36,37 @@ def _finite_rows(rows, source: str) -> np.ndarray:
     return a
 
 
-def load_matrix(path, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
-    path = Path(path)
+def _read(path: Path, as_json: bool):
+    """The file's text, or its parsed JSON document; a file that cannot be
+    read or JSON that does not parse raises InputError."""
     try:
         text = path.read_text()
+        return json.loads(text) if as_json else text
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+
+
+def load_object(path) -> dict:
+    """A JSON file holding one object, such as a sequence spec or a
+    simulation config."""
+    path = Path(path)
+    doc = _read(path, as_json=True)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return doc
+
+
+def load_matrix(path, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
+    path = Path(path)
     if path.suffix.lower() == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+        doc = _read(path, as_json=True)
         if not isinstance(doc, dict) or "rows" not in doc:
             raise InputError(f"{path}: expected an object with a 'rows' field")
         rows = doc["rows"]
     else:
-        rows = [row for row in csv.reader(text.splitlines()) if row]
+        rows = [row for row in csv.reader(_read(path, as_json=False).splitlines()) if row]
     a = _finite_rows(rows, str(path))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{path}: expected a square matrix, got shape {a.shape}")
@@ -60,21 +75,13 @@ def load_matrix(path, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
 
 def load_vector(path) -> np.ndarray:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
     if path.suffix.lower() == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-        if not isinstance(doc, list):
+        values = _read(path, as_json=True)
+        if not isinstance(values, list):
             raise InputError(f"{path}: expected a JSON array")
-        values = doc
     else:
         values = []
-        for row in csv.reader(text.splitlines()):
+        for row in csv.reader(_read(path, as_json=False).splitlines()):
             if not row:
                 continue
             if len(row) != 1:
@@ -104,14 +111,7 @@ def load_sequence(path, zero_tol: float = DEFAULT_ZERO_TOL) -> MatrixSequence:
     {"generator": {"kind": ..., "n": ..., "seed": ..., "min_entry": ...}}.
     Relative matrix paths are resolved against the spec file."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object")
+    doc = load_object(path)
     if "generator" in doc:
         if not isinstance(doc["generator"], dict):
             raise InputError(f"{path}: 'generator' must be an object")

@@ -163,16 +163,6 @@ class ScramblingProductCheck:
     mu_lower_bound: float
     c_bound: float
 
-    def to_json(self) -> dict:
-        return {
-            "hypotheses_hold": self.hypotheses_hold,
-            "failures": list(self.failures),
-            "product_is_scrambling": self.product_is_scrambling,
-            "mu_product": self.mu_product,
-            "mu_lower_bound": self.mu_lower_bound,
-            "c_bound": self.c_bound,
-        }
-
 
 def scrambling_product_theorem_check(seq: MatrixSequence, epsilon: float,
                                      r: float, tol: float = 1e-9) -> ScramblingProductCheck:
@@ -301,6 +291,8 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
         norm = linf()
     if block_len is None:
         block_len = max(1, seq.n - 1)
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
     for k in range(horizon):
         if not is_stochastic(seq[k]):
             raise ValueError(f"sequence item {k} is not stochastic")

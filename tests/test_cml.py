@@ -54,6 +54,18 @@ def test_make_map_validation():
         make_map({"kind": "custom_table", "xs": [0.0, 0.0], "ys": [1.0, 2.0]})
     with pytest.raises(ValueError):
         make_map({"kind": "nope"})
+    # not a dict, or missing a parameter of its kind: ValueError, not KeyError
+    for spec in ("logistic", {"kind": "logistic"}, {"kind": "affine", "a": 1.0},
+                 {"kind": "custom_table", "xs": [0.0, 1.0]}):
+        with pytest.raises(ValueError):
+            make_map(spec)
+
+
+def test_simulate_steps_past_sequence_end_raises():
+    mp = make_map({"kind": "tent", "s": 1.0})
+    with pytest.raises(ValueError, match="steps exceed sequence length"):
+        simulate(seq_of(A4.a, A4.a), mp, [0.1, 0.5, 0.9], steps=5)
+    assert len(simulate(seq_of(A4.a, A4.a), mp, [0.1, 0.5, 0.9], steps=2).distances) == 3
 
 
 def test_simulate_averaging_syncs_in_one_step():
@@ -155,6 +167,9 @@ def test_check_sync_condition():
         check_sync_condition([0.9], [1.0, 1.0])
     with pytest.raises(ValueError):
         check_sync_condition([0.9] * 5, [1.0] * 5, horizon=10)
+    # c * rho is -0.0 here, which a sign check on the product lets through
+    with pytest.raises(ValueError):
+        check_sync_condition([0.5, -0.1], [1.0, 0.0])
 
 
 def test_check_sync_corollary():

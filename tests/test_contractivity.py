@@ -65,6 +65,18 @@ def test_contractivity_linf_rejects_nonconstant_rows():
         contractivity_linf([[1.0, 0.0], [0.5, 0.6]])
 
 
+def test_l2_is_weighted_bound_at_unit_weights():
+    # ||A K||_2 is ||W^(1/2) A W^(-1) K||_2 at w = e; scaling by 1.0 is exact
+    rng = np.random.default_rng(41)
+    mats = [A1, A2, A3, A4, A5, M0]
+    for n in range(1, 41):
+        mats.append(random_nonneg_row_sum(n, rng))
+        a = rng.standard_normal((n, n))
+        mats.append(Matrix(a - a.mean(axis=1, keepdims=True) + rng.uniform(-1.0, 2.0)))
+    for A in mats:
+        assert contractivity_l2(A).c == contractivity_weighted_bound(A, np.ones(A.n)).c
+
+
 def test_contractivity_l2_examples():
     assert contractivity_l2(A3).c == pytest.approx(0.939, abs=1e-3)
     assert contractivity_l2(A2).c == pytest.approx(1.000, abs=1e-6)

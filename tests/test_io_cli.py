@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from contractlab import cli, l2, product_contractivity_bound
+from contractlab import MatrixSequence, cli, l2, make_map, product_contractivity_bound, simulate
 from contractlab.io import InputError, load_matrix, load_sequence, load_vector, parse_weights
 from contractlab.reference import A1, A4
 
@@ -195,6 +195,24 @@ def test_cli_simulate(tmp_path, capsys):
     assert csv_path.read_text().splitlines()[0] == "k,d,bound"
 
 
+def test_cli_simulate_full_state(tmp_path, capsys):
+    a4_json(tmp_path)
+    config = {"matrix": "a4.json", "map": {"kind": "tent", "s": 1.05},
+              "x0": [0.2, 0.45, 0.3], "steps": 20}
+    path = write(tmp_path, "sim.json", json.dumps(config))
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(capsys, "--output", str(trace), "simulate", path, "--full-state")
+    assert code == 0
+    expected = simulate(MatrixSequence(items=[A4] * 20), make_map(config["map"]),
+                        config["x0"], 20)
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(records) == len(expected.states) == 21
+    for rec in records:
+        assert rec["x"] == [float(f"{v:.12g}") for v in expected.states[rec["k"]]]
+    run_cli(capsys, "--output", str(trace), "simulate", path)
+    assert all("x" not in json.loads(line) for line in trace.read_text().splitlines())
+
+
 def test_cli_decompose(tmp_path, capsys):
     a4_json(tmp_path)
     v = write(tmp_path, "x.json", "[0.1, 0.7, 0.4]")
@@ -345,3 +363,33 @@ def test_cli_simulate_trace_has_no_nonfinite_literals(tmp_path, capsys):
                for line in trace.read_text().splitlines()]
     assert len(records) == 701
     assert any(rec["bound"] is None for rec in records)
+
+
+SIMULATE_CONFIG = {"matrix": "a4.json", "map": {"kind": "logistic", "a": 3.9},
+                   "x0": [0.1, 0.5, 0.9], "steps": 5}
+
+
+@pytest.mark.parametrize("change", [
+    {"map": {"kind": "logistic"}},
+    {"map": {"kind": "custom_table", "xs": [0, 1]}},
+    {"map": "logistic"},
+    {"steps": float("inf")},  # written as Infinity, which parses like 1e999
+    {"matrix": None, "sequence": "seq.json"},  # 2 matrices, 5 steps
+], ids=lambda c: json.dumps(c))
+def test_cli_simulate_malformed_config_exits_2(tmp_path, capsys, change):
+    a4_json(tmp_path)
+    write(tmp_path, "seq.json", json.dumps({"matrices": ["a4.json", "a4.json"]}))
+    config = {k: v for k, v in {**SIMULATE_CONFIG, **change}.items() if v is not None}
+    path = write(tmp_path, "sim.json", json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", path)
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("block_len", ["0", "-1"])
+def test_cli_ergodicity_block_len_below_one_exits_2(tmp_path, capsys, block_len):
+    spec = repeated_sequence(tmp_path, A4, "a4")
+    code, out, err = run_cli(capsys, "ergodicity", spec, "--horizon", "5",
+                             "--block-len", block_len)
+    assert code == 2 and out == ""
+    assert "block_len" in err and "Traceback" not in err

@@ -234,3 +234,15 @@ def test_weak_ergodicity_diagnostic_verdicts():
 def test_weak_ergodicity_requires_stochastic():
     with pytest.raises(ValueError):
         weak_ergodicity_diagnostic(seq_of(A1.a), horizon=1)
+
+
+@pytest.mark.parametrize("block_len", [0, -1])
+def test_weak_ergodicity_rejects_block_len_below_one(monkeypatch, block_len):
+    fetched = []
+    getitem = MatrixSequence.__getitem__
+    monkeypatch.setattr(MatrixSequence, "__getitem__",
+                        lambda self, k: fetched.append(k) or getitem(self, k))
+    seq = MatrixSequence(generator={"kind": "random_stochastic_spanning_tree", "n": 3})
+    with pytest.raises(ValueError, match="block_len"):
+        weak_ergodicity_diagnostic(seq, horizon=5, block_len=block_len)
+    assert fetched == []
