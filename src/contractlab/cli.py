@@ -204,13 +204,17 @@ def cmd_simulate(args) -> int:
         x0 = io.load_vector(base / x0) if isinstance(x0, str) else np.asarray(x0, float)
         norm = norm_from_name(config.get("norm", args.norm),
                               config.get("weights"))
+        trace_path = config.get("trace")
+        # open() would take an integer for a file descriptor
+        if trace_path is not None and not isinstance(trace_path, str):
+            raise io.InputError(f"{args.config}: field 'trace' must be a path string")
     except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, io.InputError):
             raise
         raise io.InputError(f"{args.config}: {exc}") from exc
     trace = cml.simulate(seq, mp, x0, steps, norm=norm, sync_tol=args.sync_tol)
     records = trace.to_records()
-    trace_path = args.output or config.get("trace")
+    trace_path = args.output or trace_path
     if trace_path:
         with open(trace_path, "w") as fh:
             for rec in records:

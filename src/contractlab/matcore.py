@@ -89,6 +89,18 @@ def _row_pairs(a: np.ndarray, f) -> np.ndarray:
     return out
 
 
+# The elementwise terms of delta and delta_halfsum, written into the
+# x - y buffer so that each block holds one temporary, not two.
+def _positive_part_of_difference(x, y):
+    d = x - y
+    return np.maximum(0.0, d, out=d)
+
+
+def _abs_difference(x, y):
+    d = x - y
+    return np.abs(d, out=d)
+
+
 def mu(A) -> float:
     """min over row pairs j != k of sum_i min(A[j,i], A[k,i]).
 
@@ -108,7 +120,7 @@ def delta(A) -> float:
     A = as_matrix(A)
     if A.n == 1:
         return 0.0
-    return float(_row_pairs(A.a, lambda x, y: np.maximum(0.0, x - y)).max())
+    return float(_row_pairs(A.a, _positive_part_of_difference).max())
 
 
 def delta_halfsum(A) -> float:
@@ -119,7 +131,7 @@ def delta_halfsum(A) -> float:
     A = as_matrix(A)
     if A.n == 1:
         return 0.0
-    return float(0.5 * _row_pairs(A.a, lambda x, y: np.abs(x - y)).max())
+    return float(0.5 * _row_pairs(A.a, _abs_difference).max())
 
 
 def is_scrambling(A) -> bool:

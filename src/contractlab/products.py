@@ -34,35 +34,56 @@ def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05,
     """Random stochastic matrix with positive diagonal whose interaction
     digraph contains a spanning directed tree.
 
-    Every structurally nonzero entry is >= min_entry.  The tree is drawn
-    by attaching each vertex to a random already-reachable parent; a tree
+    Every structurally nonzero entry is >= min_entry, which must lie in
+    (0, 1/2] for n > 1, so that a row has room for its diagonal and a
+    tree edge, and in (0, 1] for n = 1.  The tree is drawn by
+    attaching each vertex to a random already-reachable parent; a tree
     edge p -> v in the interaction digraph requires A[v, p] != 0.
+
+    The matrix is a function of the state of ``rng`` alone: the same
+    seed gives the same matrix, byte for byte, across versions of this
+    function, and leaves ``rng`` in the same state.  The draws, in
+    order: a permutation, one bounded integer per tree edge, then per
+    row a shuffle of its free columns and one uniform per column it has
+    room for, then per row one uniform per nonzero entry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    max_nonzeros = int(1.0 / min_entry)
+    if not 0 < min_entry <= 1:  # also rejects nan
+        raise ValueError(f"min_entry must be in (0, 1], got {min_entry!r}")
+    # A row never holds more than n nonzeros, so the cap at n changes no
+    # draw; it keeps int() finite when 1 / min_entry overflows.
+    max_nonzeros = int(min(1.0 / min_entry, n))
     if max_nonzeros < 2 and n > 1:
         raise ValueError("min_entry too large for a positive diagonal plus a tree edge")
     order = rng.permutation(n)
-    support = [{i} for i in range(n)]  # row i: diagonal always present
-    for idx in range(1, n):
-        v = int(order[idx])
-        p = int(order[int(rng.integers(idx))])
-        support[v].add(p)
+    support = np.eye(n, dtype=bool)  # row i: diagonal always present
+    # one bounded draw per entry, in order: the stream of integers(idx)
+    # called for idx = 1, ..., n - 1
+    support[order[1:], order[rng.integers(np.arange(1, n))]] = True
+
+    nnz = support.sum(axis=1)
+    rows, cols = np.nonzero(~support)  # each row's free columns, ascending
+    bounds = np.concatenate(([0], np.cumsum(n - nnz))).tolist()
+    rooms = (max_nonzeros - nnz).tolist()
+    keep = np.zeros(cols.size, dtype=bool)
     for i in range(n):
-        room = max_nonzeros - len(support[i])
-        others = [j for j in range(n) if j not in support[i]]
-        rng.shuffle(others)
-        for j in others[:room]:
-            if rng.random() < extra_edge_prob:
-                support[i].add(j)
+        start, stop = bounds[i], bounds[i + 1]
+        rng.shuffle(cols[start:stop])
+        stop = min(stop, start + rooms[i])
+        keep[start:stop] = rng.random(stop - start) < extra_edge_prob
+    support[rows[keep], cols[keep]] = True
+
+    rows, cols = np.nonzero(support)
+    nnz = support.sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(nnz))).tolist()
+    u = rng.random(cols.size)  # row i's draws are u[bounds[i]:bounds[i + 1]]
+    # each row sums its own slice: np.add.reduceat groups the additions
+    # differently, which would change the last bits of the entries
+    sums = np.array([u[bounds[i]:bounds[i + 1]].sum() for i in range(n)])
+    slack = 1.0 - nnz * min_entry
     a = np.zeros((n, n))
-    for i in range(n):
-        cols = sorted(support[i])
-        k = len(cols)
-        slack = 1.0 - k * min_entry
-        u = rng.random(k)
-        a[i, cols] = min_entry + slack * u / u.sum()
+    a[rows, cols] = min_entry + slack[rows] * u / sums[rows]
     return Matrix(a)
 
 

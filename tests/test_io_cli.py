@@ -256,6 +256,15 @@ def test_cli_ergodicity_horizon_past_sequence_exits_2(tmp_path, capsys):
     assert code == 2 and "horizon exceeds sequence length" in err
 
 
+@pytest.mark.parametrize("min_entry", [0, -0.1, float("inf")])  # inf is written Infinity
+def test_cli_ergodicity_generator_min_entry_exits_2(tmp_path, capsys, min_entry):
+    spec = write(tmp_path, "gen.json", json.dumps({"generator": {
+        "kind": "random_stochastic_spanning_tree", "n": 3, "min_entry": min_entry}}))
+    code, out, err = run_cli(capsys, "ergodicity", spec, "--horizon", "2")
+    assert code == 2 and out == ""
+    assert "min_entry must be in (0, 1]" in err and "Traceback" not in err
+
+
 def test_cli_product_generator_exits_2(tmp_path, capsys):
     spec = write(tmp_path, "gen.json", json.dumps(
         {"generator": {"kind": "random_stochastic_spanning_tree", "n": 3}}))
@@ -375,6 +384,8 @@ SIMULATE_CONFIG = {"matrix": "a4.json", "map": {"kind": "logistic", "a": 3.9},
     {"map": "logistic"},
     {"steps": float("inf")},  # written as Infinity, which parses like 1e999
     {"matrix": None, "sequence": "seq.json"},  # 2 matrices, 5 steps
+    {"trace": 99999},  # open() takes an int for a file descriptor
+    {"trace": ["trace.jsonl"]},
 ], ids=lambda c: json.dumps(c))
 def test_cli_simulate_malformed_config_exits_2(tmp_path, capsys, change):
     a4_json(tmp_path)

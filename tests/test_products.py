@@ -67,6 +67,66 @@ def test_generator_output_properties():
         assert has_spanning_directed_tree(interaction_digraph(A))[0]
 
 
+def scalar_spanning_tree(n, rng, min_entry=0.05, extra_edge_prob=0.3):
+    """Frozen scalar form of random_stochastic_spanning_tree: sets, lists
+    and one scalar draw at a time.  Reference for the draw order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    max_nonzeros = int(1.0 / min_entry)
+    if max_nonzeros < 2 and n > 1:
+        raise ValueError("min_entry too large for a positive diagonal plus a tree edge")
+    order = rng.permutation(n)
+    support = [{i} for i in range(n)]
+    for idx in range(1, n):
+        v = int(order[idx])
+        p = int(order[int(rng.integers(idx))])
+        support[v].add(p)
+    for i in range(n):
+        room = max_nonzeros - len(support[i])
+        others = [j for j in range(n) if j not in support[i]]
+        rng.shuffle(others)
+        for j in others[:room]:
+            if rng.random() < extra_edge_prob:
+                support[i].add(j)
+    a = np.zeros((n, n))
+    for i in range(n):
+        cols = sorted(support[i])
+        k = len(cols)
+        slack = 1.0 - k * min_entry
+        u = rng.random(k)
+        a[i, cols] = min_entry + slack * u / u.sum()
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 30, 47])
+def test_generator_matches_scalar_oracle(n):
+    for min_entry in (0.004, 0.05, 0.2, 0.5, 1.0):
+        for seed in range(4):
+            for extra_edge_prob in (0.3, 1.0):
+                rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+                if n > 1 and min_entry > 0.5:
+                    for f, g in ((random_stochastic_spanning_tree, rng),
+                                 (scalar_spanning_tree, ref_rng)):
+                        with pytest.raises(ValueError, match="too large"):
+                            f(n, g, min_entry, extra_edge_prob)
+                    continue
+                A = random_stochastic_spanning_tree(n, rng, min_entry, extra_edge_prob)
+                ref = scalar_spanning_tree(n, ref_rng, min_entry, extra_edge_prob)
+                assert A.a.tobytes() == ref.tobytes()
+                assert rng.random() == ref_rng.random()  # same share of the stream
+
+
+@pytest.mark.parametrize("n, min_entry", [
+    (0, 0.05), (3, 0.0), (3, -0.1), (3, float("inf")), (3, float("nan")),
+    (1, 1.5), (2, 0.6),
+])
+def test_generator_rejects_bad_arguments_before_drawing(n, min_entry):
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError):
+        random_stochastic_spanning_tree(n, rng, min_entry)
+    assert rng.random() == np.random.default_rng(1).random()
+
+
 def test_product_contractivity_bound():
     _, c_bound = product_contractivity_bound(seq_of(A3.a, A3.a), l2())
     assert c_bound == pytest.approx(contractivity_l2(A3).c ** 2, abs=1e-10)
