@@ -1,7 +1,14 @@
 """Set-contractivity of constant row sum matrices: scrambling / mu /
 delta analysis, exact coefficients under max and Euclidean norms, graph
 necessary conditions, product and weak-ergodicity diagnostics, and a
-coupled map lattice simulator."""
+coupled map lattice simulator.
+
+The package re-exports the function ``contractivity``, which shadows the
+submodule of the same name: ``import contractlab.contractivity as C``
+binds the function.  Reach the module with
+``importlib.import_module("contractlab.contractivity")`` or import names
+from it (``from contractlab.contractivity import contractivity_l2``).
+"""
 
 from .matcore import (
     Matrix,

@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import cml, io, products, reference
-from .contractivity import contractivity, decompose_affine, empirical_contractivity
+from .contractivity import (
+    _linf_report,
+    contractivity,
+    decompose_affine,
+    empirical_contractivity,
+)
 from .graphs import has_spanning_directed_tree, interaction_digraph, is_irreducible
 from .matcore import delta, is_scrambling, is_stochastic, mu, row_sum_profile
 from .projections import L1, norm_from_name
@@ -40,6 +45,8 @@ def _round12(value):
     if isinstance(value, (float, np.floating)):
         return float(f"{float(value):.12g}") if np.isfinite(value) else None
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biu":  # nothing to round, e.g. an edge list
+            return value.tolist()
         return [_round12(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
@@ -82,6 +89,7 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
     profile = row_sum_profile(A, row_sum_tol)
     G = interaction_digraph(A)
     tree, root = has_spanning_directed_tree(G)
+    m = mu(A)
     report = {
         "input": str(path),
         "n": A.n,
@@ -90,16 +98,18 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
         "r": profile.r,
         "stochastic": is_stochastic(A, row_sum_tol),
         "scrambling": is_scrambling(A),
-        "mu": mu(A),
+        "mu": m,
         "delta": delta(A),
         "spanning_tree": tree,
         "spanning_tree_root": root,
         "irreducible": is_irreducible(G),
-        "digraph": G.to_json(),
+        # G.to_json()'s shape; the pairs stay one int array, which _round12
+        # turns into lists in one call instead of walking every pair
+        "digraph": {"n": G.n, "edges": np.argwhere(G.adj)},
     }
     if profile.is_constant:
-        reps = {name: contractivity(A, norm_from_name(name), row_sum_tol)
-                for name in ("linf", "l2")}
+        reps = {"linf": _linf_report(profile.r, m),
+                "l2": contractivity(A, norm_from_name("l2"), row_sum_tol)}
         report["c_linf"] = reps["linf"].c
         report["c_l2"] = reps["l2"].c
         report["classification"] = {name: _classification(rep) for name, rep in reps.items()}
@@ -115,15 +125,24 @@ def cmd_analyze(args) -> int:
     if len(paths) == 1:
         _emit(_analysis_report(paths[0], args.zero_tol, args.row_sum_tol), args)
         return 0
+    names = [Path(path).stem + ".analysis.json" for path in paths]
+    if args.output:
+        # one report file per input: a shared name would overwrite a report
+        by_name = {}
+        for path, name in zip(paths, names):
+            by_name.setdefault(name, []).append(path)
+        clashes = [f"{', '.join(ps)} -> {name}" for name, ps in by_name.items() if len(ps) > 1]
+        if clashes:
+            raise io.InputError(
+                "analyze --output: inputs share a report name: " + "; ".join(clashes))
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         reports = list(pool.map(
             lambda p: _analysis_report(p, args.zero_tol, args.row_sum_tol), paths))
     if args.output:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
-        for path, report in zip(paths, reports):
-            out = outdir / (Path(path).stem + ".analysis.json")
-            out.write_text(_dump(report, args.pretty) + "\n")
+        for name, report in zip(names, reports):
+            (outdir / name).write_text(_dump(report, args.pretty) + "\n")
     else:
         print(_dump(reports, args.pretty))
     return 0
@@ -205,9 +224,11 @@ def cmd_simulate(args) -> int:
         norm = norm_from_name(config.get("norm", args.norm),
                               config.get("weights"))
         trace_path = config.get("trace")
-        # open() would take an integer for a file descriptor
-        if trace_path is not None and not isinstance(trace_path, str):
-            raise io.InputError(f"{args.config}: field 'trace' must be a path string")
+        if trace_path is not None:
+            # open() would take an integer for a file descriptor
+            if not isinstance(trace_path, str):
+                raise io.InputError(f"{args.config}: field 'trace' must be a path string")
+            trace_path = base / trace_path
     except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, io.InputError):
             raise

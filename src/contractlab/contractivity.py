@@ -121,11 +121,17 @@ def _spectral_coefficient(A: Matrix, w: np.ndarray) -> float:
     return spectral_norm_2(M)
 
 
+def _linf_report(r: float, mu_value: float) -> ContractivityReport:
+    """The max-norm report from the common row sum r and mu(A); a caller
+    that already holds mu(A) builds the report without a second pass."""
+    return _report(linf(), r - mu_value, "closed_form_linf")
+
+
 def contractivity_linf(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
     """Exact c(A) = r - mu(A) under the max norm (constant row sums only)."""
     A = as_matrix(A)
     r = _require_constant_row_sum(A, row_sum_tol)
-    return _report(linf(), r - mu(A), "closed_form_linf")
+    return _linf_report(r, mu(A))
 
 
 def contractivity_l2(A, row_sum_tol: float = 1e-9) -> ContractivityReport:

@@ -4,32 +4,64 @@ by the graph-based necessary condition for set-contractivity.
 The interaction digraph of A is the directed graph of A^T: edge i -> j is
 present iff A[j, i] is structurally nonzero, i.e. j's update depends on i
 and influence flows from i to j.
+
+A ``Digraph`` stores one n x n bool adjacency, ``adj[i, j]`` iff edge
+i -> j; successor sets and the JSON edge list are derived from it.
+Reachability is a frontier search on that matrix: every vertex enters
+the frontier once, so one search reads each row once, O(n^2).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import numpy as np
 
 from .matcore import as_matrix
 
 
-@dataclass(frozen=True)
 class Digraph:
-    n: int
-    edges: tuple[frozenset, ...]  # edges[i] = successor set of vertex i
+    """Directed graph on vertices 0..n-1.
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.edges) != self.n:
+    ``Digraph(n, edges)`` takes ``edges[i]``, the successor set of
+    vertex i, for every vertex.
+    """
+
+    __slots__ = ("adj",)
+
+    def __init__(self, n: int, edges):
+        if n < 1 or len(edges) != n:
             raise ValueError("edge list length must equal vertex count")
-        for succ in self.edges:
+        adj = np.zeros((n, n), dtype=bool)
+        for i, succ in enumerate(edges):
             for j in succ:
-                if not 0 <= j < self.n:
+                if not 0 <= j < n:
                     raise ValueError(f"vertex index {j} out of range")
+                adj[i, j] = True
+        adj.setflags(write=False)
+        self.adj = adj
+
+    def __eq__(self, other):
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return bool(np.array_equal(self.adj, other.adj))
+
+    def __hash__(self):
+        return hash(self.adj.tobytes())
+
+    def __repr__(self):
+        return f"Digraph({self.n}, {self.edges!r})"
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
+
+    @property
+    def edges(self) -> tuple[frozenset, ...]:
+        """edges[i] = successor set of vertex i."""
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.adj)
 
     def to_json(self) -> dict:
-        pairs = sorted((i, j) for i in range(self.n) for j in self.edges[i])
-        return {"n": self.n, "edges": [list(p) for p in pairs]}
+        # argwhere lists the pairs in row-major order, i.e. sorted
+        return {"n": self.n, "edges": np.argwhere(self.adj).tolist()}
 
 
 def digraph_from_edges(n: int, pairs) -> Digraph:
@@ -41,22 +73,27 @@ def digraph_from_edges(n: int, pairs) -> Digraph:
 
 def interaction_digraph(A) -> Digraph:
     """Digraph with edge i -> j iff |A[j, i]| > zero_tol."""
-    A = as_matrix(A)
-    nz = A.nonzero_pattern()
-    succ = [frozenset(int(j) for j in nz[:, i].nonzero()[0]) for i in range(A.n)]
-    return Digraph(A.n, tuple(succ))
+    G = object.__new__(Digraph)  # the adjacency is the pattern: no edge sets to check
+    G.adj = np.ascontiguousarray(as_matrix(A).nonzero_pattern().T)
+    G.adj.setflags(write=False)
+    return G
 
 
-def _reachable(G: Digraph, root: int) -> set:
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in G.edges[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _search(adj: np.ndarray, start: int, seen: np.ndarray) -> None:
+    """Mark in ``seen`` every vertex reachable from ``start`` through
+    vertices not already seen."""
+    seen[start] = True
+    front = np.zeros_like(seen)
+    front[start] = True
+    while front.any():
+        front = adj[front].any(axis=0) & ~seen
+        seen |= front
+
+
+def _reaches_all(adj: np.ndarray, start: int) -> bool:
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    _search(adj, start, seen)
+    return bool(seen.all())
 
 
 def has_spanning_directed_tree(G: Digraph) -> tuple[bool, int | None]:
@@ -64,20 +101,26 @@ def has_spanning_directed_tree(G: Digraph) -> tuple[bool, int | None]:
 
     Returns (True, root) with the smallest such root, or (False, None).
     Self-loops are irrelevant to reachability.
+
+    One sweep searches from each vertex not yet seen, in increasing
+    order, sharing the seen mask, so the seen set stays closed under
+    successors.  A root seen by one search makes it the last, so every
+    root is first seen by the last search, and every vertex below that
+    search's start was seen before it.  If a root exists, that start
+    reaches it and is therefore the smallest root: one more search
+    decides.
     """
-    for root in range(G.n):
-        if len(_reachable(G, root)) == G.n:
-            return True, root
+    seen = np.zeros(G.n, dtype=bool)
+    candidate = 0
+    for v in range(G.n):
+        if not seen[v]:
+            candidate = v
+            _search(G.adj, v, seen)
+    if _reaches_all(G.adj, candidate):
+        return True, candidate
     return False, None
 
 
 def is_irreducible(G: Digraph) -> bool:
     """True iff G is strongly connected."""
-    if len(_reachable(G, 0)) != G.n:
-        return False
-    rev = [set() for _ in range(G.n)]
-    for i in range(G.n):
-        for j in G.edges[i]:
-            rev[j].add(i)
-    reverse = Digraph(G.n, tuple(frozenset(s) for s in rev))
-    return len(_reachable(reverse, 0)) == G.n
+    return _reaches_all(G.adj, 0) and _reaches_all(G.adj.T, 0)

@@ -7,22 +7,24 @@ scrambling.  delta(A) is the maximum over row pairs of the summed
 positive part of the row difference; for constant row sum matrices it
 contracts the spread max(x) - min(x) of any vector x under x -> Ax.
 
-All row-pair sums come from one blocked kernel, ``_row_pairs``, which
-builds the n x n table a block of rows at a time, so memory stays O(n^2)
-(no n x n x n temporary).  The scrambling test is one matrix product of
-the 0/1 nonzero pattern.
+All row-pair sums come from one tiled kernel, ``_row_pairs``, which
+builds the n x n table one square tile of row pairs (i, j) at a time, so
+memory stays O(n^2) (no n x n x n temporary) and each tile's temporary
+stays small enough to remain in cache.  The scrambling test is one
+matrix product of the 0/1 nonzero pattern.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-12
 DEFAULT_ROW_SUM_TOL = 1e-9
-# Elements in one block x n x n temporary of _row_pairs (8 MiB of float64).
-_BLOCK_ELEMENTS = 1 << 20
+# Elements in one tile x tile x n temporary of _row_pairs (512 KiB of float64).
+_TILE_ELEMENTS = 1 << 16
 
 
 class MatrixError(ValueError):
@@ -78,14 +80,20 @@ def as_matrix(A, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
 def _row_pairs(a: np.ndarray, f) -> np.ndarray:
     """n x n array whose [i, j] entry is sum_k f(a[i, k], a[j, k]).
 
-    Rows are taken a block at a time so that each block x n x n
-    temporary holds about _BLOCK_ELEMENTS floats.
+    The table is built a tile of rows i by a tile of rows j at a time, so
+    each tile x tile x n temporary holds about _TILE_ELEMENTS floats.
+    Every entry is still one reduction over the contiguous last axis, so
+    the result does not depend on the tiling.
     """
     n = a.shape[0]
-    step = max(1, _BLOCK_ELEMENTS // (n * n))
+    tile = max(1, math.isqrt(_TILE_ELEMENTS // n))
+    if tile >= n:
+        return f(a[:, None, :], a[None, :, :]).sum(axis=2)
     out = np.empty((n, n))
-    for i in range(0, n, step):
-        out[i:i + step] = f(a[i:i + step, None, :], a[None, :, :]).sum(axis=2)
+    for i in range(0, n, tile):
+        rows = a[i:i + tile, None, :]
+        for j in range(0, n, tile):
+            out[i:i + tile, j:j + tile] = f(rows, a[None, j:j + tile, :]).sum(axis=2)
     return out
 
 

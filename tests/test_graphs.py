@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,89 @@ def test_contractive_implies_spanning_tree():
                 or contractivity_l2(A).is_set_contractive):
             assert has_spanning_directed_tree(interaction_digraph(A))[0]
             checked += 1
+
+
+# Frozen reference: the successor-set Digraph and its root-by-root
+# breadth-first search, as they were before the adjacency matrix became
+# the stored form.  The array search must give the same answers.
+def _bfs_reachable(succ, root):
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in succ[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def _oracle_tree(succ):
+    n = len(succ)
+    for root in range(n):
+        if len(_bfs_reachable(succ, root)) == n:
+            return True, root
+    return False, None
+
+
+def _oracle_irreducible(succ):
+    n = len(succ)
+    pred = [set() for _ in range(n)]
+    for i in range(n):
+        for j in succ[i]:
+            pred[j].add(i)
+    return len(_bfs_reachable(succ, 0)) == n and len(_bfs_reachable(pred, 0)) == n
+
+
+def _oracle_json(succ):
+    pairs = sorted((i, j) for i in range(len(succ)) for j in succ[i])
+    return {"n": len(succ), "edges": [list(p) for p in pairs]}
+
+
+def _random_successor_sets(rng):
+    n = int(rng.integers(1, 16))
+    density = float(rng.choice([0.0, 0.05, 0.15, 0.4]))
+    kind = rng.integers(4)
+    succ = [{j for j in range(n) if rng.random() < density} for _ in range(n)]
+    if kind == 1:  # only the last vertex can be a root: a tree from it, no edge into it
+        order = np.concatenate([[n - 1], rng.permutation(n - 1)])
+        for k in range(1, n):
+            succ[order[rng.integers(k)]].add(int(order[k]))
+        for i in range(n - 1):
+            succ[i].discard(n - 1)
+    elif kind == 2:  # self-loops only
+        succ = [{i} for i in range(n)]
+    elif kind == 3:  # no edges at all
+        succ = [set() for _ in range(n)]
+    return [{int(j) for j in s} for s in succ]
+
+
+def test_graph_routines_match_frozen_bfs():
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(1500):
+        succ = _random_successor_sets(rng)
+        n = len(succ)
+        G = digraph_from_edges(n, [(i, j) for i in range(n) for j in succ[i]])
+        expected = _oracle_tree(succ)
+        assert has_spanning_directed_tree(G) == expected
+        assert is_irreducible(G) == _oracle_irreducible(succ)
+        assert G.edges == tuple(frozenset(s) for s in succ)
+        assert G.to_json() == _oracle_json(succ)
+        outcomes.add((n == 1, expected[1] == n - 1))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_interaction_digraph_matches_frozen_successor_sets():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        a = rng.standard_normal((n, n))
+        a[rng.random((n, n)) < rng.uniform(0.3, 0.95)] = 0.0
+        nz = np.abs(a) > 1e-12
+        succ = [{int(j) for j in nz[:, i].nonzero()[0]} for i in range(n)]
+        G = interaction_digraph(a)
+        assert G.edges == tuple(frozenset(s) for s in succ)
+        assert G.to_json() == _oracle_json(succ)
+        assert has_spanning_directed_tree(G) == _oracle_tree(succ)
+        assert is_irreducible(G) == _oracle_irreducible(succ)

@@ -1,9 +1,19 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from contractlab import MatrixSequence, cli, l2, make_map, product_contractivity_bound, simulate
+from contractlab import (
+    MatrixSequence,
+    cli,
+    contractivity_linf,
+    l2,
+    make_map,
+    mu,
+    product_contractivity_bound,
+    simulate,
+)
 from contractlab.io import InputError, load_matrix, load_sequence, load_vector, parse_weights
 from contractlab.reference import A1, A4
 
@@ -131,6 +141,42 @@ def test_cli_analyze_multi_to_directory(tmp_path, capsys):
         assert doc["n"] == 3
 
 
+def test_cli_analyze_output_name_collision_exits_2(tmp_path, capsys, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    p1, p2 = a4_json(tmp_path / "a", "M.json"), a4_json(tmp_path / "b", "M.json")
+    p3 = write(tmp_path / "b", "M.csv", "\n".join(",".join(map(str, r)) for r in A4.a))
+    analysed = []
+    monkeypatch.setattr(cli, "_analysis_report", lambda *a: analysed.append(a))
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--output", str(outdir), "analyze", p1, p2, p3)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert all(p in err for p in (p1, p2, p3)) and "M.analysis.json" in err
+    assert analysed == [] and not outdir.exists()
+
+
+def test_cli_analyze_computes_mu_once(tmp_path, capsys, monkeypatch):
+    # contractlab.contractivity is shadowed by the function of that name
+    contractivity_module = importlib.import_module("contractlab.contractivity")
+    calls = []
+
+    def counting_mu(A):
+        calls.append(A)
+        return mu(A)
+
+    monkeypatch.setattr(cli, "mu", counting_mu)
+    monkeypatch.setattr(contractivity_module, "mu", counting_mu)
+    rng = np.random.default_rng(9)
+    a = rng.random((12, 12))
+    a /= a.sum(axis=1, keepdims=True)
+    path = write(tmp_path, "a.json", json.dumps({"rows": a.tolist()}))
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == 0 and json.loads(out)["c_linf"] is not None
+    assert len(calls) == 1
+    report = cli._analysis_report(path, 1e-12, 1e-9)
+    assert report["c_linf"] == contractivity_linf(load_matrix(path)).c
+
+
 def test_cli_contractivity_norms(tmp_path, capsys):
     p = a4_json(tmp_path)
     code, out, _ = run_cli(capsys, "contractivity", p, "--norm", "linf")
@@ -193,6 +239,22 @@ def test_cli_simulate(tmp_path, capsys):
     rec0 = json.loads(lines[0])
     assert rec0["k"] == 0 and "bound" in rec0
     assert csv_path.read_text().splitlines()[0] == "k,d,bound"
+
+
+def test_cli_simulate_trace_path_relative_to_config(tmp_path, capsys, monkeypatch):
+    cfg, work = tmp_path / "cfg", tmp_path / "work"
+    cfg.mkdir()
+    work.mkdir()
+    a4_json(cfg)
+    config = write(cfg, "sim.json", json.dumps({**SIMULATE_CONFIG, "trace": "t.jsonl"}))
+    monkeypatch.chdir(work)
+    code, _, _ = run_cli(capsys, "simulate", config)
+    assert code == 0
+    assert len((cfg / "t.jsonl").read_text().splitlines()) == 6
+    assert not (work / "t.jsonl").exists()
+    # --output stays relative to the working directory
+    code, _, _ = run_cli(capsys, "--output", "o.jsonl", "simulate", config)
+    assert code == 0 and (work / "o.jsonl").exists() and not (cfg / "o.jsonl").exists()
 
 
 def test_cli_simulate_full_state(tmp_path, capsys):

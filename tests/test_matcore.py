@@ -122,10 +122,11 @@ def test_delta_equals_r_minus_mu_for_constant_row_sums():
         assert delta(a) == pytest.approx(r - mu(a), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [101, 150, 257])
+@pytest.mark.parametrize("n", [40, 41, 101, 150, 257])
 @pytest.mark.parametrize("signed", [False, True])
 def test_row_pair_functionals_match_direct_broadcast(n, signed):
-    # several row blocks at n = 150 and 257, with a shorter last block
+    # n = 40 is one tile; from n = 41 on the table is tiled over i and j,
+    # and the last tile is shorter in both (tile edges 39, 25, 20 and 15)
     rng = np.random.default_rng(n)
     iu = np.triu_indices(n, k=1)
     scrambling = set()
@@ -155,3 +156,16 @@ def test_row_pair_functionals_memory_is_quadratic(fn):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("fn", [mu, delta])
+def test_row_pair_kernel_memory_is_one_table(fn):
+    # the n x n result (1.2 MiB at n = 400) plus one small tile temporary
+    A = Matrix(np.random.default_rng(107).random((400, 400)))
+    tracemalloc.start()
+    try:
+        fn(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
