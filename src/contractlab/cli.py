@@ -60,11 +60,10 @@ def _dump(doc, pretty: bool) -> str:
                       allow_nan=False)
 
 
-def _emit(doc, args, path=None) -> None:
+def _emit(doc, args) -> None:
     text = _dump(doc, args.pretty)
-    target = path if path is not None else args.output
-    if target:
-        Path(target).write_text(text + "\n")
+    if args.output:
+        Path(args.output).write_text(text + "\n")
     else:
         print(text)
 
@@ -121,12 +120,13 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    paths = args.matrix
-    if len(paths) == 1:
+    paths, out = args.matrix, args.output
+    # --output is a directory, except for one input and a path that is not one
+    if len(paths) == 1 and not (out and (out.endswith(("/", os.sep)) or Path(out).is_dir())):
         _emit(_analysis_report(paths[0], args.zero_tol, args.row_sum_tol), args)
         return 0
     names = [Path(path).stem + ".analysis.json" for path in paths]
-    if args.output:
+    if out:
         # one report file per input: a shared name would overwrite a report
         by_name = {}
         for path, name in zip(paths, names):
@@ -138,8 +138,8 @@ def cmd_analyze(args) -> int:
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         reports = list(pool.map(
             lambda p: _analysis_report(p, args.zero_tol, args.row_sum_tol), paths))
-    if args.output:
-        outdir = Path(args.output)
+    if out:
+        outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, report in zip(names, reports):
             (outdir / name).write_text(_dump(report, args.pretty) + "\n")
@@ -206,6 +206,8 @@ def cmd_simulate(args) -> int:
     base = Path(args.config).parent
     try:
         steps = int(config.get("steps", args.steps))
+        if steps < 1:
+            raise io.InputError(f"{args.config}: steps must be >= 1, got {steps}")
         if "sequence" in config:
             seq = io.load_sequence(base / config["sequence"], args.zero_tol)
         elif "matrix" in config:
@@ -234,21 +236,21 @@ def cmd_simulate(args) -> int:
             raise
         raise io.InputError(f"{args.config}: {exc}") from exc
     trace = cml.simulate(seq, mp, x0, steps, norm=norm, sync_tol=args.sync_tol)
-    records = trace.to_records()
     trace_path = args.output or trace_path
     if trace_path:
+        columns = {"d": trace.distances, "bound": trace.bound,
+                   "x": trace.states if args.full_state else None}
+        columns = {name: _round12(col) for name, col in columns.items() if col is not None}
         with open(trace_path, "w") as fh:
-            for rec in records:
-                if args.full_state:
-                    rec = dict(rec, x=trace.states[rec["k"]].tolist())
-                fh.write(json.dumps(_round12(rec), sort_keys=True, allow_nan=False) + "\n")
+            for k in range(len(trace.distances)):
+                rec = dict({name: col[k] for name, col in columns.items()}, k=k)
+                fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("k,d,bound\n")
-            for rec in records:
-                bound = rec.get("bound", "")
-                fh.write(f"{rec['k']},{rec['d']:.12g},"
-                         f"{bound if bound == '' else format(bound, '.12g')}\n")
+            for k, d in enumerate(trace.distances.tolist()):
+                bound = "" if trace.bound is None else format(trace.bound[k], ".12g")
+                fh.write(f"{k},{d:.12g},{bound}\n")
     summary = dict(trace.summary(), input=str(args.config))
     if summary["synchronized_at"] is None:
         summary["note"] = "not synchronized within horizon"
@@ -355,6 +357,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # an input too large, e.g. 10**15 simulate steps
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .contractivity import contractivity, contractivity_linf, RowSumError
 from .matcore import row_sum_profile
 from .products import PRODUCT_ZERO_THRESHOLD, MatrixSequence, check_convergence_condition
-from .projections import L1, Norm, distance_to_diagonal, linf
+from .projections import L1, Norm, linf, project_columns
 
 DEFAULT_SYNC_TOL = 1e-10
 
@@ -84,22 +84,13 @@ def make_map(spec: dict) -> MapDef:
 
 @dataclass
 class SimTrace:
-    states: list  # x(k) vectors, k = 0..steps (may be truncated)
-    distances: np.ndarray  # d(x(k), X*) per step
+    states: np.ndarray  # rows x(k), k = 0..steps (fewer after divergence)
+    distances: np.ndarray  # d(x(k), X*) per row of states
     bound: np.ndarray | None  # envelope d0 * prod c(A_j) rho_j, when c is available
     synchronized_at: int | None
     envelope_valid_until: int | None  # None = valid throughout
     domain_exits: list  # step indices where a state left the map domain
     diverged: bool
-
-    def to_records(self) -> list[dict]:
-        out = []
-        for k, d in enumerate(self.distances):
-            rec = {"k": k, "d": float(d)}
-            if self.bound is not None:
-                rec["bound"] = float(self.bound[k])
-            out.append(rec)
-        return out
 
     def summary(self) -> dict:
         return {
@@ -125,7 +116,7 @@ def _coefficient_or_none(A, norm: Norm) -> float | None:
 def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
              norm: Norm | None = None, sync_tol: float = DEFAULT_SYNC_TOL,
              domain_tol: float = 1e-12) -> SimTrace:
-    """Iterate the lattice for the given number of steps.
+    """Iterate the lattice for the given number of steps (at least 1).
 
     maps may be a single MapDef or a sequence, cycled when shorter than
     the horizon.  The envelope column multiplies c(A_k) * rho_k per step
@@ -134,51 +125,38 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     envelope is marked void from the first step where a state leaves the
     declared map domain (the Lipschitz constant only holds there).
     Non-finite states flag divergence and truncate the trace.  Raises
-    ValueError when steps exceed a finite sequence.
+    ValueError when steps is below 1 or exceeds a finite sequence.
+    The loop only iterates into one states array; distances, domain exits,
+    the sync step and the envelope are computed over that array after it.
     """
-    if norm is None:
-        norm = linf()
-    if isinstance(maps, MapDef):
-        maps = [maps]
-    maps = list(maps)
+    norm = linf() if norm is None else norm
+    maps = [maps] if isinstance(maps, MapDef) else list(maps)
     if not maps:
         raise ValueError("need at least one map")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if A_seq.items is not None and steps > len(A_seq.items):
         raise ValueError("steps exceed sequence length")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.ndim != 1 or x.size != A_seq.n:
-        raise ValueError("x0 dimension must match the matrix sequence")
-    profile = row_sum_profile(A_seq[0])
-    if not profile.is_constant:
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1 or x.size != A_seq.n or not np.isfinite(x).all():
+        raise ValueError("x0 must be a finite vector matching the matrix sequence")
+    if not row_sum_profile(A_seq[0]).is_constant:
         raise RowSumError("coupling matrices must have constant row sums")
 
-    d0 = distance_to_diagonal(x, norm)
-    states = [x.copy()]
-    distances = [d0]
-    bound = [d0]
+    states = np.empty((steps + 1, x.size))
+    states[0] = x
+    factors = np.empty((steps, 2))  # row k: c(A_k), rho_k
     bound_available = True
-    envelope_valid_until = None
-    domain_exits = []
-    synchronized_at = 0 if d0 < sync_tol else None
-    diverged = False
     A_prev = c = None
-
+    used = steps + 1
     for k in range(steps):
         mp = maps[k % len(maps)]
-        if mp.domain is not None:
-            lo, hi = mp.domain
-            if np.any(x < lo - domain_tol) or np.any(x > hi + domain_tol):
-                domain_exits.append(k)
-                if envelope_valid_until is None:
-                    envelope_valid_until = k
         A = A_seq[k]
         x = A.a @ mp.f(x)
-        if not np.all(np.isfinite(x)):
-            diverged = True
+        if not np.isfinite(x).all():
+            used = k + 1
             break
-        states.append(x.copy())
-        d = distance_to_diagonal(x, norm)
-        distances.append(d)
+        states[k + 1] = x
         if bound_available:
             if A is not A_prev:  # a repeated coupling keeps its coefficient
                 c = _coefficient_or_none(A, norm)
@@ -186,18 +164,32 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
             if c is None:
                 bound_available = False
             else:
-                bound.append(bound[-1] * c * mp.rho)
-        if synchronized_at is None and d < sync_tol:
-            synchronized_at = k + 1
+                factors[k] = c, mp.rho
+    states = states[:used]
+
+    # states.T has contiguous columns: bit for bit the per-state distances
+    distances = project_columns(states.T, norm)[1]
+    exits = np.zeros(min(used, steps), dtype=bool)  # the states fed to a map
+    for i, mp in enumerate(maps):
+        if mp.domain is not None:
+            rows = states[i:steps:len(maps)]
+            exits[i::len(maps)] = ((rows < mp.domain[0] - domain_tol)
+                                   | (rows > mp.domain[1] + domain_tol)).any(axis=1)
+    domain_exits = np.flatnonzero(exits).tolist()
+    synced = np.flatnonzero(distances < sync_tol)
+    # cumprod of d0, c_0, rho_0, c_1, ... is bound[k] * c_k * rho_k at even places
+    with np.errstate(over="ignore"):  # past the float range the envelope is inf
+        bound = (np.cumprod(np.append(distances[0], factors[:used - 1]))[::2]
+                 if bound_available else None)
 
     return SimTrace(
         states=states,
-        distances=np.asarray(distances),
-        bound=np.asarray(bound) if bound_available else None,
-        synchronized_at=synchronized_at,
-        envelope_valid_until=envelope_valid_until,
+        distances=distances,
+        bound=bound,
+        synchronized_at=int(synced[0]) if synced.size else None,
+        envelope_valid_until=domain_exits[0] if domain_exits else None,
         domain_exits=domain_exits,
-        diverged=diverged)
+        diverged=used <= steps)
 
 
 def check_sync_condition(c_values, rho_values, horizon: int | None = None,
@@ -227,11 +219,8 @@ def check_sync_corollary(A_seq: MatrixSequence, rho_values) -> bool:
     rho_values = np.asarray(rho_values, dtype=float)
     if np.any(rho_values <= 0):
         raise ValueError("Lipschitz constants must be positive")
-    if A_seq.items is not None:
-        count = len(A_seq.items)
-    else:
-        count = rho_values.size
-    if rho_values.size != count:
+    count = rho_values.size
+    if A_seq.items is not None and len(A_seq.items) != count:
         raise ValueError("need one Lipschitz constant per matrix")
     # contractivity_linf raises RowSumError for non-constant row sums
     worst = max((contractivity_linf(A_seq[k]).c - 1.0 / rho_values[k] for k in range(count)),

@@ -3,7 +3,7 @@ under the max, Euclidean, l1, and weighted Euclidean norms.
 
 Closed forms: the l2 projection coefficient is the mean, the max-norm
 coefficient is the midpoint of the range, the l1 coefficient is a median,
-and the weighted-l2 coefficient is w.x / sum(w).
+and the weighted-l2 coefficient is sum(w * x) / sum(w).
 """
 
 from __future__ import annotations
@@ -125,7 +125,9 @@ def project_columns(X: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     """project applied to each column of an n x m array; project itself
     is the one-column case.
 
-    Returns (alpha, distance) arrays of length m.
+    Returns (alpha, distance) arrays of length m.  Reductions run down the
+    columns, so when X has contiguous columns (say, the transpose of a
+    C-ordered stack of vectors) each result is project's, bit for bit.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -142,6 +144,6 @@ def project_columns(X: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
         dist = Xs[(n + 1) // 2:].sum(axis=0) - Xs[: n // 2].sum(axis=0)
     else:
         w = _weights_for(norm, n)
-        alpha = w @ X / w.sum()
+        alpha = (w[:, None] * X).sum(axis=0) / w.sum()
         dist = np.sqrt((w[:, None] * (X - alpha) ** 2).sum(axis=0))
     return alpha, dist

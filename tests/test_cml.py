@@ -11,7 +11,8 @@ from contractlab import (
 from contractlab import cml, contractivity
 from contractlab.cml import MapDef
 from contractlab.contractivity import RowSumError
-from contractlab import l1, l2, linf
+from contractlab.projections import distance_to_diagonal
+from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A4
 
 
@@ -107,10 +108,10 @@ def test_simulate_domain_exit_voids_envelope():
     # is only claimed while states stay in the declared domain
     B = np.array([[1.5, -0.5], [-0.5, 1.5]])
     mp = make_map({"kind": "logistic", "a": 4.0})
-    tr = simulate(seq_of(*[B] * 20), mp, [0.05, 0.95], steps=20)
-    if tr.domain_exits:
-        assert tr.envelope_valid_until == tr.domain_exits[0]
-        assert not tr.summary()["envelope_valid"]
+    tr = simulate(seq_of(*[B] * 3), mp, [0.1, 0.4], steps=3)
+    assert tr.domain_exits and tr.domain_exits[0] == 1
+    assert tr.envelope_valid_until == tr.domain_exits[0]
+    assert not tr.summary()["envelope_valid"]
 
 
 def test_simulate_divergence_truncates():
@@ -137,6 +138,13 @@ def test_simulate_l1_has_no_envelope():
     assert tr.distances.shape == (6,)
 
 
+def test_simulate_steps_below_one_raises():
+    mp = make_map({"kind": "tent", "s": 1.0})
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps"):
+            simulate(seq_of(A4.a, A4.a), mp, [0.1, 0.5, 0.9], steps=steps)
+
+
 def test_simulate_validation():
     mp = make_map({"kind": "tent", "s": 1.0})
     with pytest.raises(ValueError):
@@ -146,15 +154,8 @@ def test_simulate_validation():
                  [0.1, 0.2], steps=1)
     with pytest.raises(ValueError):
         simulate(seq_of(np.eye(2)), [], [0.1, 0.2], steps=1)
-
-
-def test_to_records_shape():
-    mp = make_map({"kind": "tent", "s": 1.0})
-    tr = simulate(seq_of(*[A4.a] * 3), mp, [0.1, 0.2, 0.3], steps=3)
-    recs = tr.to_records()
-    assert len(recs) == 4
-    assert set(recs[0]) == {"k", "d", "bound"}
-    assert recs[0]["d"] == pytest.approx(tr.distances[0])
+    with pytest.raises(ValueError, match="finite"):
+        simulate(seq_of(np.eye(2)), mp, [0.1, np.nan], steps=1)
 
 
 def test_check_sync_condition():
@@ -240,3 +241,109 @@ def test_simulate_alternating_matrices_recompute_each_step(monkeypatch):
     assert all(M is seq[k] for k, M in enumerate(calls))
     for k in range(20):
         assert tr.bound[k + 1] == tr.bound[k] * cs[k % 2] * mp.rho
+
+
+def per_step_simulate(A_seq, maps, x0, steps, norm, sync_tol=cml.DEFAULT_SYNC_TOL,
+                      domain_tol=1e-12):
+    """Frozen per-step oracle: simulate as one loop that projects, tests
+    the domain and tests for synchronization at every step."""
+    maps = [maps] if isinstance(maps, MapDef) else list(maps)
+    x = np.asarray(x0, dtype=float).copy()
+    d0 = distance_to_diagonal(x, norm)
+    states, distances, bound = [x.copy()], [d0], [d0]
+    bound_available = True
+    envelope_valid_until = None
+    domain_exits = []
+    synchronized_at = 0 if d0 < sync_tol else None
+    diverged = False
+    A_prev = c = None
+    for k in range(steps):
+        mp = maps[k % len(maps)]
+        if mp.domain is not None:
+            lo, hi = mp.domain
+            if np.any(x < lo - domain_tol) or np.any(x > hi + domain_tol):
+                domain_exits.append(k)
+                if envelope_valid_until is None:
+                    envelope_valid_until = k
+        A = A_seq[k]
+        x = A.a @ mp.f(x)
+        if not np.all(np.isfinite(x)):
+            diverged = True
+            break
+        states.append(x.copy())
+        d = distance_to_diagonal(x, norm)
+        distances.append(d)
+        if bound_available:
+            if A is not A_prev:
+                c = cml._coefficient_or_none(A, norm)
+                A_prev = A
+            if c is None:
+                bound_available = False
+            else:
+                bound.append(bound[-1] * c * mp.rho)
+        if synchronized_at is None and d < sync_tol:
+            synchronized_at = k + 1
+    return (states, distances, bound if bound_available else None,
+            synchronized_at, envelope_valid_until, domain_exits, diverged)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(41)
+    n = 12  # past numpy's 8-element pairwise block
+    S = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+    S /= S.sum(axis=1, keepdims=True)
+    A = 0.6 / n + 0.4 * S
+    x0 = rng.random(n)
+    logistic = make_map({"kind": "logistic", "a": 3.9})
+    tent = make_map({"kind": "tent", "s": 1.0})
+    table = make_map({"kind": "custom_table", "xs": [-1.0, 0.5, 2.0],
+                      "ys": [0.0, 1.5, 0.0]})
+    cases = {f"norm-{norm}": (seq_of(*[A] * 80), logistic, x0, 80, norm)
+             for norm in (linf(), l2(), l1(), weighted_l2(rng.random(n) + 0.1))}
+    # a signed coupling pushes states out of [0, 1]: an exit where the
+    # logistic map takes them, none where the table map's [-1, 2] does
+    B = np.array([[1.5, -0.3, -0.2], [-0.2, 1.4, -0.2], [-0.3, -0.1, 1.4]])
+    for norm in (linf(), l2()):
+        cases[f"cycling-domains-{norm}"] = (
+            seq_of(*[B] * 30), [logistic, table, make_map({"kind": "affine", "a": 0.5, "b": 0.1})],
+            [0.05, 0.5, 0.95], 30, norm)
+    blow = make_map({"kind": "affine", "a": 1e100, "b": 0.0})
+    square = make_map({"kind": "logistic", "a": 4.0})
+    # 4 x (1 - x) overflows at once, from a state outside [0, 1]
+    cases["diverge-step-0"] = (seq_of(*[A4.a] * 3), square, [1e300, 2e300, 3e300], 3, linf())
+    # blow multiplies by 1e100 at every other step, so x(7) overflows
+    cases["diverge-mid-run"] = (seq_of(*[A4.a] * 10), [blow, tent], [1.0, 2.0, 3.0], 10, l2())
+    cases["diverge-last-step"] = (seq_of(*[A4.a] * 7), [blow, tent], [1.0, 2.0, 3.0], 7, linf())
+    C = np.full((3, 3), 0.05) + 0.85 * np.eye(3)
+    for norm in (linf(), weighted_l2([1.0, 0.3, 0.7])):
+        cases[f"alternating-{norm}"] = (seq_of(*[A4.a, C] * 15), tent, [0.1, 0.9, 0.4], 30, norm)
+    cases["coefficient-lost-mid-run"] = (
+        seq_of(A4.a, A4.a, [[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]], A4.a),
+        tent, [0.1, 0.9, 0.4], 4, linf())
+    cases["generator"] = (MatrixSequence(generator={
+        "kind": "random_stochastic_spanning_tree", "n": 10, "seed": 3, "min_entry": 0.05}),
+        logistic, rng.random(10), 50, l2())
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_simulate_matches_per_step_oracle(name):
+    seq, maps, x0, steps, norm = ORACLE_CASES[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = simulate(seq, maps, x0, steps, norm=norm)
+        states, distances, bound, sync, valid_until, exits, diverged = \
+            per_step_simulate(seq, maps, x0, steps, norm)
+    assert isinstance(tr.states, np.ndarray)
+    assert len(tr.states) == len(states)
+    assert all(np.array_equal(row, s) for row, s in zip(tr.states, states))
+    assert tr.distances.tolist() == distances
+    assert (tr.bound is None) == (bound is None)
+    if bound is not None:
+        assert tr.bound.tolist() == bound
+    assert tr.domain_exits == exits
+    assert tr.envelope_valid_until == valid_until
+    assert tr.synchronized_at == sync
+    assert tr.diverged == diverged

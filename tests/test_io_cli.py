@@ -141,6 +141,29 @@ def test_cli_analyze_multi_to_directory(tmp_path, capsys):
         assert doc["n"] == 3
 
 
+@pytest.mark.parametrize("form", ["trailing-separator", "existing-directory"])
+def test_cli_analyze_single_input_to_directory(tmp_path, capsys, form):
+    p = a4_json(tmp_path, "m1.json")
+    outdir = tmp_path / "reports"
+    if form == "existing-directory":
+        outdir.mkdir()
+        target = str(outdir)
+    else:
+        target = str(outdir) + "/"
+    code, out, _ = run_cli(capsys, "--output", target, "analyze", p)
+    assert code == 0 and out == ""
+    assert outdir.is_dir()
+    assert json.loads((outdir / "m1.analysis.json").read_text())["n"] == 3
+
+
+def test_cli_analyze_single_input_to_file(tmp_path, capsys):
+    p = a4_json(tmp_path, "m1.json")
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "--output", str(target), "analyze", p)
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["n"] == 3
+
+
 def test_cli_analyze_output_name_collision_exits_2(tmp_path, capsys, monkeypatch):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -239,6 +262,24 @@ def test_cli_simulate(tmp_path, capsys):
     rec0 = json.loads(lines[0])
     assert rec0["k"] == 0 and "bound" in rec0
     assert csv_path.read_text().splitlines()[0] == "k,d,bound"
+
+
+def test_cli_simulate_trace_records_match_library(tmp_path, capsys):
+    a4_json(tmp_path)
+    config = {"matrix": "a4.json", "map": {"kind": "tent", "s": 1.05},
+              "x0": [0.2, 0.45, 0.3], "steps": 30}
+    path = write(tmp_path, "sim.json", json.dumps(config))
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run_cli(capsys, "--output", str(trace), "simulate", path)
+    assert code == 0
+    expected = simulate(MatrixSequence(items=[A4] * 30), make_map(config["map"]),
+                        config["x0"], 30)
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(records) == len(expected.states) == 31
+    for k, rec in enumerate(records):
+        assert set(rec) == {"k", "d", "bound"} and rec["k"] == k
+        assert rec["d"] == float(f"{expected.distances[k]:.12g}")
+        assert rec["bound"] == float(f"{expected.bound[k]:.12g}")
 
 
 def test_cli_simulate_trace_path_relative_to_config(tmp_path, capsys, monkeypatch):
@@ -457,6 +498,42 @@ def test_cli_simulate_malformed_config_exits_2(tmp_path, capsys, change):
     code, out, err = run_cli(capsys, "simulate", path)
     assert code == 2 and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def write_simulate_config(tmp_path, source, **fields):
+    """SIMULATE_CONFIG with fields replaced (None drops one), coupled by
+    a4.json ("matrix") or by a generated sequence ("generator")."""
+    a4_json(tmp_path)
+    config = {k: v for k, v in {**SIMULATE_CONFIG, **fields}.items() if v is not None}
+    if source == "generator":
+        write(tmp_path, "gen.json", json.dumps({"generator": {
+            "kind": "random_stochastic_spanning_tree", "n": 3, "seed": 1}}))
+        del config["matrix"]
+        config["sequence"] = "gen.json"
+    return write(tmp_path, "sim.json", json.dumps(config))
+
+
+@pytest.mark.parametrize("source", ["matrix", "generator", "option"])
+@pytest.mark.parametrize("steps", [0, -3])
+def test_cli_simulate_steps_below_one_exits_2(tmp_path, capsys, source, steps):
+    if source == "option":
+        path = write_simulate_config(tmp_path, "matrix", steps=None)
+        argv = ["--steps", str(steps)]
+    else:
+        path, argv = write_simulate_config(tmp_path, source, steps=steps), []
+    code, out, err = run_cli(capsys, "simulate", path, *argv)
+    assert code == 2 and out == ""
+    assert "steps must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["matrix", "generator"])
+def test_cli_simulate_out_of_memory_exits_2(tmp_path, capsys, source):
+    # 10**15 steps cannot be allocated: the matrix list or the state array
+    # exceeds the address space, so nothing is actually filled
+    path = write_simulate_config(tmp_path, source, steps=10 ** 15)
+    code, out, err = run_cli(capsys, "simulate", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("block_len", ["0", "-1"])

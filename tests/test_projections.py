@@ -98,11 +98,14 @@ def test_translation_covariance_and_homogeneity():
 
 
 def test_project_columns_matches_scalar_version():
+    # a batch with contiguous columns equals its columns bit for bit; n
+    # past numpy's 8-element pairwise-summation block
     rng = np.random.default_rng(14)
-    X = rng.standard_normal((5, 40))
-    for norm in [linf(), l2(), l1(), weighted_l2(rng.random(5) + 0.1)]:
-        alphas, dists = project_columns(X, norm)
-        for j in range(X.shape[1]):
-            p = project(X[:, j], norm)
-            assert alphas[j] == pytest.approx(p.alpha, abs=1e-12)
-            assert dists[j] == pytest.approx(p.distance, abs=1e-12)
+    for n in (9, 33):
+        X = rng.standard_normal((40, n)).T
+        for norm in [linf(), l2(), l1(), weighted_l2(rng.random(n) + 0.1)]:
+            alphas, dists = project_columns(X, norm)
+            for j in range(X.shape[1]):
+                p = project(X[:, j], norm)
+                assert alphas[j] == p.alpha
+                assert dists[j] == p.distance
