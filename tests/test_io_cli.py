@@ -15,7 +15,7 @@ from contractlab import (
     simulate,
 )
 from contractlab.io import InputError, load_matrix, load_sequence, load_vector, parse_weights
-from contractlab.reference import A1, A4
+from contractlab.reference import A1, A4, MATRICES, W4
 
 
 def write(tmp_path, name, text):
@@ -408,6 +408,44 @@ def test_cli_product_matches_library_bound(tmp_path, capsys):
     assert doc["c_exact"] == float(f"{c_exact:.12g}")
     assert doc["c_bound"] == float(f"{c_bound:.12g}")
     assert doc["c_bound"] == doc["running_products"][-1]
+
+
+# The Euclidean coefficients as the CLI printed them (12 significant digits)
+# when they were computed from the basis K of e-perp; any other way of
+# computing ||W^(1/2) A W^(-1) K||_2 must print the same numbers.
+PINNED_ANALYZE_L2 = {
+    "M0": (0.6279630302, "set-contractive"),
+    "A1": (0.98488578018, "set-contractive"),
+    "A2": (1.0, "set-nonexpansive"),
+    "A3": (0.939085357096, "set-contractive"),
+    "A4": (1.12505003316, "expansive"),
+    "A5": (0.939085357096, "set-contractive"),
+}
+# n -> (l2, wl2) for the seeded signed constant row sum matrices below
+PINNED_SEEDED = {1: (0.0, 0.0), 2: (1.48924740714, 2.00974682716),
+                 7: (5.33824029275, 15.4578663316)}
+
+
+def test_cli_l2_coefficients_pinned(tmp_path, capsys):
+    for name, (c, verdict) in PINNED_ANALYZE_L2.items():
+        path = write(tmp_path, f"{name}.json", json.dumps({"rows": MATRICES[name].a.tolist()}))
+        code, out, _ = run_cli(capsys, "analyze", path)
+        doc = json.loads(out)
+        assert code == 0 and doc["c_l2"] == c and doc["classification"]["l2"] == verdict
+    code, out, _ = run_cli(capsys, "contractivity", a4_json(tmp_path), "--norm", "wl2",
+                           "--weights", ",".join(map(repr, W4.tolist())))
+    assert code == 0 and json.loads(out)["c"] == 0.970755427282
+    rng = np.random.default_rng(8)
+    for n, (c_l2, c_wl2) in PINNED_SEEDED.items():
+        a = rng.standard_normal((n, n))
+        a = a - a.mean(axis=1, keepdims=True) + rng.uniform(-1.0, 2.0)
+        path = write(tmp_path, f"signed{n}.json", json.dumps({"rows": a.tolist()}))
+        weights = write(tmp_path, f"w{n}.json", json.dumps(rng.uniform(0.1, 1.0, n).tolist()))
+        code, out, _ = run_cli(capsys, "contractivity", path, "--norm", "l2")
+        assert code == 0 and json.loads(out)["c"] == c_l2
+        code, out, _ = run_cli(capsys, "contractivity", path, "--norm", "wl2",
+                               "--weights", weights)
+        assert code == 0 and json.loads(out)["c"] == c_wl2
 
 
 def test_cli_reproduce_paper(capsys):
