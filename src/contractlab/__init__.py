@@ -1,7 +1,7 @@
 """Set-contractivity of constant row sum matrices: scrambling / mu /
-delta analysis, exact coefficients under max and Euclidean norms, graph
-necessary conditions, product and weak-ergodicity diagnostics, and a
-coupled map lattice simulator.
+delta analysis, the exact max-norm coefficient and the paper's upper
+bounds under Euclidean norms, graph necessary conditions, product and
+weak-ergodicity diagnostics, and a coupled map lattice simulator.
 
 The package re-exports the function ``contractivity``, which shadows the
 submodule of the same name: ``import contractlab.contractivity as C``

@@ -9,7 +9,7 @@ not nonnegativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class MapDef:
     rho: float
     domain: tuple[float, float] | None  # None = all of R
     rho_is_estimate: bool = False
-    params: dict = field(default_factory=dict)
 
 
 def make_map(spec: dict) -> MapDef:
@@ -56,20 +55,17 @@ def make_map(spec: dict) -> MapDef:
         a = float(param("a"))
         if not np.isfinite(a) or a < 0:
             raise ValueError("logistic parameter must be finite and nonnegative")
-        return MapDef(kind, lambda x: a * x * (1.0 - x), rho=a,
-                      domain=(0.0, 1.0), params={"a": a})
+        return MapDef(kind, lambda x: a * x * (1.0 - x), rho=a, domain=(0.0, 1.0))
     if kind == "tent":
         s = float(param("s"))
         if not np.isfinite(s) or s < 0:
             raise ValueError("tent slope must be finite and nonnegative")
-        return MapDef(kind, lambda x: s * np.minimum(x, 1.0 - x), rho=s,
-                      domain=(0.0, 1.0), params={"s": s})
+        return MapDef(kind, lambda x: s * np.minimum(x, 1.0 - x), rho=s, domain=(0.0, 1.0))
     if kind == "affine":
         a, b = float(param("a")), float(param("b"))
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("affine parameters must be finite")
-        return MapDef(kind, lambda x: a * x + b, rho=abs(a),
-                      domain=None, params={"a": a, "b": b})
+        return MapDef(kind, lambda x: a * x + b, rho=abs(a), domain=None)
     if kind == "custom_table":
         xs = np.asarray(param("xs"), dtype=float)
         ys = np.asarray(param("ys"), dtype=float)
@@ -77,8 +73,7 @@ def make_map(spec: dict) -> MapDef:
             raise ValueError("table needs >= 2 strictly increasing abscissae")
         rho = float(np.abs(np.diff(ys) / np.diff(xs)).max())
         return MapDef(kind, lambda x: np.interp(x, xs, ys), rho=rho,
-                      domain=(float(xs[0]), float(xs[-1])), rho_is_estimate=True,
-                      params={"points": int(xs.size)})
+                      domain=(float(xs[0]), float(xs[-1])), rho_is_estimate=True)
     raise ValueError(f"unknown map kind {kind!r}")
 
 

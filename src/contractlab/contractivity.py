@@ -1,15 +1,15 @@
 """Set-contractivity coefficients of constant row sum matrices.
 
 For the diagonal span X* = {alpha * e}, the coefficient
-c(A) = sup_{x not in X*} d(Ax, X*) / d(x, X*) has closed forms:
-c = r - mu(A) under the max norm and c = ||A K||_2 under the Euclidean
-norm, where K is an orthonormal basis of the orthogonal complement of e.
-Under a weighted Euclidean norm only the upper bound
-||W^(1/2) A W^(-1) K||_2 is available; the Euclidean c is its w = e
-case, and one routine computes both.  ``contractivity(A, norm)`` is
-the one dispatch from a norm to its formula; spectral norms come from
-the LAPACK SVD through numpy, so a non-converging SVD surfaces as
-np.linalg.LinAlgError.
+c(A) = sup_{x not in X*} d(Ax, X*) / d(x, X*) is r - mu(A) under the
+max norm.  Under a weighted Euclidean norm ||W^(1/2) A W^(-1) K||_2, K
+an orthonormal basis of e-perp, bounds c(A) from above; its w = e case
+is the paper's Euclidean ||A K||_2, equal to c(A) when the column sums
+are also constant.  As K K^T = I - J/n, one routine computes both with
+no basis: the spectral norm of W^(1/2) A W^(-1) less its row means.
+``contractivity(A, norm)`` is the one dispatch from a norm to its
+formula; spectral norms come from the LAPACK SVD through numpy, so a
+non-converging SVD surfaces as np.linalg.LinAlgError.
 
 Also provides Monte Carlo / exhaustive sampling oracles, the spectral
 paracontractivity check, and the affine stochastic decomposition of
@@ -69,6 +69,7 @@ def basis_K(n: int) -> BasisK:
 
     Built from the Householder reflector mapping e/sqrt(n) to the first
     standard basis vector; columns 2..n of the reflector span e-perp.
+    The coefficients need none; it is their independent reference.
     """
     if n < 2:
         raise ValueError("basis requires n >= 2")
@@ -113,11 +114,10 @@ def _report(norm: Norm, c: float, method: str, bound_only: bool = False) -> Cont
 
 
 def _spectral_coefficient(A: Matrix, w: np.ndarray) -> float:
-    """||W^(1/2) A W^(-1) K||_2; with w = e every scaling is by 1.0, which
-    is exact, so this is ||A K||_2 to the bit."""
-    if A.n == 1:
-        return 0.0
-    M = np.sqrt(w)[:, None] * A.a * (1.0 / w)[None, :] @ basis_K(A.n).columns
+    """||W^(1/2) A W^(-1) K||_2 as ||M - row means of M||_2, M = W^(1/2) A W^(-1);
+    with w = e every scaling is by 1.0, which is exact."""
+    M = np.sqrt(w)[:, None] * A.a * (1.0 / w)[None, :]
+    M -= M.mean(axis=1, keepdims=True)
     return spectral_norm_2(M)
 
 
@@ -135,7 +135,9 @@ def contractivity_linf(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
 
 
 def contractivity_l2(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
-    """Exact c(A) = ||A K||_2 under the Euclidean norm."""
+    """||A K||_2 under the Euclidean norm: an upper bound on
+    c(A) = sup d(Ax, X*) / d(x, X*), equal to it when the column sums are
+    also constant."""
     A = as_matrix(A)
     _require_constant_row_sum(A, row_sum_tol)
     return _report(Norm(L2), _spectral_coefficient(A, np.ones(A.n)), "spectral_l2")
@@ -216,12 +218,6 @@ def exhaustive_binary_contractivity(A, norm: Norm | None = None) -> float:
     return float((dout / din).max())
 
 
-def _right_singular_space(M: np.ndarray, which: str, tol: float) -> np.ndarray:
-    _, s, Vt = np.linalg.svd(M)
-    mask = np.abs(s - 1.0) < tol if which == "unit" else s < tol
-    return Vt[mask].T
-
-
 def is_paracontractive_l2(B, norm_tol: float = 1e-8, angle_tol: float = 1e-6) -> bool:
     """Spectral test of the paracontracting property under the Euclidean
     norm: ||Bx|| < ||x|| exactly for the non-fixed points x.
@@ -231,12 +227,12 @@ def is_paracontractive_l2(B, norm_tol: float = 1e-8, angle_tol: float = 1e-6) ->
     ker(B - I).  Subspaces are compared by principal angles.
     """
     B = as_matrix(B)
-    a = B.a
-    smax = np.linalg.norm(a, 2)
-    if smax > 1.0 + norm_tol:
+    _, s, Vt = np.linalg.svd(B.a)
+    if s[0] > 1.0 + norm_tol:
         return False
-    V1 = _right_singular_space(a, "unit", 1e-8)
-    V2 = _right_singular_space(a - np.eye(B.n), "null", 1e-8)
+    V1 = Vt[np.abs(s - 1.0) < 1e-8].T
+    _, s, Vt = np.linalg.svd(B.a - np.eye(B.n))
+    V2 = Vt[s < 1e-8].T  # ker(B - I)
     if V1.shape[1] != V2.shape[1]:
         return False
     if V1.shape[1] == 0:
@@ -280,10 +276,10 @@ def decompose_affine(A, x, row_sum_tol: float = 1e-9) -> AffineDecomposition:
     if x[hi] - x[lo] <= 1e-14:
         B = np.full((n, n), 1.0 / n)
         xstar = ax - B @ x
-        return AffineDecomposition(B=Matrix(B), xstar=xstar)
+        return AffineDecomposition(B=Matrix(B, zero_tol=A.zero_tol), xstar=xstar)
     lam = (x[hi] - y) / (x[hi] - x[lo])
     lam = np.clip(lam, 0.0, 1.0)
     B = np.zeros((n, n))
     B[:, lo] = lam
     B[:, hi] += 1.0 - lam
-    return AffineDecomposition(B=Matrix(B), xstar=xstar)
+    return AffineDecomposition(B=Matrix(B, zero_tol=A.zero_tol), xstar=xstar)

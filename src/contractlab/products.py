@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contractivity import contractivity, contractivity_linf
+from .contractivity import contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .matcore import Matrix, as_matrix, delta, is_scrambling, is_stochastic, mu, row_sum_profile
-from .projections import LINF, Norm, linf
+from .matcore import Matrix, as_matrix, delta, is_scrambling, is_stochastic, mu
+from .projections import Norm, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
 DELTA_ZERO_THRESHOLD = 1e-8
@@ -132,22 +132,25 @@ class MatrixSequence:
 
 
 def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
-    """Composite matrix mapping x(frm) to x(to + 1): A_to ... A_frm."""
+    """A_to ... A_frm, mapping x(frm) to x(to + 1), at the factors' zero_tol."""
     if frm < 0 or to < frm:
         raise IndexError(f"invalid index range [{frm}, {to}]")
     if seq.items is not None and to >= len(seq.items):
         raise IndexError(f"index {to} out of range")
     acc = np.eye(seq.n)
     for k in range(frm, to + 1):
-        acc = seq[k].a @ acc
-    return Matrix(acc)
+        factor = seq[k]
+        acc = factor.a @ acc
+    return Matrix(acc, zero_tol=factor.zero_tol)
 
 
 def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float, float]:
-    """(exact coefficient of the full product, product of per-factor
-    coefficients).  Under the l-infinity closed form the exact value
-    never exceeds the bound; the l2 closed form is itself only an upper
-    bound per factor, so there the comparison is diagnostic."""
+    """(coefficient of the full product, product of per-factor
+    coefficients).  Under the max norm both are exact and the first never
+    exceeds the second.  Under the Euclidean norms every coefficient is an
+    upper bound ||W^(1/2) A W^(-1) K||_2 on the sup, and the product's can
+    exceed the product of the factors', so there the comparison is
+    diagnostic."""
     ms = seq.items
     if ms is None:
         raise ValueError("requires a finite sequence")
@@ -245,11 +248,12 @@ def min_contractive_product_length(H, norm_q: Norm, max_m: int,
             P = combo[0].a
             for factor in combo[1:]:
                 P = factor.a @ P
+            P = Matrix(P, zero_tol=combo[-1].zero_tol)
             if predicate == "contractive":
-                if not contractivity(Matrix(P), norm_q).is_set_contractive:
+                if not contractivity(P, norm_q).is_set_contractive:
                     ok = False
                     break
-            elif not is_scrambling(Matrix(P)):
+            elif not is_scrambling(P):
                 ok = False
                 break
         if ok:

@@ -167,6 +167,27 @@ def test_delta_mu_c_chain():
         assert c == pytest.approx(delta(A), abs=1e-12)
 
 
+def _paracontractive_l2_three_svd(B, norm_tol=1e-8, angle_tol=1e-6):
+    """Frozen reference: the norm, the singular-value-1 subspace and the
+    fixed point space each from its own SVD."""
+    def right_singular_space(M, which, tol):
+        _, s, Vt = np.linalg.svd(M)
+        mask = np.abs(s - 1.0) < tol if which == "unit" else s < tol
+        return Vt[mask].T
+
+    a = np.asarray(B, dtype=float)
+    if np.linalg.norm(a, 2) > 1.0 + norm_tol:
+        return False
+    V1 = right_singular_space(a, "unit", 1e-8)
+    V2 = right_singular_space(a - np.eye(a.shape[0]), "null", 1e-8)
+    if V1.shape[1] != V2.shape[1]:
+        return False
+    if V1.shape[1] == 0:
+        return True
+    angles = np.arccos(np.clip(np.linalg.svd(V1.T @ V2, compute_uv=False), -1.0, 1.0))
+    return bool(np.all(angles < angle_tol))
+
+
 def test_paracontractive_examples():
     assert is_paracontractive_l2(np.eye(3))
     assert is_paracontractive_l2(np.diag([1.0, 0.5]))
@@ -176,6 +197,26 @@ def test_paracontractive_examples():
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     assert not is_paracontractive_l2(rot)
     assert is_paracontractive_l2(0.5 * rot)
+    # the frozen three-SVD test agrees on random B, orthogonal projections
+    # and blocks with singular value exactly 1 (fixed, rotated or reflected)
+    rng = np.random.default_rng(30)
+    cases = []
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        G = rng.standard_normal((n, n))
+        cases.append(G * rng.uniform(0.5, 1.5) / np.linalg.norm(G, 2))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        k = int(rng.integers(0, n + 1))
+        cases.append(Q[:, :k] @ Q[:, :k].T)
+        unit = [np.eye(k), -np.eye(k), rot if k == 2 else np.eye(k)][int(rng.integers(3))]
+        rest = 0.5 * np.linalg.qr(rng.standard_normal((n - k, n - k)))[0]
+        block = np.zeros((n, n))
+        block[:k, :k], block[k:, k:] = unit, rest
+        cases.append(block)
+        cases.append(Q @ block @ Q.T)
+    verdicts = [is_paracontractive_l2(B) for B in cases]
+    assert verdicts == [_paracontractive_l2_three_svd(B) for B in cases]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_pseudocontractive_stochastic_examples():
@@ -236,3 +277,22 @@ def test_l2_coefficient_invariant_under_basis_rotation():
         Q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
         assert spectral_norm_2(A.a @ K @ Q) == pytest.approx(
             contractivity_l2(A).c, abs=1e-10)
+    # the row-centred form against ||W^(1/2) A W^(-1) K||_2 from the basis,
+    # on general constant row sum matrices, signed ones included
+    for n in range(1, 9):
+        for i in range(20):
+            if i % 2:
+                a = rng.standard_normal((n, n))
+                A = Matrix(a - a.mean(axis=1, keepdims=True) + rng.uniform(-1.0, 2.0))
+            else:
+                A = random_nonneg_row_sum(n, rng, density=float(rng.uniform(0.4, 1.0)))
+            w = weighted_l2(rng.uniform(0.05, 1.0, n)).weights
+            c_l2, c_wl2 = contractivity_l2(A).c, contractivity_weighted_bound(A, w).c
+            if n == 1:
+                assert c_l2 == c_wl2 == 0.0
+                continue
+            K = basis_K(n).columns
+            expected_l2 = spectral_norm_2(A.a @ K)
+            expected_wl2 = spectral_norm_2(np.sqrt(w)[:, None] * A.a / w[None, :] @ K)
+            assert abs(c_l2 - expected_l2) <= 1e-12 * expected_l2
+            assert abs(c_wl2 - expected_wl2) <= 1e-12 * expected_wl2

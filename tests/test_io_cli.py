@@ -233,6 +233,22 @@ def test_cli_product(tmp_path, capsys):
     assert doc["product_scrambling"]
 
 
+# 0.0001 entries that --zero-tol 1e-3 makes structural zeros; at that
+# tolerance no two rows share a column, so the matrix is not scrambling
+NEARLY_IDENTITY = [[0.9999, 0.0001, 0.0], [0.0, 0.9999, 0.0001], [0.0001, 0.0, 0.9999]]
+
+
+def test_cli_product_keeps_zero_tol(tmp_path, capsys):
+    path = write(tmp_path, "near.json", json.dumps({"rows": NEARLY_IDENTITY}))
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["near.json"]}))
+    code, out, _ = run_cli(capsys, "--zero-tol", "1e-3", "analyze", path)
+    assert code == 0 and not json.loads(out)["scrambling"]
+    code, out, _ = run_cli(capsys, "--zero-tol", "1e-3", "product", spec)
+    assert code == 0 and not json.loads(out)["product_scrambling"]
+    code, out, _ = run_cli(capsys, "product", spec)
+    assert code == 0 and json.loads(out)["product_scrambling"]
+
+
 def test_cli_ergodicity(tmp_path, capsys):
     a4_json(tmp_path)
     spec = write(tmp_path, "seq.json",
@@ -323,6 +339,18 @@ def test_cli_decompose(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["B_stochastic"] and doc["residual_linf"] < 1e-10
+
+
+def test_cli_decompose_keeps_zero_tol(tmp_path, capsys):
+    # B mixes columns 0 and 2; rows 0 and 2 put 7.5e-05 on the other one
+    path = write(tmp_path, "near.json", json.dumps({"rows": NEARLY_IDENTITY}))
+    x = write(tmp_path, "x.json", "[0, 1, 2]")
+    code, out, _ = run_cli(capsys, "--zero-tol", "1e-3", "decompose", path, x)
+    doc = json.loads(out)
+    assert code == 0 and doc["B"][0][2] == pytest.approx(7.5e-05, rel=1e-6)
+    assert doc["B_stochastic"] and not doc["B_scrambling"]
+    code, out, _ = run_cli(capsys, "decompose", path, x)
+    assert code == 0 and json.loads(out)["B_scrambling"]
 
 
 def test_cli_exit_code_on_malformed_input(tmp_path, capsys):
