@@ -140,8 +140,9 @@ def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
     acc = np.eye(seq.n)
     for k in range(frm, to + 1):
         factor = seq[k]
-        acc = factor.a @ acc
-    return Matrix(acc, zero_tol=factor.zero_tol)
+        acc, zero_tol = factor.a @ acc, factor.zero_tol
+        del factor  # a generated item is not kept alive while the next is made
+    return Matrix(acc, zero_tol=zero_tol)
 
 
 def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float, float]:
