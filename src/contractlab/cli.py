@@ -29,8 +29,6 @@ from .graphs import has_spanning_directed_tree, interaction_digraph, is_irreduci
 from .matcore import delta, is_scrambling, is_stochastic, mu, row_sum_profile
 from .projections import L1, norm_from_name
 
-log = logging.getLogger("contractlab")
-
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
@@ -355,7 +353,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     except (ValueError, OSError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:  # an input too large, e.g. 10**15 simulate steps

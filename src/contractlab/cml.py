@@ -15,10 +15,11 @@ import numpy as np
 
 from .contractivity import contractivity, contractivity_linf, RowSumError
 from .matcore import row_sum_profile
-from .products import PRODUCT_ZERO_THRESHOLD, MatrixSequence, check_convergence_condition
+from .products import MatrixSequence, check_convergence_condition
 from .projections import L1, Norm, linf, project_columns
 
 DEFAULT_SYNC_TOL = 1e-10
+DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ def _coefficient_or_none(A, norm: Norm) -> float | None:
 
 
 def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
-             norm: Norm | None = None, sync_tol: float = DEFAULT_SYNC_TOL,
-             domain_tol: float = 1e-12) -> SimTrace:
+             norm: Norm | None = None, sync_tol: float = DEFAULT_SYNC_TOL) -> SimTrace:
     """Iterate the lattice for the given number of steps (at least 1).
 
     maps may be a single MapDef or a sequence, cycled when shorter than
@@ -168,8 +168,8 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     for i, mp in enumerate(maps):
         if mp.domain is not None:
             rows = states[i:steps:len(maps)]
-            exits[i::len(maps)] = ((rows < mp.domain[0] - domain_tol)
-                                   | (rows > mp.domain[1] + domain_tol)).any(axis=1)
+            exits[i::len(maps)] = ((rows < mp.domain[0] - DOMAIN_TOL)
+                                   | (rows > mp.domain[1] + DOMAIN_TOL)).any(axis=1)
     domain_exits = np.flatnonzero(exits).tolist()
     synced = np.flatnonzero(distances < sync_tol)
     # cumprod of d0, c_0, rho_0, c_1, ... is bound[k] * c_k * rho_k at even places
@@ -187,8 +187,7 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
         diverged=used <= steps)
 
 
-def check_sync_condition(c_values, rho_values, horizon: int | None = None,
-                         threshold: float = PRODUCT_ZERO_THRESHOLD) -> dict:
+def check_sync_condition(c_values, rho_values, horizon: int | None = None) -> dict:
     """Running products of c(A_k) * rho_k and a finite-horizon verdict on
     whether they reach (numerically) zero.  Signs are checked per factor:
     c < 0 with rho = 0 gives c * rho = -0.0, which check_convergence_condition
@@ -201,7 +200,7 @@ def check_sync_condition(c_values, rho_values, horizon: int | None = None,
         raise ValueError("inputs must be nonnegative")
     if horizon is not None and horizon > c_values.size:
         raise ValueError("horizon exceeds sequence length")
-    conv = check_convergence_condition(c_values * rho_values, horizon, threshold)
+    conv = check_convergence_condition(c_values * rho_values, horizon)
     return {
         "criterion_holds_over_horizon": conv["converges_to_zero_over_horizon"],
         "running_product": conv["running_products"],

@@ -21,21 +21,16 @@ from .matcore import as_matrix
 class Digraph:
     """Directed graph on vertices 0..n-1.
 
-    ``Digraph(n, edges)`` takes ``edges[i]``, the successor set of
-    vertex i, for every vertex.
+    ``Digraph(adj)`` takes the n x n bool adjacency, ``adj[i, j]`` iff
+    edge i -> j, and keeps a read-only C-contiguous copy of it.
     """
 
     __slots__ = ("adj",)
 
-    def __init__(self, n: int, edges):
-        if n < 1 or len(edges) != n:
-            raise ValueError("edge list length must equal vertex count")
-        adj = np.zeros((n, n), dtype=bool)
-        for i, succ in enumerate(edges):
-            for j in succ:
-                if not 0 <= j < n:
-                    raise ValueError(f"vertex index {j} out of range")
-                adj[i, j] = True
+    def __init__(self, adj):
+        adj = np.array(adj, dtype=bool, order="C")
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
+            raise ValueError(f"expected a nonempty square adjacency, got shape {adj.shape}")
         adj.setflags(write=False)
         self.adj = adj
 
@@ -48,7 +43,7 @@ class Digraph:
         return hash(self.adj.tobytes())
 
     def __repr__(self):
-        return f"Digraph({self.n}, {self.edges!r})"
+        return f"Digraph({self.adj.tolist()!r})"
 
     @property
     def n(self) -> int:
@@ -65,18 +60,19 @@ class Digraph:
 
 
 def digraph_from_edges(n: int, pairs) -> Digraph:
-    succ = [set() for _ in range(n)]
-    for i, j in pairs:
-        succ[i].add(j)
-    return Digraph(n, tuple(frozenset(s) for s in succ))
+    """Digraph on vertices 0..n-1 with edge i -> j for each pair (i, j)."""
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    bad = pairs[(pairs < 0) | (pairs >= n)]
+    if bad.size:
+        raise ValueError(f"vertex index {bad[0]} out of range")
+    adj = np.zeros((n, n), dtype=bool)
+    adj[pairs[:, 0], pairs[:, 1]] = True
+    return Digraph(adj)
 
 
 def interaction_digraph(A) -> Digraph:
     """Digraph with edge i -> j iff |A[j, i]| > zero_tol."""
-    G = object.__new__(Digraph)  # the adjacency is the pattern: no edge sets to check
-    G.adj = np.ascontiguousarray(as_matrix(A).nonzero_pattern().T)
-    G.adj.setflags(write=False)
-    return G
+    return Digraph(as_matrix(A).nonzero_pattern().T)
 
 
 def _search(adj: np.ndarray, start: int, seen: np.ndarray) -> None:

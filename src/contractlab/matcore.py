@@ -126,8 +126,6 @@ def mu(A) -> float:
 def delta(A) -> float:
     """max over row pairs i, j of sum_k max(0, A[i,k] - A[j,k]); 0 for n = 1."""
     A = as_matrix(A)
-    if A.n == 1:
-        return 0.0
     return float(_row_pairs(A.a, _positive_part_of_difference).max())
 
 
@@ -137,8 +135,6 @@ def delta_halfsum(A) -> float:
     Equals delta(A) when A has constant row sums; used as a cross-check.
     """
     A = as_matrix(A)
-    if A.n == 1:
-        return 0.0
     return float(0.5 * _row_pairs(A.a, _abs_difference).max())
 
 

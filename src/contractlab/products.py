@@ -23,6 +23,8 @@ from .projections import Norm, linf
 PRODUCT_ZERO_THRESHOLD = 1e-12
 DELTA_ZERO_THRESHOLD = 1e-8
 ENUMERATION_BUDGET = 10 ** 6
+HYPOTHESIS_TOL = 1e-9  # slack on scrambling_product_theorem_check's hypotheses
+ERGODICITY_TOL = 1e-9  # slack on stochasticity and on c <= 1 in ergodicity_coefficient
 
 
 class BudgetError(RuntimeError):
@@ -162,8 +164,7 @@ def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float,
     return c_exact, c_bound
 
 
-def check_convergence_condition(c_values, horizon: int | None = None,
-                                threshold: float = PRODUCT_ZERO_THRESHOLD) -> dict:
+def check_convergence_condition(c_values, horizon: int | None = None) -> dict:
     """Running products of the per-step coefficients and a finite-horizon
     verdict on whether they reach (numerically) zero.  A surrogate for an
     asymptotic condition, never a proof."""
@@ -174,7 +175,8 @@ def check_convergence_condition(c_values, horizon: int | None = None,
         c_values = c_values[:horizon]
     running = np.cumprod(c_values)
     return {
-        "converges_to_zero_over_horizon": bool(running.size and running[-1] < threshold),
+        "converges_to_zero_over_horizon":
+            bool(running.size and running[-1] < PRODUCT_ZERO_THRESHOLD),
         "running_products": running,
     }
 
@@ -190,7 +192,7 @@ class ScramblingProductCheck:
 
 
 def scrambling_product_theorem_check(seq: MatrixSequence, epsilon: float,
-                                     r: float, tol: float = 1e-9) -> ScramblingProductCheck:
+                                     r: float) -> ScramblingProductCheck:
     """Check the hypotheses (nonnegative, positive diagonal, nonzero
     entries >= epsilon, row sums <= r, spanning directed tree) on each of
     the first n-1 factors, form their product P, and report whether P is
@@ -204,14 +206,14 @@ def scrambling_product_theorem_check(seq: MatrixSequence, epsilon: float,
     for k in range(need):
         m = seq[k]
         a = m.a
-        if np.any(a < -tol):
+        if np.any(a < -HYPOTHESIS_TOL):
             failures.append((k, "negative entry"))
         if np.any(np.diag(a) <= m.zero_tol):
             failures.append((k, "nonpositive diagonal"))
         nz = m.nonzero_pattern()
-        if np.any(a[nz] < epsilon - tol):
+        if np.any(a[nz] < epsilon - HYPOTHESIS_TOL):
             failures.append((k, "nonzero entry below epsilon"))
-        if np.any(a.sum(axis=1) > r + tol):
+        if np.any(a.sum(axis=1) > r + HYPOTHESIS_TOL):
             failures.append((k, "row sum above r"))
         if not has_spanning_directed_tree(interaction_digraph(m))[0]:
             failures.append((k, "no spanning directed tree"))
@@ -262,18 +264,18 @@ def min_contractive_product_length(H, norm_q: Norm, max_m: int,
     return None
 
 
-def ergodicity_coefficient(A, norm: Norm | None = None, tol: float = 1e-9) -> float:
+def ergodicity_coefficient(A, norm: Norm | None = None) -> float:
     """Proper coefficient of ergodicity 1 - c(A) for stochastic A that is
     set-nonexpansive under the chosen norm.  Equals 1 exactly for
     rank-one A = e v^T."""
     A = as_matrix(A)
     if norm is None:
         norm = linf()
-    if not is_stochastic(A, tol):
+    if not is_stochastic(A, ERGODICITY_TOL):
         raise ValueError("matrix must be stochastic")
     c = contractivity(A, norm).c
-    if c > 1.0 + tol:
-        raise ValueError("matrix is not set-nonexpansive under this norm")
+    if c > 1.0 + ERGODICITY_TOL:
+        raise ValueError(f"matrix is not set-nonexpansive under this norm (c = {c:.12g})")
     return float(min(1.0, max(0.0, 1.0 - c)))
 
 
@@ -341,8 +343,10 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     total = 0.0
     for start in range(0, horizon, block_len):
         stop = min(start + block_len, horizon) - 1
-        block = product(seq, start, stop)
-        total += ergodicity_coefficient(block, norm)
+        try:
+            total += ergodicity_coefficient(product(seq, start, stop), norm)
+        except ValueError as exc:  # type(exc) keeps a LinAlgError a LinAlgError
+            raise type(exc)(f"block of items {start}..{stop}: {exc}") from exc
         sums.append(total)
 
     if not nonincrease_ok:

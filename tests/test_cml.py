@@ -173,6 +173,14 @@ def test_check_sync_condition():
         check_sync_condition([0.5, -0.1], [1.0, 0.0])
 
 
+def test_check_sync_condition_horizon_truncates():
+    # the factor past the horizon would lift the product back to 1
+    out = check_sync_condition([1e-13, 1e13], [1.0, 1.0], horizon=1)
+    assert out["running_product"].tolist() == [1e-13]
+    assert out["criterion_holds_over_horizon"]
+    assert not check_sync_condition([1e-13, 1e13], [1.0, 1.0])["criterion_holds_over_horizon"]
+
+
 def test_check_sync_corollary():
     # r - mu - 1/rho = 1 - 0.1 - 1/rho < 0 iff rho < 1/0.9
     assert check_sync_corollary(seq_of(A4.a), [1.1])

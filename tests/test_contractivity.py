@@ -85,6 +85,15 @@ def test_contractivity_l2_examples():
     assert not contractivity_l2(A4).is_set_nonexpansive
 
 
+def test_l2_bound_only_unless_column_sums_constant():
+    # A4's column sums are 2.0, 0.2 and 0.8: its 1.125 bounds a sup of about 0.956
+    assert contractivity_l2(A4).is_bound_only
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        A = random_doubly_constant(int(rng.integers(1, 7)), rng)
+        assert not contractivity_l2(A).is_bound_only
+
+
 def test_weighted_bound_examples():
     rep = contractivity_weighted_bound(A4, W4)
     assert rep.is_bound_only and rep.c < 1.0
@@ -217,6 +226,19 @@ def test_paracontractive_examples():
     verdicts = [is_paracontractive_l2(B) for B in cases]
     assert verdicts == [_paracontractive_l2_three_svd(B) for B in cases]
     assert any(verdicts) and not all(verdicts)
+
+
+def test_paracontractive_takes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert is_paracontractive_l2(np.diag([1.0, 0.5]))
+    assert len(calls) == 1
 
 
 def test_pseudocontractive_stochastic_examples():

@@ -72,9 +72,13 @@ def test_self_loop_invariance():
 
 def test_digraph_validation():
     with pytest.raises(ValueError):
-        Digraph(2, (frozenset({0}),))
+        Digraph(np.zeros((1, 2), dtype=bool))
     with pytest.raises(ValueError):
         digraph_from_edges(2, [(0, 5)])
+    # the source is checked too: -1 must not wrap around to vertex n - 1
+    for pair in [(-1, 0), (5, 0)]:
+        with pytest.raises(ValueError):
+            digraph_from_edges(3, [pair])
 
 
 def test_digraph_json_roundtrip():

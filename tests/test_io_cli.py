@@ -1,21 +1,30 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contractlab
 from contractlab import (
     MatrixSequence,
     cli,
+    contractivity_l2,
     contractivity_linf,
     l2,
     make_map,
     mu,
+    product,
     product_contractivity_bound,
     simulate,
 )
 from contractlab.io import InputError, load_matrix, load_sequence, load_vector, parse_weights
 from contractlab.reference import A1, A4, MATRICES, W4
+
+from conftest import random_doubly_constant
 
 
 def write(tmp_path, name, text):
@@ -215,6 +224,15 @@ def test_cli_contractivity_norms(tmp_path, capsys):
     assert code == 0 and "empirical_lower_bound" in doc and doc["samples"] == 500
 
 
+def test_cli_contractivity_l2_bound_only(tmp_path, capsys):
+    # exact only when the column sums are constant too, as for doubly constant matrices
+    doubly = random_doubly_constant(4, np.random.default_rng(44)).a.tolist()
+    doubly_path = write(tmp_path, "dc.json", json.dumps({"rows": doubly}))
+    for path, bound_only in [(a4_json(tmp_path), True), (doubly_path, False)]:
+        code, out, _ = run_cli(capsys, "contractivity", path, "--norm", "l2")
+        assert code == 0 and json.loads(out)["bound_only"] is bound_only
+
+
 def test_cli_contractivity_wl2_needs_weights(tmp_path, capsys):
     code, _, err = run_cli(capsys, "contractivity", a4_json(tmp_path), "--norm", "wl2")
     assert code == 2 and "weights" in err
@@ -372,6 +390,16 @@ def test_cli_ergodicity_l2_outside_hypotheses_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ergodicity", spec, "--norm", "l2", "--horizon", "5")
     assert code == 2 and "set-nonexpansive" in err
     assert "Traceback" not in err
+
+
+def test_cli_ergodicity_names_the_failing_block(tmp_path, capsys):
+    generator = {"kind": "random_stochastic_spanning_tree", "n": 5, "seed": 7}
+    spec = write(tmp_path, "gen.json", json.dumps({"generator": generator}))
+    code, out, err = run_cli(capsys, "ergodicity", spec, "--norm", "l2", "--horizon", "200")
+    c = contractivity_l2(product(MatrixSequence(generator=generator), 56, 59)).c
+    assert code == 2 and out == "" and c > 1.0
+    assert err == ("error: block of items 56..59: matrix is not set-nonexpansive "
+                   f"under this norm (c = {c:.12g})\n")
 
 
 def test_cli_ergodicity_not_stochastic_exits_2(tmp_path, capsys):
@@ -600,6 +628,15 @@ def test_cli_simulate_out_of_memory_exits_2(tmp_path, capsys, source):
     code, out, err = run_cli(capsys, "simulate", path)
     assert code == 2 and out == ""
     assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+
+
+def test_cli_input_error_is_one_stderr_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(contractlab.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "contractlab.cli", "analyze",
+                          str(tmp_path / "missing.json")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("block_len", ["0", "-1"])

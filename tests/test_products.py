@@ -196,6 +196,18 @@ def test_scrambling_product_theorem_bad_hypotheses():
         scrambling_product_theorem_check(seq_of(np.eye(3)), epsilon=0.1, r=1.0)
 
 
+@pytest.mark.parametrize("a, epsilon, r, reasons", [
+    ([[1.1, -0.1], [0.4, 0.6]], 0.4, 1.0, ("negative entry", "nonzero entry below epsilon")),
+    ([[0.9, 0.1], [0.4, 0.6]], 0.4, 1.0, ("nonzero entry below epsilon",)),
+    ([[0.6, 0.4], [0.4, 0.6]], 0.4, 0.9, ("row sum above r",)),
+    ([[1.0, 0.0], [0.0, 1.0]], 0.4, 1.0, ("no spanning directed tree",)),
+])
+def test_scrambling_product_theorem_failure_reasons(a, epsilon, r, reasons):
+    chk = scrambling_product_theorem_check(seq_of(np.array(a)), epsilon=epsilon, r=r)
+    assert not chk.hypotheses_hold
+    assert chk.failures == tuple((0, reason) for reason in reasons)
+
+
 def test_scrambling_product_theorem_n2_single_item():
     A = np.array([[0.6, 0.4], [0.4, 0.6]])
     chk = scrambling_product_theorem_check(seq_of(A), epsilon=0.4, r=1.0)
