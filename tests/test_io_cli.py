@@ -631,7 +631,8 @@ def test_cli_simulate_out_of_memory_exits_2(tmp_path, capsys, source):
 
 
 def test_cli_input_error_is_one_stderr_line(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(contractlab.__file__).parents[1]))
+    paths = [str(Path(contractlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     res = subprocess.run([sys.executable, "-m", "contractlab.cli", "analyze",
                           str(tmp_path / "missing.json")],
                          capture_output=True, text=True, env=env)
