@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,9 @@ from .projections import L1, norm_from_name
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+
+# not __name__, which is "__main__" under python -m contractlab.cli
+log = logging.getLogger("contractlab.cli")
 
 
 def _round12(value):
@@ -199,6 +204,56 @@ def cmd_ergodicity(args) -> int:
     return 0
 
 
+def _text12(values: np.ndarray) -> list[str]:
+    """Each value of a float array at 12 significant digits."""
+    return [format(v, ".12g") for v in values.tolist()]
+
+
+def _json12(values: np.ndarray, text: list[str]) -> str:
+    """The JSON array _dump writes for values, given their _text12 strings:
+    each value is the float its string spells, or null if it is not finite."""
+    rounded = [float(s) for s in text]
+    if not np.isfinite(values).all():
+        rounded = [v if math.isfinite(v) else None for v in rounded]
+    return json.dumps(rounded, allow_nan=False)
+
+
+def _write_trace(trace: cml.SimTrace, jsonl_path, csv_path, full_state: bool) -> None:
+    """Write the simulate trace as JSONL and/or CSV, whichever has a path.
+
+    Each distance and bound is formatted once at 12 significant digits.
+    The CSV holds those strings; the JSONL holds the float each spells,
+    as _dump renders it.  A JSONL line has the keys bound (absent without
+    an envelope), d, k and, with full_state, x, in that order; the x row
+    of a record is rendered as the record is written.
+    """
+    if not (jsonl_path or csv_path):
+        return
+    records = len(trace.distances)
+    d_text = _text12(trace.distances)
+    b_text = None if trace.bound is None else _text12(trace.bound)
+    if jsonl_path:
+        # no token of a float array holds ", ", so one dumps splits per value
+        columns = [_json12(trace.distances, d_text)[1:-1].split(", "), range(records)]
+        template = '"d": %s, "k": %d'
+        if b_text is not None:
+            columns.insert(0, _json12(trace.bound, b_text)[1:-1].split(", "))
+            template = '"bound": %s, ' + template
+        if full_state:
+            columns.append(_json12(row, _text12(row)) for row in trace.states)
+            template += ', "x": %s'
+        template = "{" + template + "}\n"
+        with open(jsonl_path, "w") as fh:
+            fh.writelines(template % rec for rec in zip(*columns))
+        log.info("wrote JSONL trace %s (%d records)", jsonl_path, records)
+    if csv_path:
+        bounds = repeat("") if b_text is None else b_text
+        with open(csv_path, "w") as fh:
+            fh.write("k,d,bound\n")
+            fh.writelines(f"{k},{d},{b}\n" for k, d, b in zip(range(records), d_text, bounds))
+        log.info("wrote CSV trace %s (%d records)", csv_path, records)
+
+
 def cmd_simulate(args) -> int:
     config = io.load_object(args.config)
     base = Path(args.config).parent
@@ -234,21 +289,15 @@ def cmd_simulate(args) -> int:
             raise
         raise io.InputError(f"{args.config}: {exc}") from exc
     trace = cml.simulate(seq, mp, x0, steps, norm=norm, sync_tol=args.sync_tol)
-    trace_path = args.output or trace_path
-    if trace_path:
-        columns = {"d": trace.distances, "bound": trace.bound,
-                   "x": trace.states if args.full_state else None}
-        columns = {name: _round12(col) for name, col in columns.items() if col is not None}
-        with open(trace_path, "w") as fh:
-            for k in range(len(trace.distances)):
-                rec = dict({name: col[k] for name, col in columns.items()}, k=k)
-                fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("k,d,bound\n")
-            for k, d in enumerate(trace.distances.tolist()):
-                bound = "" if trace.bound is None else format(trace.bound[k], ".12g")
-                fh.write(f"{k},{d:.12g},{bound}\n")
+    if trace.synchronized_at is not None:
+        log.info("synchronized at step %d (distance < %g)", trace.synchronized_at, args.sync_tol)
+    if trace.envelope_valid_until is not None:
+        log.info("envelope void from step %d: the state left the map domain",
+                 trace.envelope_valid_until)
+    if trace.diverged:
+        log.info("diverged: state %d is not finite; the trace stops before it",
+                 len(trace.distances))
+    _write_trace(trace, args.output or trace_path, args.csv, args.full_state)
     summary = dict(trace.summary(), input=str(args.config))
     if summary["synchronized_at"] is None:
         summary["note"] = "not synchronized within horizon"

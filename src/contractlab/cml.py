@@ -144,26 +144,32 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     bound_available = True
     A_prev = c = None
     used = steps + 1
-    for k in range(steps):
-        mp = maps[k % len(maps)]
-        A = A_seq[k]
-        x = A.a @ mp.f(x)
-        if not np.isfinite(x).all():
-            used = k + 1
-            break
-        states[k + 1] = x
-        if bound_available:
-            if A is not A_prev:  # a repeated coupling keeps its coefficient
-                c = _coefficient_or_none(A, norm)
-                A_prev = A
-            if c is None:
-                bound_available = False
-            else:
-                factors[k] = c, mp.rho
-    states = states[:used]
+    # divergence is an outcome the trace reports: a state, distance or
+    # envelope past the float range is inf (or nan) and raises no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            mp = maps[k % len(maps)]
+            A = A_seq[k]
+            x = A.a @ mp.f(x)
+            if not np.isfinite(x).all():
+                used = k + 1
+                break
+            states[k + 1] = x
+            if bound_available:
+                if A is not A_prev:  # a repeated coupling keeps its coefficient
+                    c = _coefficient_or_none(A, norm)
+                    A_prev = A
+                if c is None:
+                    bound_available = False
+                else:
+                    factors[k] = c, mp.rho
+        states = states[:used]
+        # states.T has contiguous columns: bit for bit the per-state distances
+        distances = project_columns(states.T, norm)[1]
+        # cumprod of d0, c_0, rho_0, c_1, ... is bound[k] * c_k * rho_k at even places
+        bound = (np.cumprod(np.append(distances[0], factors[:used - 1]))[::2]
+                 if bound_available else None)
 
-    # states.T has contiguous columns: bit for bit the per-state distances
-    distances = project_columns(states.T, norm)[1]
     exits = np.zeros(min(used, steps), dtype=bool)  # the states fed to a map
     for i, mp in enumerate(maps):
         if mp.domain is not None:
@@ -172,10 +178,6 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
                                    | (rows > mp.domain[1] + DOMAIN_TOL)).any(axis=1)
     domain_exits = np.flatnonzero(exits).tolist()
     synced = np.flatnonzero(distances < sync_tol)
-    # cumprod of d0, c_0, rho_0, c_1, ... is bound[k] * c_k * rho_k at even places
-    with np.errstate(over="ignore"):  # past the float range the envelope is inf
-        bound = (np.cumprod(np.append(distances[0], factors[:used - 1]))[::2]
-                 if bound_available else None)
 
     return SimTrace(
         states=states,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,11 +117,21 @@ def test_simulate_domain_exit_voids_envelope():
 
 
 def test_simulate_divergence_truncates():
+    # divergence is reported, not warned about: no np.errstate here
     mp = make_map({"kind": "affine", "a": 1e200, "b": 0.0})
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         tr = simulate(seq_of(*[np.eye(2) * 1e200] * 5), mp, [1.0, 2.0], steps=5)
     assert tr.diverged
     assert len(tr.states) < 6
+    # under l2 the finite state x(1) ~ 1e199 has a distance past the float range
+    mp = make_map({"kind": "affine", "a": 1e200, "b": 1.0})
+    for norm in (linf(), l2()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = simulate(seq_of(*[A4.a] * 10), mp, [0.1, 0.5, 0.9], steps=10, norm=norm)
+        assert tr.diverged
+        assert len(tr.states) == 2
 
 
 def test_simulate_maps_cycle():

@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -630,12 +631,17 @@ def test_cli_simulate_out_of_memory_exits_2(tmp_path, capsys, source):
     assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
 
-def test_cli_input_error_is_one_stderr_line(tmp_path):
+def run_cli_process(*argv, python_flags=()):
+    """python -m contractlab.cli in a child process, importing this package."""
     paths = [str(Path(contractlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    res = subprocess.run([sys.executable, "-m", "contractlab.cli", "analyze",
-                          str(tmp_path / "missing.json")],
-                         capture_output=True, text=True, env=env)
+    env.pop("CONTRACTLAB_LOG", None)
+    return subprocess.run([sys.executable, *python_flags, "-m", "contractlab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_input_error_is_one_stderr_line(tmp_path):
+    res = run_cli_process("analyze", str(tmp_path / "missing.json"))
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
 
@@ -647,3 +653,136 @@ def test_cli_ergodicity_block_len_below_one_exits_2(tmp_path, capsys, block_len)
                              "--block-len", block_len)
     assert code == 2 and out == ""
     assert "block_len" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------- simulate trace files
+
+# map specs and starting states that reach the writer's edge cases
+DIVERGING = {"matrix": "a4.json", "map": {"kind": "affine", "a": 1e200, "b": 1},
+             "x0": [0.1, 0.5, 0.9], "steps": 10}
+TRACE_CASES = {
+    **{f"tent-{norm}": {"matrix": "a4.json", "map": {"kind": "tent", "s": 1.05},
+                        "x0": [0.2, 0.45, 0.3], "steps": 40, "norm": norm,
+                        **({"weights": [1.0, 0.3, 0.7]} if norm == "wl2" else {})}
+       for norm in ("linf", "l2", "wl2", "l1")},
+    # identity coupling: c = 1, so the envelope d0 * 3.9^k overflows to inf
+    "bound-overflow": {"matrix": "eye2.json", "map": {"kind": "logistic", "a": 3.9},
+                       "x0": [0.1, 0.7], "steps": 700},
+    "diverging-linf": DIVERGING,
+    # a finite state of ~1e199 has an l2 distance past the float range
+    "diverging-l2": {**DIVERGING, "norm": "l2"},
+    # -x flips signs every step; 3 and -2 are integers, written as 3.0 and -2.0
+    "signs-and-zeros": {"matrix": "eye3.json", "map": {"kind": "affine", "a": -1.0, "b": 0.0},
+                        "x0": [-0.0, 3, -2], "steps": 5},
+    # in [1e12, 1e16) repr and .12g spell a number differently (no exponent)
+    "large-values": {"matrix": "eye3.json", "map": {"kind": "affine", "a": 1.0, "b": 0.0},
+                     "x0": [1.5e12, 2.3456789012345e15, -7.77777777777777e13], "steps": 3,
+                     "norm": "l1"},
+}
+
+
+def frozen_trace_files(trace, full_state):
+    """The JSONL and CSV text of the per-record trace writer that the
+    column-wise writer replaced, kept as the oracle for its output."""
+    def round12(value):
+        if isinstance(value, list):
+            return [round12(v) for v in value]
+        return float(f"{value:.12g}") if np.isfinite(value) else None
+
+    columns = {"d": trace.distances, "bound": trace.bound,
+               "x": trace.states if full_state else None}
+    columns = {name: round12(col.tolist()) for name, col in columns.items() if col is not None}
+    jsonl = "".join(
+        json.dumps(dict({name: col[k] for name, col in columns.items()}, k=k),
+                   sort_keys=True, allow_nan=False) + "\n"
+        for k in range(len(trace.distances)))
+    csv = "k,d,bound\n"
+    for k, d in enumerate(trace.distances.tolist()):
+        bound = "" if trace.bound is None else format(trace.bound[k], ".12g")
+        csv += f"{k},{d:.12g},{bound}\n"
+    return jsonl, csv
+
+
+def write_trace_case(tmp_path, name):
+    a4_json(tmp_path)
+    write(tmp_path, "eye2.json", json.dumps({"rows": np.eye(2).tolist()}))
+    write(tmp_path, "eye3.json", json.dumps({"rows": np.eye(3).tolist()}))
+    return write(tmp_path, "sim.json", json.dumps(TRACE_CASES[name]))
+
+
+@pytest.mark.parametrize("full_state", [False, True], ids=["d-bound", "full-state"])
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_cli_simulate_trace_files_match_frozen_writer(tmp_path, capsys, monkeypatch,
+                                                      name, full_state):
+    traces = []
+
+    def recording_simulate(*args, **kwargs):
+        traces.append(simulate(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli.cml, "simulate", recording_simulate)
+    path = write_trace_case(tmp_path, name)
+    jsonl, csv_path = tmp_path / "t.jsonl", tmp_path / "t.csv"
+    argv = ["--output", str(jsonl), "simulate", path, "--csv", str(csv_path)]
+    code, _, _ = run_cli(capsys, *argv, *(["--full-state"] if full_state else []))
+    assert code == 0
+    expected_jsonl, expected_csv = frozen_trace_files(traces[0], full_state)
+    assert jsonl.read_text() == expected_jsonl
+    assert csv_path.read_text() == expected_csv
+
+
+@pytest.mark.parametrize("name", ["bound-overflow", "diverging-l2", "tent-l1", "large-values"])
+def test_cli_simulate_jsonl_and_csv_agree(tmp_path, capsys, name):
+    path = write_trace_case(tmp_path, name)
+    jsonl, csv_path = tmp_path / "t.jsonl", tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "--output", str(jsonl), "simulate", path,
+                         "--csv", str(csv_path))
+    assert code == 0
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    assert rows[0] == ["k", "d", "bound"] and len(rows) == len(records) + 1
+
+    def same(value, cell):
+        return not np.isfinite(float(cell)) if value is None else value == float(cell)
+
+    for rec, (k, d, bound) in zip(records, rows[1:]):
+        assert rec["k"] == int(k) and same(rec["d"], d)
+        assert bound == "" if "bound" not in rec else same(rec["bound"], bound)
+
+
+def test_cli_simulate_divergence_is_no_warning(tmp_path):
+    a4_json(tmp_path)
+    config = write(tmp_path, "sim.json", json.dumps(DIVERGING))
+    res = run_cli_process("simulate", config, python_flags=["-W", "error"])
+    assert res.returncode == 0 and res.stderr == ""
+    assert json.loads(res.stdout)["diverged"] is True
+
+
+def test_cli_simulate_logs_events_once_per_run(tmp_path, capsys, caplog, monkeypatch):
+    monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
+    # equal rows synchronize at step 1, where 4.5 x (1 - x) leaves [0, 1]
+    # and then grows without bound
+    write(tmp_path, "half.json", json.dumps({"rows": [[0.5, 0.5], [0.5, 0.5]]}))
+    config = write(tmp_path, "sim.json", json.dumps({
+        "matrix": "half.json", "map": {"kind": "logistic", "a": 4.5},
+        "x0": [0.4, 0.6], "steps": 30}))
+    argv = ["--output", str(tmp_path / "t.jsonl"), "simulate", config,
+            "--csv", str(tmp_path / "t.csv")]
+    code, out, _ = run_cli(capsys, *argv)
+    # the default level is WARNING; a subprocess test sees an empty stderr
+    assert code == 0 and all(r.levelno < logging.WARNING for r in caplog.records)
+
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="contractlab")
+    code, out, _ = run_cli(capsys, *argv)
+    summary = json.loads(out)
+    assert code == 0 and summary["diverged"]
+    records = summary["steps"] + 1
+    assert [r.levelno for r in caplog.records] == [logging.INFO] * 5
+    assert [r.getMessage() for r in caplog.records] == [
+        "synchronized at step 1 (distance < 1e-10)",
+        "envelope void from step 1: the state left the map domain",
+        f"diverged: state {records} is not finite; the trace stops before it",
+        f"wrote JSONL trace {tmp_path / 't.jsonl'} ({records} records)",
+        f"wrote CSV trace {tmp_path / 't.csv'} ({records} records)",
+    ]
