@@ -2,6 +2,7 @@
 delta analysis, the exact max-norm coefficient and the paper's upper
 bounds under Euclidean norms, graph necessary conditions, product and
 weak-ergodicity diagnostics, and a coupled map lattice simulator.
+Digraphs are plain n x n bool adjacency arrays.
 
 The package re-exports the function ``contractivity``, which shadows the
 submodule of the same name: ``import contractlab.contractivity as C``
@@ -22,7 +23,6 @@ from .matcore import (
     spread,
 )
 from .graphs import (
-    Digraph,
     has_spanning_directed_tree,
     interaction_digraph,
     is_irreducible,
@@ -39,7 +39,6 @@ from .projections import (
 )
 from .contractivity import (
     AffineDecomposition,
-    BasisK,
     ContractivityReport,
     basis_K,
     contractivity,

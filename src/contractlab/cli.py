@@ -105,9 +105,9 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
         "spanning_tree": tree,
         "spanning_tree_root": root,
         "irreducible": is_irreducible(G),
-        # G.to_json()'s shape; the pairs stay one int array, which _round12
-        # turns into lists in one call instead of walking every pair
-        "digraph": {"n": G.n, "edges": np.argwhere(G.adj)},
+        # the edge list in row-major order, i.e. sorted; the pairs stay one
+        # int array, which _round12 turns into lists in one call
+        "digraph": {"n": A.n, "edges": np.argwhere(G)},
     }
     if profile.is_constant:
         reps = {"linf": _linf_report(profile.r, m),

@@ -56,19 +56,14 @@ class ContractivityReport:
 
 
 @dataclass(frozen=True)
-class BasisK:
-    n: int
-    columns: np.ndarray  # n x (n-1), orthonormal, orthogonal to e
-
-
-@dataclass(frozen=True)
 class AffineDecomposition:
     B: Matrix
     xstar: np.ndarray  # constant vector in the diagonal span
 
 
-def basis_K(n: int) -> BasisK:
-    """Deterministic orthonormal basis of the complement of e.
+def basis_K(n: int) -> np.ndarray:
+    """Deterministic orthonormal basis of the complement of e, as the
+    columns of a read-only n x (n-1) array.
 
     Built from the Householder reflector mapping e/sqrt(n) to the first
     standard basis vector; columns 2..n of the reflector span e-perp.
@@ -81,7 +76,7 @@ def basis_K(n: int) -> BasisK:
     H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
     K = H[:, 1:].copy()
     K.setflags(write=False)
-    return BasisK(n=n, columns=K)
+    return K
 
 
 def spectral_norm_2(M) -> float:

@@ -70,11 +70,11 @@ class RowSumProfile:
     r: float | None = None
 
 
-def as_matrix(A, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
+def as_matrix(A) -> Matrix:
     """Coerce an array-like into a Matrix (no-op for Matrix inputs)."""
     if isinstance(A, Matrix):
         return A
-    return Matrix(np.asarray(A, dtype=float), zero_tol=zero_tol)
+    return Matrix(np.asarray(A, dtype=float))
 
 
 def _row_pairs(a: np.ndarray, f) -> np.ndarray:

@@ -128,8 +128,24 @@ def project_columns(X: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     Returns (alpha, distance) arrays of length m.  Reductions run down the
     columns, so when X has contiguous columns (say, the transpose of a
     C-ordered stack of vectors) each result is project's, bit for bit.
+    A finite column whose alpha or distance overflows is divided by its
+    largest magnitude and that value's result scaled back, so it is inf
+    only when the true value is past the float range.
     """
     X = np.asarray(X, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, dist = _project_columns(X, norm)
+        redo = np.flatnonzero(~(np.isfinite(alpha) & np.isfinite(dist)))
+        redo = redo[np.isfinite(X[:, redo]).all(axis=0)]
+        if redo.size:
+            scale = np.abs(X[:, redo]).max(axis=0)
+            a, d = _project_columns(X[:, redo] / scale, norm)
+            alpha[redo] = np.where(np.isfinite(alpha[redo]), alpha[redo], a * scale)
+            dist[redo] = np.where(np.isfinite(dist[redo]), dist[redo], d * scale)
+    return alpha, dist
+
+
+def _project_columns(X: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     n = X.shape[0]
     if norm.kind == L2:
         alpha = X.mean(axis=0)

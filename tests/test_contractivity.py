@@ -27,7 +27,7 @@ from conftest import random_doubly_constant, random_nonneg_row_sum, random_stoch
 
 def test_basis_K_invariants():
     for n in (2, 3, 5, 11):
-        K = basis_K(n).columns
+        K = basis_K(n)
         assert np.abs(K.T @ K - np.eye(n - 1)).max() < 1e-12
         assert np.abs(np.ones(n) @ K).max() < 1e-12
         assert spectral_norm_2(K) == pytest.approx(1.0, abs=1e-12)
@@ -295,7 +295,7 @@ def test_l2_coefficient_invariant_under_basis_rotation():
     for _ in range(50):
         n = int(rng.integers(3, 7))
         A = random_stochastic(n, rng)
-        K = basis_K(n).columns
+        K = basis_K(n)
         Q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
         assert spectral_norm_2(A.a @ K @ Q) == pytest.approx(
             contractivity_l2(A).c, abs=1e-10)
@@ -313,7 +313,7 @@ def test_l2_coefficient_invariant_under_basis_rotation():
             if n == 1:
                 assert c_l2 == c_wl2 == 0.0
                 continue
-            K = basis_K(n).columns
+            K = basis_K(n)
             expected_l2 = spectral_norm_2(A.a @ K)
             expected_wl2 = spectral_norm_2(np.sqrt(w)[:, None] * A.a / w[None, :] @ K)
             assert abs(c_l2 - expected_l2) <= 1e-12 * expected_l2

@@ -669,7 +669,7 @@ TRACE_CASES = {
     "bound-overflow": {"matrix": "eye2.json", "map": {"kind": "logistic", "a": 3.9},
                        "x0": [0.1, 0.7], "steps": 700},
     "diverging-linf": DIVERGING,
-    # a finite state of ~1e199 has an l2 distance past the float range
+    # a finite state of ~1e199, whose squared l2 distance is past the float range
     "diverging-l2": {**DIVERGING, "norm": "l2"},
     # -x flips signs every step; 3 and -2 are integers, written as 3.0 and -2.0
     "signs-and-zeros": {"matrix": "eye3.json", "map": {"kind": "affine", "a": -1.0, "b": 0.0},
@@ -756,6 +756,31 @@ def test_cli_simulate_divergence_is_no_warning(tmp_path):
     res = run_cli_process("simulate", config, python_flags=["-W", "error"])
     assert res.returncode == 0 and res.stderr == ""
     assert json.loads(res.stdout)["diverged"] is True
+
+
+@pytest.mark.parametrize("weights, c_is_one", [(None, True), ([0.5, 0.5], True),
+                                               ([1.0, 0.3], False)],
+                         ids=["l2", "wl2-uniform", "wl2"])
+def test_cli_simulate_distance_past_sqrt_of_float_range_is_finite(tmp_path, capsys,
+                                                                 weights, c_is_one):
+    # x1 = 1e200 x0 + 1 on the identity coupling: d1 = 1e200 d0 is finite,
+    # though its square is not; with uniform weights c = 1 and d1 = bound1
+    write(tmp_path, "eye2.json", json.dumps({"rows": np.eye(2).tolist()}))
+    config = {"matrix": "eye2.json", "map": {"kind": "affine", "a": 1e200, "b": 1},
+              "x0": [0.1, 0.9], "steps": 10, "norm": "l2"}
+    if weights is not None:
+        config.update(norm="wl2", weights=weights)
+    path = write(tmp_path, "sim.json", json.dumps(config))
+    jsonl = tmp_path / "t.jsonl"
+    code, out, _ = run_cli(capsys, "--output", str(jsonl), "simulate", path)
+    summary = json.loads(out)
+    assert code == 0 and summary["diverged"] and summary["steps"] == 1
+    r0, r1 = (json.loads(line) for line in jsonl.read_text().splitlines())
+    assert summary["final_distance"] == r1["d"]
+    assert r1["d"] == pytest.approx(1e200 * r0["d"], rel=1e-12)
+    assert r1["d"] <= r1["bound"] * (1 + 1e-12)
+    if c_is_one:
+        assert r1["d"] == pytest.approx(r1["bound"], rel=1e-12)
 
 
 def test_cli_simulate_logs_events_once_per_run(tmp_path, capsys, caplog, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,23 @@ def test_project_columns_matches_scalar_version():
                 p = project(X[:, j], norm)
                 assert alphas[j] == p.alpha
                 assert dists[j] == p.distance
+
+
+@pytest.mark.parametrize("norm", [linf(), l2(), l1(), weighted_l2([1.0, 0.3])], ids=str)
+def test_project_columns_finite_past_the_square_root_of_the_float_range(norm):
+    X = np.array([[1e200, 1e308, 1.7e308, 0.1], [3e200, -1e308, 1.6e308, 0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, dist = project_columns(X, norm)
+    # the large columns scaled by a power of two, which is exact, are the reference
+    s = 2.0 ** 600
+    ref_alpha, ref_dist = project_columns(X[:, :3] / s, norm)
+    with np.errstate(over="ignore"):
+        ref_alpha, ref_dist = ref_alpha * s, ref_dist * s
+    # the l1 distance of [1e308, -1e308] is 2e308, past the float range
+    assert np.isinf(ref_dist).tolist() == [False, norm.kind == "l1", False]
+    np.testing.assert_allclose(alpha[:3], ref_alpha, rtol=1e-14)
+    np.testing.assert_allclose(dist[:3], ref_dist, rtol=1e-14)
+    # a column that does not overflow keeps its bits
+    p = project(X[:, 3], norm)
+    assert (alpha[3], dist[3]) == (p.alpha, p.distance)
