@@ -195,9 +195,18 @@ def cmd_product(args) -> int:
 
 def cmd_ergodicity(args) -> int:
     seq = io.load_sequence(args.sequence, args.zero_tol)
+    if seq.items is None:
+        log.info("loaded sequence %s: n = %d, generator %s, seed %d",
+                 args.sequence, seq.n, seq.generator["kind"], seq._seed)
+    else:
+        log.info("loaded sequence %s: n = %d, %d matrices",
+                 args.sequence, seq.n, len(seq.items))
     norm = _norm_from_args(args)
     report = products.weak_ergodicity_diagnostic(
         seq, horizon=args.horizon, block_len=args.block_len, norm=norm)
+    log.info("horizon %d, block_len %d, anchors %s",
+             report.horizon, report.block_len, list(report.anchors))
+    log.info("verdict: %s", report.verdict)
     doc = {"input": str(args.sequence), "norm": args.norm}
     doc.update(report.to_json())
     _emit(doc, args)
@@ -258,7 +267,7 @@ def cmd_simulate(args) -> int:
     config = io.load_object(args.config)
     base = Path(args.config).parent
     try:
-        steps = int(config.get("steps", args.steps))
+        steps = products.integer(config.get("steps", args.steps), "steps")
         if steps < 1:
             raise io.InputError(f"{args.config}: steps must be >= 1, got {steps}")
         if "sequence" in config:

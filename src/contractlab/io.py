@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .matcore import DEFAULT_ZERO_TOL, Matrix
-from .products import MatrixSequence
+from .products import MatrixSequence, integer
 
 
 class InputError(ValueError):
@@ -123,9 +123,9 @@ def load_sequence(path, zero_tol: float = DEFAULT_ZERO_TOL) -> MatrixSequence:
     if not isinstance(matrices, list) or not all(isinstance(p, str) for p in matrices):
         raise InputError(f"{path}: expected 'matrices' (a list of paths) or 'generator'")
     try:
-        repeat = int(doc.get("repeat", 1))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: repeat must be an integer ({exc})") from exc
+        repeat = integer(doc.get("repeat", 1), "repeat")
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if repeat < 1:
         raise InputError(f"{path}: repeat must be >= 1")
     items = [load_matrix(path.parent / p, zero_tol) for p in matrices]

@@ -9,9 +9,12 @@ contracts the spread max(x) - min(x) of any vector x under x -> Ax.
 
 All row-pair sums come from one tiled kernel, ``_row_pairs``, which
 builds the n x n table one square tile of row pairs (i, j) at a time, so
-memory stays O(n^2) (no n x n x n temporary) and each tile's temporary
-stays small enough to remain in cache.  The scrambling test is one
-matrix product of the 0/1 nonzero pattern.
+memory stays O(n^2) (no n x n x n temporary).  Every tile's terms live
+in one buffer, allocated once and small enough to remain in cache: the
+tile's rows i, each repeated once per row j, which the elementwise
+functional then overwrites in place against the rows j.  The functional
+and the sum run over long contiguous stretches even for short rows.
+The scrambling test is one matrix product of the 0/1 nonzero pattern.
 """
 
 from __future__ import annotations
@@ -80,33 +83,43 @@ def as_matrix(A) -> Matrix:
 def _row_pairs(a: np.ndarray, f) -> np.ndarray:
     """n x n array whose [i, j] entry is sum_k f(a[i, k], a[j, k]).
 
-    The table is built a tile of rows i by a tile of rows j at a time, so
-    each tile x tile x n temporary holds about _TILE_ELEMENTS floats.
-    Every entry is still one reduction over the contiguous last axis, so
-    the result does not depend on the tiling.
+    ``f(x, y)`` overwrites x with the elementwise terms.  The table is
+    built a tile of rows i by a tile of rows j at a time.  Each tile's
+    terms go into the same buffer of about _TILE_ELEMENTS floats, which
+    is allocated once per call.  Every entry is one reduction over the
+    contiguous last axis, so the result does not depend on the tiling.
     """
     n = a.shape[0]
-    tile = max(1, math.isqrt(_TILE_ELEMENTS // n))
-    if tile >= n:
-        return f(a[:, None, :], a[None, :, :]).sum(axis=2)
+    tile = min(n, max(1, math.isqrt(_TILE_ELEMENTS // n)))
     out = np.empty((n, n))
+    buf = np.empty(tile * tile * n)
     for i in range(0, n, tile):
-        rows = a[i:i + tile, None, :]
+        rows_i = a[i:i + tile]
         for j in range(0, n, tile):
-            out[i:i + tile, j:j + tile] = f(rows, a[None, j:j + tile, :]).sum(axis=2)
+            rows_j = a[j:j + tile]
+            # a contiguous prefix of buf: against it, f runs as one long loop
+            # over the whole tile however short the rows are
+            shape = (len(rows_i), len(rows_j), n)
+            terms = buf[:math.prod(shape)].reshape(shape)
+            np.copyto(terms, rows_i[:, None, :])
+            f(terms, rows_j)
+            out[i:i + tile, j:j + tile] = np.add.reduce(terms, axis=2)
     return out
 
 
-# The elementwise terms of delta and delta_halfsum, written into the
-# x - y buffer so that each block holds one temporary, not two.
+# The elementwise terms of mu, delta and delta_halfsum, written over x.
+def _minimum(x, y):
+    np.minimum(x, y, out=x)
+
+
 def _positive_part_of_difference(x, y):
-    d = x - y
-    return np.maximum(0.0, d, out=d)
+    np.subtract(x, y, out=x)
+    np.maximum(0.0, x, out=x)
 
 
 def _abs_difference(x, y):
-    d = x - y
-    return np.abs(d, out=d)
+    np.subtract(x, y, out=x)
+    np.abs(x, out=x)
 
 
 def mu(A) -> float:
@@ -118,15 +131,20 @@ def mu(A) -> float:
     A = as_matrix(A)
     if A.n == 1:
         return float(A.a.sum())
-    pair_sums = _row_pairs(A.a, np.minimum)
+    pair_sums = _row_pairs(A.a, _minimum)
     np.fill_diagonal(pair_sums, np.inf)  # the table is symmetric; skip j == k
     return float(pair_sums.min())
 
 
 def delta(A) -> float:
     """max over row pairs i, j of sum_k max(0, A[i,k] - A[j,k]); 0 for n = 1."""
-    A = as_matrix(A)
-    return float(_row_pairs(A.a, _positive_part_of_difference).max())
+    return _delta(as_matrix(A).a)
+
+
+def _delta(a: np.ndarray) -> float:
+    """delta of a finite square float64 array, taken as it is: no copy and
+    no validation, for callers whose arrays are finite by construction."""
+    return float(_row_pairs(a, _positive_part_of_difference).max())
 
 
 def delta_halfsum(A) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .contractivity import contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .matcore import Matrix, as_matrix, delta, is_scrambling, is_stochastic, mu
+from .matcore import Matrix, _delta, as_matrix, is_scrambling, is_stochastic, mu
 from .projections import Norm, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
@@ -66,14 +66,17 @@ def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05,
 
     nnz = support.sum(axis=1)
     rows, cols = np.nonzero(~support)  # each row's free columns, ascending
-    bounds = np.concatenate(([0], np.cumsum(n - nnz))).tolist()
-    rooms = (max_nonzeros - nnz).tolist()
-    keep = np.zeros(cols.size, dtype=bool)
-    for i in range(n):
-        start, stop = bounds[i], bounds[i + 1]
+    bounds = np.concatenate(([0], np.cumsum(n - nnz)))
+    # row i draws for its free columns bounds[i]:ends[i], as many as it has
+    # room for; a slot past the room is never drawn, and inf never keeps
+    # it, whatever extra_edge_prob is
+    ends = np.minimum(bounds[1:], bounds[:-1] + (max_nonzeros - nnz)).tolist()
+    bounds = bounds.tolist()
+    draws = np.full(cols.size, np.inf)
+    for start, stop, end in zip(bounds, bounds[1:], ends):
         rng.shuffle(cols[start:stop])
-        stop = min(stop, start + rooms[i])
-        keep[start:stop] = rng.random(stop - start) < extra_edge_prob
+        rng.random(out=draws[start:end])
+    keep = draws < extra_edge_prob
     support[rows[keep], cols[keep]] = True
 
     rows, cols = np.nonzero(support)
@@ -82,11 +85,23 @@ def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05,
     u = rng.random(cols.size)  # row i's draws are u[bounds[i]:bounds[i + 1]]
     # each row sums its own slice: np.add.reduceat groups the additions
     # differently, which would change the last bits of the entries
-    sums = np.array([u[bounds[i]:bounds[i + 1]].sum() for i in range(n)])
+    sums = np.array([np.add.reduce(u[start:stop])
+                     for start, stop in zip(bounds, bounds[1:])])
     slack = 1.0 - nnz * min_entry
     a = np.zeros((n, n))
     a[rows, cols] = min_entry + slack[rows] * u / sums[rows]
     return Matrix(a)
+
+
+def integer(value, name: str) -> int:
+    """value as an int: an integer, or a float with an integral value
+    such as 30.0.  A fractional or non-finite number, a bool or any other
+    type raises ValueError naming the field."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -112,8 +127,12 @@ class MatrixSequence:
             spec = self.generator
             if spec.get("kind") != "random_stochastic_spanning_tree":
                 raise ValueError(f"unknown generator kind {spec.get('kind')!r}")
-            self.n = int(spec["n"])
-            self._seed = int(spec.get("seed", 0))
+            self.n = integer(spec["n"], "n")
+            self._seed = integer(spec.get("seed", 0), "seed")
+            if self.n < 1:
+                raise ValueError(f"n must be >= 1, got {self.n}")
+            if self._seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self._seed}")
             self._min_entry = float(spec.get("min_entry", 0.05))
             self._cache = {}
 
@@ -333,7 +352,8 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
         series = []
         for k in range(r, horizon):
             acc = seq[k].a @ acc
-            series.append(delta(Matrix(acc)))
+            # a product of validated stochastic factors is finite
+            series.append(_delta(acc))
         series = np.asarray(series)
         if np.any(np.diff(series) > 1e-10):
             nonincrease_ok = False

@@ -425,6 +425,79 @@ def test_cli_ergodicity_generator_min_entry_exits_2(tmp_path, capsys, min_entry)
     assert "min_entry must be in (0, 1]" in err and "Traceback" not in err
 
 
+def assert_field_error(code, out, err, path, message):
+    """Exit 2 with nothing on stdout and one stderr line naming the file
+    and the field."""
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def generator_spec(tmp_path, **fields):
+    return write(tmp_path, "gen.json", json.dumps({"generator": {
+        "kind": "random_stochastic_spanning_tree", "n": 3, "seed": 1, **fields}}))
+
+
+def generated_report(tmp_path, capsys, **fields):
+    code, out, _ = run_cli(capsys, "ergodicity", generator_spec(tmp_path, **fields),
+                           "--horizon", "3")
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("n, message", [
+    (5.9, "n must be an integer, got 5.9"),
+    (True, "n must be an integer, got True"),
+    ("3", "n must be an integer, got '3'"),
+    (0, "n must be >= 1, got 0"),
+])
+def test_cli_generator_n_must_be_a_positive_integer(tmp_path, capsys, n, message):
+    spec = generator_spec(tmp_path, n=n)
+    assert_field_error(*run_cli(capsys, "ergodicity", spec, "--horizon", "3"), spec, message)
+    # an integral float is an integer
+    exact = generated_report(tmp_path, capsys, n=5)
+    assert generated_report(tmp_path, capsys, n=5.0) == exact
+    assert json.loads(exact)["block_len"] == 4
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    (-3, "seed must be >= 0, got -3"),
+])
+def test_cli_generator_seed_must_be_a_nonnegative_integer(tmp_path, capsys, seed, message):
+    spec = generator_spec(tmp_path, seed=seed)
+    assert_field_error(*run_cli(capsys, "ergodicity", spec, "--horizon", "3"), spec, message)
+    exact = generated_report(tmp_path, capsys, seed=2)
+    assert generated_report(tmp_path, capsys, seed=2.0) == exact
+    assert generated_report(tmp_path, capsys, seed=1) != exact
+
+
+@pytest.mark.parametrize("repeat, message", [
+    (2.7, "repeat must be an integer, got 2.7"),
+    (True, "repeat must be an integer, got True"),
+])
+def test_cli_repeat_must_be_an_integer(tmp_path, capsys, repeat, message):
+    a4_json(tmp_path)
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["a4.json"], "repeat": repeat}))
+    assert_field_error(*run_cli(capsys, "ergodicity", spec, "--horizon", "2"), spec, message)
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["a4.json"], "repeat": 3.0}))
+    code, out, _ = run_cli(capsys, "ergodicity", spec, "--horizon", "3")
+    assert code == 0 and json.loads(out)["horizon"] == 3
+
+
+@pytest.mark.parametrize("steps, message", [
+    (2.9, "steps must be an integer, got 2.9"),
+    (True, "steps must be an integer, got True"),
+])
+def test_cli_simulate_steps_must_be_an_integer(tmp_path, capsys, steps, message):
+    path = write_simulate_config(tmp_path, "matrix", steps=steps)
+    assert_field_error(*run_cli(capsys, "simulate", path), path, message)
+    path = write_simulate_config(tmp_path, "matrix", steps=3.0)
+    code, out, _ = run_cli(capsys, "simulate", path)
+    assert code == 0 and json.loads(out)["steps"] == 3
+
+
 def test_cli_product_generator_exits_2(tmp_path, capsys):
     spec = write(tmp_path, "gen.json", json.dumps(
         {"generator": {"kind": "random_stochastic_spanning_tree", "n": 3}}))
@@ -781,6 +854,31 @@ def test_cli_simulate_distance_past_sqrt_of_float_range_is_finite(tmp_path, caps
     assert r1["d"] <= r1["bound"] * (1 + 1e-12)
     if c_is_one:
         assert r1["d"] == pytest.approx(r1["bound"], rel=1e-12)
+
+
+def test_cli_ergodicity_logs_load_parameters_and_verdict(tmp_path, capsys, caplog,
+                                                        monkeypatch):
+    monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
+    generated = generator_spec(tmp_path, n=4, seed=7)
+    listed = repeated_sequence(tmp_path, A4, "a4")
+    code, _, _ = run_cli(capsys, "ergodicity", generated, "--horizon", "6")
+    assert code == 0 and all(r.levelno < logging.WARNING for r in caplog.records)
+
+    caplog.set_level(logging.INFO, logger="contractlab")
+    for spec, loaded, argv in [
+        (generated, "n = 4, generator random_stochastic_spanning_tree, seed 7", []),
+        (listed, "n = 3, 5 matrices", ["--block-len", "2"]),
+    ]:
+        caplog.clear()
+        code, out, _ = run_cli(capsys, "ergodicity", spec, "--horizon", "5", *argv)
+        report = json.loads(out)
+        assert code == 0
+        assert [r.levelno for r in caplog.records] == [logging.INFO] * 3
+        assert [r.getMessage() for r in caplog.records] == [
+            f"loaded sequence {spec}: {loaded}",
+            f"horizon 5, block_len {report['block_len']}, anchors [0, 1, 3]",
+            f"verdict: {report['verdict']}",
+        ]
 
 
 def test_cli_simulate_logs_events_once_per_run(tmp_path, capsys, caplog, monkeypatch):

@@ -3,7 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contractlab import Matrix, delta, is_scrambling, is_stochastic, mu, row_sum_profile, spread
+from contractlab import (
+    Matrix,
+    MatrixSequence,
+    delta,
+    is_scrambling,
+    is_stochastic,
+    mu,
+    row_sum_profile,
+    spread,
+)
 from contractlab.matcore import MatrixError, delta_halfsum
 from contractlab.reference import A1, A3, A4
 
@@ -122,26 +131,71 @@ def test_delta_equals_r_minus_mu_for_constant_row_sums():
         assert delta(a) == pytest.approx(r - mu(a), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [40, 41, 101, 150, 257])
+def assert_row_pair_functionals_match_direct_broadcast(a):
+    """mu, delta and delta_halfsum of a equal, bit for bit, the reductions
+    of the full n x n x n broadcast; returns the scrambling flag, checked
+    against the broadcast pattern."""
+    n = a.shape[0]
+    iu = np.triu_indices(n, k=1)
+    x, y = a[:, None, :], a[None, :, :]
+    expected_mu = float(a.sum()) if n == 1 else float(np.minimum(x, y).sum(axis=2)[iu].min())
+    assert mu(a) == expected_mu
+    assert delta(a) == float(np.maximum(0.0, x - y).sum(axis=2).max())
+    assert delta_halfsum(a) == float(0.5 * np.abs(x - y).sum(axis=2).max())
+    nz = np.abs(a) > 1e-12
+    expected = bool((nz[:, None, :] & nz[None, :, :]).any(axis=2)[iu].all())
+    assert is_scrambling(a) == expected
+    return expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 40, 41, 101, 150, 257])
 @pytest.mark.parametrize("signed", [False, True])
 def test_row_pair_functionals_match_direct_broadcast(n, signed):
-    # n = 40 is one tile; from n = 41 on the table is tiled over i and j,
-    # and the last tile is shorter in both (tile edges 39, 25, 20 and 15)
+    # up to n = 40 the table is one tile; from n = 41 on it is tiled over
+    # i and j, and the last tile is shorter in both (tile edges 39, 25,
+    # 20 and 15)
     rng = np.random.default_rng(n)
-    iu = np.triu_indices(n, k=1)
     scrambling = set()
-    for zero_fraction in (0.5, 0.97):
+    # a dense matrix is scrambling; at 97% zeros every n > 1 drawn here is not
+    for zero_fraction in (0.0, 0.5, 0.97):
         a = rng.standard_normal((n, n)) if signed else rng.random((n, n))
         a[rng.random((n, n)) < zero_fraction] = 0.0
-        x, y = a[:, None, :], a[None, :, :]
-        assert mu(a) == float(np.minimum(x, y).sum(axis=2)[iu].min())
-        assert delta(a) == float(np.maximum(0.0, x - y).sum(axis=2).max())
-        assert delta_halfsum(a) == float(0.5 * np.abs(x - y).sum(axis=2).max())
-        nz = np.abs(a) > 1e-12
-        expected = bool((nz[:, None, :] & nz[None, :, :]).any(axis=2)[iu].all())
-        assert is_scrambling(a) == expected
-        scrambling.add(expected)
-    assert scrambling == {True, False}
+        scrambling.add(assert_row_pair_functionals_match_direct_broadcast(a))
+    assert scrambling == ({True} if n == 1 else {True, False})
+
+
+@pytest.mark.parametrize("n", [30, 47])
+def test_row_pair_functionals_match_direct_broadcast_near_rank_one(n):
+    # partial products of a stochastic sequence: delta falls to about 1e-8
+    # by k = 20, 1e-12 by k = 30 and rounding level (~4e-16) by k = 40, so
+    # each term is a difference of nearly equal numbers
+    seq = MatrixSequence(generator={"kind": "random_stochastic_spanning_tree",
+                                    "n": n, "seed": 3})
+    acc = np.eye(n)
+    for k in range(300):
+        acc = seq[k].a @ acc
+        if k in (20, 30, 40, 299):
+            assert_row_pair_functionals_match_direct_broadcast(acc)
+    assert 0.0 < delta(acc) < 1e-14
+    v = np.random.default_rng(n).random(n)
+    rank_one = np.outer(np.ones(n), v / v.sum())
+    assert_row_pair_functionals_match_direct_broadcast(rank_one)
+    assert delta(rank_one) == 0.0
+
+
+def test_delta_at_n30_holds_one_tile_buffer():
+    # the n x n x n terms of one tile (210.9 KiB at n = 30), not a second
+    # temporary of that size beside them
+    n = 30
+    A = Matrix(np.random.default_rng(108).random((n, n)))
+    delta(A)
+    tracemalloc.start()
+    try:
+        delta(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * n ** 3 <= peak < 2 * 8 * n ** 3
 
 
 @pytest.mark.parametrize("fn", [mu, delta, is_scrambling])

@@ -7,7 +7,9 @@ from contractlab import (
     check_convergence_condition,
     contractivity_l2,
     contractivity_linf,
+    delta,
     ergodicity_coefficient,
+    is_stochastic,
     min_contractive_product_length,
     mu,
     product,
@@ -18,7 +20,7 @@ from contractlab import (
 )
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
 from contractlab import l2, linf
-from contractlab.products import BudgetError
+from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
 from contractlab.reference import A1, A2, A3, A4, A5
 
 from conftest import random_doubly_constant, random_stochastic
@@ -318,3 +320,79 @@ def test_weak_ergodicity_rejects_block_len_below_one(monkeypatch, block_len):
     with pytest.raises(ValueError, match="block_len"):
         weak_ergodicity_diagnostic(seq, horizon=5, block_len=block_len)
     assert fetched == []
+
+
+def frozen_weak_ergodicity_diagnostic(seq, horizon, block_len=None, norm=None):
+    """Frozen copy of weak_ergodicity_diagnostic as it was when every
+    anchored delta was taken through the public delta(Matrix(acc)).
+    Reference for the report, field by field and bit by bit."""
+    if norm is None:
+        norm = linf()
+    if block_len is None:
+        block_len = max(1, seq.n - 1)
+    for k in range(horizon):
+        assert is_stochastic(seq[k])
+    anchors = sorted({0, horizon // 3, (2 * horizon) // 3} - {horizon})
+    delta_by_anchor = {}
+    nonincrease_ok = True
+    for r in anchors:
+        acc = np.eye(seq.n)
+        series = []
+        for k in range(r, horizon):
+            acc = seq[k].a @ acc
+            series.append(delta(Matrix(acc)))
+        series = np.asarray(series)
+        if np.any(np.diff(series) > 1e-10):
+            nonincrease_ok = False
+        delta_by_anchor[r] = series
+    sums = []
+    total = 0.0
+    for start in range(0, horizon, block_len):
+        stop = min(start + block_len, horizon) - 1
+        total += ergodicity_coefficient(product(seq, start, stop), norm)
+        sums.append(total)
+    if not nonincrease_ok:
+        verdict = "violated_nonincrease"
+    elif all(series[-1] <= DELTA_ZERO_THRESHOLD for series in delta_by_anchor.values()):
+        verdict = "consistent_with_weak_ergodicity"
+    else:
+        verdict = "inconclusive"
+    return (horizon, block_len, tuple(anchors), delta_by_anchor[0], delta_by_anchor,
+            np.asarray(sums), verdict)
+
+
+def assert_report_matches_frozen(seq, horizon, block_len):
+    rep = weak_ergodicity_diagnostic(seq, horizon, block_len)
+    (horizon_, block_len_, anchors, partial, by_anchor, sums,
+     verdict) = frozen_weak_ergodicity_diagnostic(seq, horizon, block_len)
+    assert rep.horizon == horizon_ and rep.block_len == block_len_
+    assert rep.anchors == anchors and rep.verdict == verdict
+    for got, want in [(rep.delta_of_partial_products, partial),
+                      (rep.block_mu_c_partial_sums, sums),
+                      *((rep.delta_by_anchor[r], by_anchor[r]) for r in anchors)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert rep.delta_by_anchor.keys() == by_anchor.keys()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 47])
+def test_weak_ergodicity_matches_frozen_copy_on_generated_sequences(n):
+    for seed in (0, 7, 11):
+        seq = MatrixSequence(generator={
+            "kind": "random_stochastic_spanning_tree", "n": n, "seed": seed})
+        for horizon in (1, 2, 40, 300):
+            for block_len in (None, 1, 7):
+                assert_report_matches_frozen(seq, horizon, block_len)
+
+
+def test_weak_ergodicity_matches_frozen_copy_on_item_lists():
+    rng = np.random.default_rng(40)
+    J3 = np.full((3, 3), 1.0 / 3.0)
+    lists = [[J3] * 10, [np.eye(3)] * 20, [A4.a] * 60,
+             [random_stochastic(4, rng, density=0.5).a for _ in range(40)],
+             [random_stochastic(9, rng).a for _ in range(40)]]
+    for items in lists:
+        seq = MatrixSequence(items=items)
+        for horizon in sorted({1, 2, len(items)}):
+            for block_len in (None, 1, 7):
+                assert_report_matches_frozen(seq, horizon, block_len)
