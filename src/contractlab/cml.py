@@ -120,7 +120,8 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     envelope is marked void from the first step where a state leaves the
     declared map domain (the Lipschitz constant only holds there).
     Non-finite states flag divergence and truncate the trace.  Raises
-    ValueError when steps is below 1 or exceeds a finite sequence.
+    ValueError when steps is below 1 or exceeds a finite sequence, or
+    when sync_tol is negative or NaN.
     The loop only iterates into one states array; distances, domain exits,
     the sync step and the envelope are computed over that array after it.
     """
@@ -130,6 +131,8 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
         raise ValueError("need at least one map")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not sync_tol >= 0:  # NaN too
+        raise ValueError(f"sync_tol must be nonnegative, got {sync_tol}")
     if A_seq.items is not None and steps > len(A_seq.items):
         raise ValueError("steps exceed sequence length")
     x = np.asarray(x0, dtype=float)

@@ -51,8 +51,8 @@ class Matrix:
             raise MatrixError(f"expected square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise MatrixError("matrix entries must be finite")
-        if self.zero_tol < 0:
-            raise MatrixError("zero_tol must be nonnegative")
+        if not self.zero_tol >= 0:  # NaN too
+            raise MatrixError(f"zero_tol must be nonnegative, got {self.zero_tol}")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -172,8 +172,8 @@ def is_scrambling(A) -> bool:
 
 def is_stochastic(A, tol: float = DEFAULT_ROW_SUM_TOL) -> bool:
     """True iff all entries >= -tol and every row sum is within tol of 1."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     A = as_matrix(A)
     sums = A.a.sum(axis=1)
     return bool(np.all(A.a >= -tol) and np.all(np.abs(sums - 1.0) <= tol))
@@ -184,8 +184,8 @@ def row_sum_profile(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> RowSumProfil
 
     r is the mean of the row sums (no row is privileged).
     """
-    if row_sum_tol < 0:
-        raise ValueError("row_sum_tol must be nonnegative")
+    if not row_sum_tol >= 0:  # NaN too
+        raise ValueError(f"row_sum_tol must be nonnegative, got {row_sum_tol}")
     A = as_matrix(A)
     sums = A.a.sum(axis=1)
     r = float(sums.mean())

@@ -157,6 +157,13 @@ def test_simulate_steps_below_one_raises():
             simulate(seq_of(A4.a, A4.a), mp, [0.1, 0.5, 0.9], steps=steps)
 
 
+@pytest.mark.parametrize("sync_tol", [-1.0, np.nan])
+def test_simulate_sync_tol_must_be_nonnegative(sync_tol):
+    mp = make_map({"kind": "tent", "s": 1.0})
+    with pytest.raises(ValueError, match="sync_tol"):
+        simulate(seq_of(A4.a), mp, [0.1, 0.5, 0.9], steps=1, sync_tol=sync_tol)
+
+
 def test_simulate_validation():
     mp = make_map({"kind": "tent", "s": 1.0})
     with pytest.raises(ValueError):

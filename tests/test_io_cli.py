@@ -2,6 +2,7 @@ import importlib
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,41 @@ def test_cli_contractivity_norms(tmp_path, capsys):
                            "--samples", "500", "--seed", "3")
     doc = json.loads(out)
     assert code == 0 and "empirical_lower_bound" in doc and doc["samples"] == 500
+
+
+@pytest.mark.parametrize("norm", ["linf", "l1"])
+def test_cli_contractivity_negative_samples_exits_2(tmp_path, capsys, norm):
+    p = a4_json(tmp_path)
+    code, out, err = run_cli(capsys, "contractivity", p, "--norm", norm, "--samples", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: --samples must be >= 0, got -5\n"
+    # 0, the default, samples only where there is no closed form
+    code, out, _ = run_cli(capsys, "contractivity", p, "--norm", norm, "--samples", "0")
+    assert code == 0 and json.loads(out).get("samples") == (10000 if norm == "l1" else None)
+
+
+HALF = {"rows": [[0.5, 0.5], [0.5, 0.5]]}  # J/2: synchronizes any lattice at step 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--zero-tol", "nan", "analyze", "{matrix}"],
+    ["--zero-tol", "inf", "analyze", "{matrix}"],
+    ["--zero-tol", "-1", "analyze", "{matrix}"],
+    ["--row-sum-tol", "nan", "analyze", "{matrix}"],
+    ["--row-sum-tol", "inf", "analyze", "{matrix}"],
+    ["simulate", "{config}", "--sync-tol", "nan"],
+    ["simulate", "{config}", "--sync-tol", "-1"],
+], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+def test_cli_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, argv):
+    matrix = write(tmp_path, "half.json", json.dumps(HALF))
+    config = write(tmp_path, "sim.json", json.dumps({
+        "matrix": "half.json", "map": {"kind": "tent", "s": 1.0}, "x0": [0.2, 0.6]}))
+    argv = [a.format(matrix=matrix, config=config) for a in argv]
+    flag = next(a for a in argv if a.endswith("-tol"))
+    value = argv[argv.index(flag) + 1]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite and >= 0, got {float(value)}\n"
 
 
 def test_cli_contractivity_l2_bound_only(tmp_path, capsys):
@@ -704,13 +740,25 @@ def test_cli_simulate_out_of_memory_exits_2(tmp_path, capsys, source):
     assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
 
-def run_cli_process(*argv, python_flags=()):
-    """python -m contractlab.cli in a child process, importing this package."""
+def child_env(**overrides):
+    """This environment, importing this package, without CONTRACTLAB_LOG or
+    PYTHONUNBUFFERED (so stdout to a pipe waits in its buffer until exit),
+    and with the overrides set; an override of None unsets the variable."""
     paths = [str(Path(contractlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    env.pop("CONTRACTLAB_LOG", None)
+    for name, value in {"CONTRACTLAB_LOG": None, "PYTHONUNBUFFERED": None, **overrides}.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def run_cli_process(*argv, python_flags=(), stdout=subprocess.PIPE, **env):
+    """python -m contractlab.cli in a child process, in child_env(**env)."""
     return subprocess.run([sys.executable, *python_flags, "-m", "contractlab.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=child_env(**env))
 
 
 def test_cli_input_error_is_one_stderr_line(tmp_path):
@@ -909,3 +957,114 @@ def test_cli_simulate_logs_events_once_per_run(tmp_path, capsys, caplog, monkeyp
         f"wrote JSONL trace {tmp_path / 't.jsonl'} ({records} records)",
         f"wrote CSV trace {tmp_path / 't.csv'} ({records} records)",
     ]
+
+
+# ---------------------------------------------------------------- process exit
+
+def files_under(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def simulate_outputs(tmp_path, out):
+    a4_json(tmp_path)
+    config = write(tmp_path, "sim.json", json.dumps({
+        "matrix": "a4.json", "map": {"kind": "logistic", "a": 3.9},
+        "x0": [0.2, 0.45, 0.3], "steps": 50}))
+    return ["--output", str(out / "t.jsonl"), "simulate", config, "--csv", str(out / "t.csv")]
+
+
+EXIT_PATH_CASES = {
+    "analyze": lambda tmp_path, out: ["analyze", a4_json(tmp_path)],
+    "input-error": lambda tmp_path, out: ["analyze", str(tmp_path / "missing.json")],
+    "reproduce-paper": lambda tmp_path, out: ["reproduce-paper"],
+    "simulate-output-csv": simulate_outputs,
+    "analyze-directory-jobs": lambda tmp_path, out: [
+        "--output", f"{out / 'reports'}{os.sep}", "analyze", a4_json(tmp_path),
+        write(tmp_path, "a1.json", json.dumps({"rows": A1.a.tolist()})), "--jobs", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_PATH_CASES))
+def test_cli_process_matches_in_process_main(tmp_path, capsys, name):
+    # the process ends through cli.run and os._exit; nothing it prints or
+    # writes may differ from what main() produces in this process
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = EXIT_PATH_CASES[name](tmp_path, out)
+    code, stdout, stderr = run_cli(capsys, *argv)
+    written = files_under(out)
+    shutil.rmtree(out)
+    out.mkdir()
+    res = run_cli_process(*argv)
+    assert (res.returncode, res.stdout, res.stderr) == (code, stdout, stderr)
+    assert files_under(out) == written
+    assert (name == "input-error") == (code == 2)
+
+
+def test_cli_process_logs_at_info(tmp_path):
+    write(tmp_path, "half.json", json.dumps(HALF))
+    config = write(tmp_path, "sim.json", json.dumps({
+        "matrix": "half.json", "map": {"kind": "logistic", "a": 4.5},
+        "x0": [0.4, 0.6], "steps": 30}))
+    csv = tmp_path / "t.csv"
+    res = run_cli_process("simulate", config, "--csv", str(csv), CONTRACTLAB_LOG="INFO")
+    records = json.loads(res.stdout)["steps"] + 1
+    assert res.returncode == 0
+    assert res.stderr.splitlines() == [f"INFO:contractlab.cli:{line}" for line in [
+        "synchronized at step 1 (distance < 1e-10)",
+        "envelope void from step 1: the state left the map domain",
+        f"diverged: state {records} is not finite; the trace stops before it",
+        f"wrote CSV trace {csv} ({records} records)",
+    ]]
+
+
+def test_cli_process_runs_exit_handlers(tmp_path):
+    wrapper = write(tmp_path, "wrapper.py", "\n".join([
+        "import atexit, runpy",
+        "atexit.register(print, 'exit handler ran')",
+        "runpy.run_module('contractlab.cli', run_name='__main__')",
+    ]))
+    res = subprocess.run([sys.executable, wrapper, "analyze", a4_json(tmp_path)],
+                         capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0 and res.stderr == ""
+    report, handler = res.stdout.splitlines()
+    assert json.loads(report)["n"] == 3 and handler == "exit handler ran"
+
+
+def test_cli_process_under_cprofile_prints_stats():
+    res = run_cli_process("reproduce-paper", python_flags=["-m", "cProfile"])
+    assert res.returncode == 0 and res.stderr == ""
+    report, stats = res.stdout.split("\n", 1)
+    assert json.loads(report)["all_pass"] and "function calls" in stats
+
+
+def test_cli_process_help_and_unknown_flag(tmp_path):
+    res = run_cli_process("--help")
+    assert res.returncode == 0 and res.stdout.startswith("usage: contractlab")
+    res = run_cli_process("analyze", a4_json(tmp_path), "--bogus")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.splitlines()[-1] == "contractlab: error: unrecognized arguments: --bogus"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_cli_process_closed_stdout_exits_2(tmp_path, unbuffered):
+    # buffered, the report waits in the buffer until the exit flush;
+    # unbuffered, print itself fails inside main
+    path = a4_json(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = run_cli_process("analyze", path, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Broken pipe" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_cli_process_started_without_stdout_exits_0(tmp_path):
+    # with descriptor 1 closed, sys.stdout is None and print writes nothing
+    res = subprocess.run([sys.executable, "-m", "contractlab.cli", "analyze", a4_json(tmp_path)],
+                         stderr=subprocess.PIPE, text=True, env=child_env(),
+                         preexec_fn=lambda: os.close(1))
+    assert res.returncode == 0 and res.stderr == ""

@@ -24,8 +24,18 @@ def test_matrix_validation():
         Matrix(np.ones((2, 3)))
     with pytest.raises(MatrixError):
         Matrix(np.array([[np.nan]]))
-    with pytest.raises(MatrixError):
-        Matrix(np.eye(2), zero_tol=-1.0)
+    for zero_tol in (-1.0, np.nan):
+        with pytest.raises(MatrixError, match="zero_tol"):
+            Matrix(np.eye(2), zero_tol=zero_tol)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, np.nan])
+def test_row_sum_tolerance_must_be_nonnegative(tol):
+    # NaN compares false to everything: it would reject every row sum
+    with pytest.raises(ValueError, match="row_sum_tol"):
+        row_sum_profile(A4, tol)
+    with pytest.raises(ValueError, match="tol"):
+        is_stochastic(A4, tol)
 
 
 def test_matrix_immutable():
