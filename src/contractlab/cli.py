@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import json
 import logging
 import math
@@ -32,12 +33,21 @@ import numpy as np
 from . import cml, io, products, reference
 from .contractivity import (
     _linf_report,
+    coefficients,
     contractivity,
     decompose_affine,
     empirical_contractivity,
 )
 from .graphs import has_spanning_directed_tree, interaction_digraph, is_irreducible
-from .matcore import delta, is_scrambling, is_stochastic, mu, row_sum_profile
+from .matcore import (
+    DEFAULT_ROW_SUM_TOL,
+    DEFAULT_ZERO_TOL,
+    delta,
+    is_scrambling,
+    is_stochastic,
+    mu,
+    row_sum_profile,
+)
 from .projections import L1, norm_from_name
 
 EXIT_INPUT_ERROR = 2
@@ -72,12 +82,29 @@ def _dump(doc, pretty: bool) -> str:
                       allow_nan=False)
 
 
+def _print_report(text: str) -> None:
+    """text as a line on stdout.  A descriptor closed at start-up leaves
+    sys.stdout None, where print would drop the report without a word."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed; the report has nowhere to go")
+    print(text)
+
+
+def _print_error(message: str) -> None:
+    """message as one line on stderr, or nowhere when stderr is closed or
+    rejects the write: the exit code still tells, and print(file=None)
+    would write the line to stdout."""
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            print(message, file=sys.stderr)
+
+
 def _emit(doc, args) -> None:
     text = _dump(doc, args.pretty)
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
-        print(text)
+        _print_report(text)
 
 
 def _norm_from_args(args):
@@ -132,6 +159,8 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    if args.jobs < 1:
+        raise io.InputError(f"--jobs must be >= 1, got {args.jobs}")
     paths, out = args.matrix, args.output
     # --output is a directory, except for one input and a path that is not one
     if len(paths) == 1 and not (out and (out.endswith(("/", os.sep)) or Path(out).is_dir())):
@@ -147,7 +176,7 @@ def cmd_analyze(args) -> int:
         if clashes:
             raise io.InputError(
                 "analyze --output: inputs share a report name: " + "; ".join(clashes))
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         reports = list(pool.map(
             lambda p: _analysis_report(p, args.zero_tol, args.row_sum_tol), paths))
     if out:
@@ -156,7 +185,7 @@ def cmd_analyze(args) -> int:
         for name, report in zip(names, reports):
             (outdir / name).write_text(_dump(report, args.pretty) + "\n")
     else:
-        print(_dump(reports, args.pretty))
+        _print_report(_dump(reports, args.pretty))
     return 0
 
 
@@ -186,7 +215,7 @@ def cmd_product(args) -> int:
         raise io.InputError(f"{args.sequence}: product needs a finite list of matrices")
     norm = _norm_from_args(args)
     full = products.product(seq, 0, len(seq.items) - 1)
-    c_values = [contractivity(m, norm, args.row_sum_tol).c for m in seq.items]
+    c_values = coefficients(seq.items, norm, args.row_sum_tol)
     conv = products.check_convergence_condition(c_values)
     doc = {
         "input": str(args.sequence),
@@ -321,7 +350,7 @@ def cmd_simulate(args) -> int:
     summary = dict(trace.summary(), input=str(args.config))
     if summary["synchronized_at"] is None:
         summary["note"] = "not synchronized within horizon"
-    print(_dump(summary, args.pretty))
+    _print_report(_dump(summary, args.pretty))
     return 0
 
 
@@ -356,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and coupled map lattice simulation")
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     parser.add_argument("--output", help="write the report to a file instead of stdout")
-    parser.add_argument("--zero-tol", type=float, default=1e-12,
+    parser.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL,
                         help="structural-zero threshold")
-    parser.add_argument("--row-sum-tol", type=float, default=1e-9,
+    parser.add_argument("--row-sum-tol", type=float, default=DEFAULT_ROW_SUM_TOL,
                         help="constant row sum tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -393,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--norm", choices=["linf", "l2", "l1", "wl2"], default="linf")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--sync-tol", type=float, default=1e-10)
+    p.add_argument("--sync-tol", type=float, default=cml.DEFAULT_SYNC_TOL)
     p.add_argument("--csv", help="also write a (k, d, bound) CSV")
     p.add_argument("--full-state", action="store_true",
                    help="include full state vectors in the trace")
@@ -430,13 +459,13 @@ def main(argv=None) -> int:
         return args.func(args)
     # LinAlgError subclasses ValueError, so it has to be caught first.
     except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _print_error(f"numerical failure: {exc}")
         return EXIT_NUMERICAL_ERROR
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_INPUT_ERROR
     except MemoryError as exc:  # an input too large, e.g. 10**15 simulate steps
-        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        _print_error(f"error: out of memory. {exc}".rstrip())
         return EXIT_INPUT_ERROR
 
 
@@ -457,7 +486,8 @@ def run() -> None:
     stdout and stderr are flushed, as at interpreter shutdown; then
     os._exit ends the process without tearing down modules and objects.
     A stdout that cannot be flushed, such as a pipe whose reader has
-    gone, is an input error reported in one line.  Observed processes
+    gone, is an input error reported in one line; a stderr that cannot
+    be flushed drops its lines, as in _print_error.  Observed processes
     (see _observed) and exceptions out of main end the usual way.
     """
     code = main()
@@ -469,10 +499,11 @@ def run() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         code = EXIT_INPUT_ERROR
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            sys.stderr.flush()
     os._exit(code)
 
 

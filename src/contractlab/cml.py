@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contractivity import contractivity, contractivity_linf, RowSumError
+from .contractivity import RowSumError, coefficients
 from .matcore import row_sum_profile
 from .products import MatrixSequence, check_convergence_condition
 from .projections import L1, Norm, linf, project_columns
@@ -100,15 +100,6 @@ class SimTrace:
         }
 
 
-def _coefficient_or_none(A, norm: Norm) -> float | None:
-    if norm.kind == L1:
-        return None  # no closed form; envelope unavailable under l1
-    try:
-        return contractivity(A, norm).c
-    except RowSumError:
-        return None
-
-
 def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
              norm: Norm | None = None, sync_tol: float = DEFAULT_SYNC_TOL) -> SimTrace:
     """Iterate the lattice for the given number of steps (at least 1).
@@ -116,14 +107,14 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     maps may be a single MapDef or a sequence, cycled when shorter than
     the horizon.  The envelope column multiplies c(A_k) * rho_k per step
     when the coefficient is available for the chosen norm; c(A_k) is
-    recomputed only when A_k is not the same object as A_(k-1).  The
-    envelope is marked void from the first step where a state leaves the
-    declared map domain (the Lipschitz constant only holds there).
+    computed once per distinct coupling.  The envelope is marked void
+    from the first step where a state leaves the declared map domain (the
+    Lipschitz constant only holds there).
     Non-finite states flag divergence and truncate the trace.  Raises
     ValueError when steps is below 1 or exceeds a finite sequence, or
     when sync_tol is negative or NaN.
-    The loop only iterates into one states array; distances, domain exits,
-    the sync step and the envelope are computed over that array after it.
+    The loop only iterates into one states array and records each step's
+    coupling; distances, domain exits, the sync step and the envelope come after it.
     """
     norm = linf() if norm is None else norm
     maps = [maps] if isinstance(maps, MapDef) else list(maps)
@@ -143,9 +134,7 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
 
     states = np.empty((steps + 1, x.size))
     states[0] = x
-    factors = np.empty((steps, 2))  # row k: c(A_k), rho_k
-    bound_available = True
-    A_prev = c = None
+    couplings = []  # A_k of each step whose state is kept
     used = steps + 1
     # divergence is an outcome the trace reports: a state, distance or
     # envelope past the float range is inf (or nan) and raises no warning
@@ -158,20 +147,18 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
                 used = k + 1
                 break
             states[k + 1] = x
-            if bound_available:
-                if A is not A_prev:  # a repeated coupling keeps its coefficient
-                    c = _coefficient_or_none(A, norm)
-                    A_prev = A
-                if c is None:
-                    bound_available = False
-                else:
-                    factors[k] = c, mp.rho
+            couplings.append(A)
         states = states[:used]
         # states.T has contiguous columns: bit for bit the per-state distances
         distances = project_columns(states.T, norm)[1]
+        try:  # no closed form under l1
+            c = None if norm.kind == L1 else coefficients(couplings, norm)
+        except RowSumError:
+            c = None
+        rho = np.resize([mp.rho for mp in maps], len(couplings))  # rho_k cycles with the maps
         # cumprod of d0, c_0, rho_0, c_1, ... is bound[k] * c_k * rho_k at even places
-        bound = (np.cumprod(np.append(distances[0], factors[:used - 1]))[::2]
-                 if bound_available else None)
+        bound = (None if c is None else
+                 np.cumprod(np.append(distances[0], np.column_stack((c, rho))))[::2])
 
     exits = np.zeros(min(used, steps), dtype=bool)  # the states fed to a map
     for i, mp in enumerate(maps):
@@ -221,7 +208,7 @@ def check_sync_corollary(A_seq: MatrixSequence, rho_values) -> bool:
     count = rho_values.size
     if A_seq.items is not None and len(A_seq.items) != count:
         raise ValueError("need one Lipschitz constant per matrix")
-    # contractivity_linf raises RowSumError for non-constant row sums
-    worst = max((contractivity_linf(A_seq[k]).c - 1.0 / rho_values[k] for k in range(count)),
-                default=-np.inf)
+    # raises RowSumError for non-constant row sums
+    c_values = coefficients([A_seq[k] for k in range(count)], linf())
+    worst = max((c - 1.0 / rho for c, rho in zip(c_values, rho_values)), default=-np.inf)
     return bool(worst < 0)

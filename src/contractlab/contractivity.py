@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import Matrix, as_matrix, is_scrambling, is_stochastic, mu, row_sum_profile
+from .matcore import (
+    DEFAULT_ROW_SUM_TOL,
+    Matrix,
+    as_matrix,
+    is_scrambling,
+    is_stochastic,
+    mu,
+    row_sum_profile,
+)
 from .projections import LINF, L2, WL2, Norm, linf, project, project_columns, weighted_l2
 
 _EXACT_TOL = 1e-12
@@ -125,14 +133,14 @@ def _linf_report(r: float, mu_value: float) -> ContractivityReport:
     return _report(linf(), r - mu_value, "closed_form_linf")
 
 
-def contractivity_linf(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
+def contractivity_linf(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
     """Exact c(A) = r - mu(A) under the max norm (constant row sums only)."""
     A = as_matrix(A)
     r = _require_constant_row_sum(A, row_sum_tol)
     return _linf_report(r, mu(A))
 
 
-def contractivity_l2(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
+def contractivity_l2(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
     """||A K||_2 under the Euclidean norm: an upper bound on
     c(A) = sup d(Ax, X*) / d(x, X*), equal to it when the column sums are
     also constant within row_sum_tol; otherwise the report is bound-only."""
@@ -144,7 +152,8 @@ def contractivity_l2(A, row_sum_tol: float = 1e-9) -> ContractivityReport:
                    bound_only=not exact)
 
 
-def contractivity_weighted_bound(A, w, row_sum_tol: float = 1e-9) -> ContractivityReport:
+def contractivity_weighted_bound(A, w,
+                                 row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
     """Upper bound ||W^(1/2) A W^(-1) K||_2 on c(A) under the w-weighted norm.
 
     Only an upper bound: the set-contractive verdict is asserted when the
@@ -159,7 +168,7 @@ def contractivity_weighted_bound(A, w, row_sum_tol: float = 1e-9) -> Contractivi
                    bound_only=True)
 
 
-def contractivity(A, norm: Norm, row_sum_tol: float = 1e-9) -> ContractivityReport:
+def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
     """Dispatch to the closed form / bound for the given norm."""
     if norm.kind == LINF:
         return contractivity_linf(A, row_sum_tol)
@@ -168,6 +177,18 @@ def contractivity(A, norm: Norm, row_sum_tol: float = 1e-9) -> ContractivityRepo
     if norm.kind == WL2:
         return contractivity_weighted_bound(A, norm.weights, row_sum_tol)
     raise ValueError(f"no contractivity formula for norm {norm.kind!r}")
+
+
+def coefficients(matrices, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> list:
+    """contractivity(A, norm, row_sum_tol).c for each matrix of the list,
+    computed once per distinct object and in list order, so the first
+    matrix that fails raises.  A sequence repeats an item by reference;
+    the list holds every object, so no id is reused while this runs."""
+    c_by_id = {}
+    for A in matrices:
+        if id(A) not in c_by_id:
+            c_by_id[id(A)] = contractivity(A, norm, row_sum_tol).c
+    return [c_by_id[id(A)] for A in matrices]
 
 
 def empirical_contractivity(A, norm: Norm, samples: int = 10000,
@@ -246,7 +267,7 @@ def is_pseudocontractive_stochastic_linf(A) -> bool:
     return is_scrambling(A)
 
 
-def decompose_affine(A, x, row_sum_tol: float = 1e-9) -> AffineDecomposition:
+def decompose_affine(A, x, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> AffineDecomposition:
     """Affine stochastic form of the action of A at x: find row-stochastic
     B and a constant vector xstar with B x = A x - xstar.
 

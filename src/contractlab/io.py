@@ -38,7 +38,8 @@ def _finite_rows(rows, source: str) -> np.ndarray:
 
 def _read(path: Path, as_json: bool):
     """The file's text, or its parsed JSON document; a file that cannot be
-    read or JSON that does not parse raises InputError."""
+    read or JSON that does not parse, or nests past the recursion limit
+    of the decoder, raises InputError."""
     try:
         text = path.read_text()
         return json.loads(text) if as_json else text
@@ -46,6 +47,8 @@ def _read(path: Path, as_json: bool):
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_object(path) -> dict:

@@ -11,11 +11,12 @@ A_b A_(b-1) ... A_a.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contractivity import contractivity
+from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
 from .matcore import Matrix, _delta, as_matrix, is_scrambling, is_stochastic, mu
 from .projections import Norm, linf
@@ -29,6 +30,21 @@ ERGODICITY_TOL = 1e-9  # slack on stochasticity and on c <= 1 in ergodicity_coef
 
 class BudgetError(RuntimeError):
     """Exhaustive enumeration would exceed the product budget."""
+
+
+def _max_nonzeros(n: int, min_entry: float) -> int:
+    """The most nonzeros a row of random_stochastic_spanning_tree(n, rng,
+    min_entry) holds; raises ValueError for a min_entry outside (0, 1],
+    or above 1/2 for n > 1."""
+    if not 0 < min_entry <= 1:  # also rejects nan
+        raise ValueError(f"min_entry must be in (0, 1], got {min_entry!r}")
+    # A row never holds more than n nonzeros, so the cap at n changes no
+    # draw; it keeps int() finite when 1 / min_entry overflows.
+    max_nonzeros = int(min(1.0 / min_entry, n))
+    if max_nonzeros < 2 and n > 1:
+        raise ValueError(f"min_entry {min_entry!r} too large for a positive diagonal "
+                         "plus a tree edge")
+    return max_nonzeros
 
 
 def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05,
@@ -51,13 +67,7 @@ def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0 < min_entry <= 1:  # also rejects nan
-        raise ValueError(f"min_entry must be in (0, 1], got {min_entry!r}")
-    # A row never holds more than n nonzeros, so the cap at n changes no
-    # draw; it keeps int() finite when 1 / min_entry overflows.
-    max_nonzeros = int(min(1.0 / min_entry, n))
-    if max_nonzeros < 2 and n > 1:
-        raise ValueError("min_entry too large for a positive diagonal plus a tree edge")
+    max_nonzeros = _max_nonzeros(n, min_entry)
     order = rng.permutation(n)
     support = np.eye(n, dtype=bool)  # row i: diagonal always present
     # one bounded draw per entry, in order: the stream of integers(idx)
@@ -133,13 +143,12 @@ class MatrixSequence:
                 raise ValueError(f"n must be >= 1, got {self.n}")
             if self._seed < 0:
                 raise ValueError(f"seed must be >= 0, got {self._seed}")
-            self._min_entry = float(spec.get("min_entry", 0.05))
+            min_entry = spec.get("min_entry", 0.05)
+            if isinstance(min_entry, bool) or not isinstance(min_entry, numbers.Real):
+                raise ValueError(f"min_entry must be a real number, got {min_entry!r}")
+            self._min_entry = float(min_entry)
+            _max_nonzeros(self.n, self._min_entry)  # the generator's range rule, at load
             self._cache = {}
-
-    def __len__(self):
-        if self.items is not None:
-            return len(self.items)
-        raise TypeError("generated sequence has no fixed length")
 
     def __getitem__(self, k: int) -> Matrix:
         if self.items is not None:
@@ -177,10 +186,7 @@ def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float,
     if ms is None:
         raise ValueError("requires a finite sequence")
     c_exact = contractivity(product(seq, 0, len(ms) - 1), norm).c
-    c_bound = 1.0
-    for m in ms:
-        c_bound *= contractivity(m, norm).c
-    return c_exact, c_bound
+    return c_exact, float(np.cumprod(coefficients(ms, norm))[-1])  # left to right
 
 
 def check_convergence_condition(c_values, horizon: int | None = None) -> dict:

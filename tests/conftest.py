@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import numpy as np
 
 from contractlab import Matrix
@@ -35,3 +38,27 @@ def random_doubly_constant(n, rng, r=None):
     for wi in w:
         a += wi * eye[rng.permutation(n)]
     return Matrix(r * a)
+
+
+def counting_coefficient(monkeypatch):
+    """Wrap the coefficient routines where the package's submodules bind
+    them: the dispatch contractivity everywhere, and the per-norm formulas
+    outside the contractivity module, where the dispatch reaches them.
+    Return the list of their matrix arguments, one entry per coefficient
+    computed.  Calls through the package namespace are not counted."""
+    calls = []
+    module = importlib.import_module("contractlab.contractivity")
+    submodules = [m for key, m in sys.modules.items() if key.startswith("contractlab.")]
+    for name in ("contractivity", "contractivity_linf", "contractivity_l2",
+                 "contractivity_weighted_bound"):
+        original = getattr(module, name)
+
+        def counting(A, *args, _original=original, **kwargs):
+            calls.append(A)
+            return _original(A, *args, **kwargs)
+
+        for mod in submodules:
+            if name == "contractivity" or mod is not module:
+                for attr in [k for k, v in vars(mod).items() if v is original]:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contractlab import (
+    Matrix,
     MatrixSequence,
     check_sync_condition,
     check_sync_corollary,
@@ -13,9 +14,11 @@ from contractlab import (
 from contractlab import cml, contractivity
 from contractlab.cml import MapDef
 from contractlab.contractivity import RowSumError
-from contractlab.projections import distance_to_diagonal
+from contractlab.projections import L1, distance_to_diagonal
 from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A4
+
+from conftest import counting_coefficient
 
 
 def seq_of(*ms):
@@ -230,20 +233,6 @@ def test_corollary_implies_envelope_decay():
             assert tr.bound[-1] < tr.bound[0] + 1e-12
 
 
-def counting_coefficient(monkeypatch):
-    """Wrap the coefficient routine cml calls; return the list of its
-    arguments, one entry per call."""
-    calls = []
-    original = cml.contractivity
-
-    def counting(A, norm, *args, **kwargs):
-        calls.append(A)
-        return original(A, norm, *args, **kwargs)
-
-    monkeypatch.setattr(cml, "contractivity", counting)
-    return calls
-
-
 def test_simulate_repeated_matrix_computes_coefficient_once(monkeypatch):
     calls = counting_coefficient(monkeypatch)
     mp = make_map({"kind": "affine", "a": 1.05, "b": 0.0})
@@ -268,6 +257,26 @@ def test_simulate_alternating_matrices_recompute_each_step(monkeypatch):
     assert all(M is seq[k] for k, M in enumerate(calls))
     for k in range(20):
         assert tr.bound[k + 1] == tr.bound[k] * cs[k % 2] * mp.rho
+
+
+def test_simulate_repeated_pair_computes_each_coefficient_once(monkeypatch):
+    B = Matrix(np.full((3, 3), 0.05) + 0.85 * np.eye(3))
+    cs = [contractivity(M, linf()).c for M in (A4, B)]
+    calls = counting_coefficient(monkeypatch)
+    mp = make_map({"kind": "affine", "a": 1.05, "b": 0.0})
+    tr = simulate(MatrixSequence(items=[A4, B] * 10), mp, [0.1, 0.9, 0.4], steps=20)
+    assert len(calls) == 2 and calls[0] is A4 and calls[1] is B
+    expected = [tr.distances[0]]
+    for k in range(20):
+        expected.append(expected[-1] * cs[k % 2] * mp.rho)
+    assert tr.bound.tolist() == expected
+
+
+def test_check_sync_corollary_computes_each_coefficient_once(monkeypatch):
+    calls = counting_coefficient(monkeypatch)
+    B = Matrix(np.full((3, 3), 1.0 / 3.0))
+    assert check_sync_corollary(MatrixSequence(items=[A4, B] * 5), [1.1] * 10)
+    assert len(calls) == 2 and calls[0] is A4 and calls[1] is B
 
 
 def per_step_simulate(A_seq, maps, x0, steps, norm, sync_tol=cml.DEFAULT_SYNC_TOL,
@@ -302,7 +311,13 @@ def per_step_simulate(A_seq, maps, x0, steps, norm, sync_tol=cml.DEFAULT_SYNC_TO
         distances.append(d)
         if bound_available:
             if A is not A_prev:
-                c = cml._coefficient_or_none(A, norm)
+                if norm.kind == L1:
+                    c = None  # no closed form; envelope unavailable under l1
+                else:
+                    try:
+                        c = contractivity(A, norm).c
+                    except RowSumError:
+                        c = None
                 A_prev = A
             if c is None:
                 bound_available = False
@@ -344,8 +359,17 @@ def _oracle_cases():
     C = np.full((3, 3), 0.05) + 0.85 * np.eye(3)
     for norm in (linf(), weighted_l2([1.0, 0.3, 0.7])):
         cases[f"alternating-{norm}"] = (seq_of(*[A4.a, C] * 15), tent, [0.1, 0.9, 0.4], 30, norm)
+    nonconstant = [[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]]
+    # the coupling of the step that diverges, and every later one, gets no
+    # coefficient: the envelope stays
+    cases["diverge-step-0-before-lost-coefficient"] = (
+        seq_of(A4.a, nonconstant, A4.a), square, [1e300, 2e300, 3e300], 3, l2())
+    cases["diverge-before-lost-coefficient"] = (
+        seq_of(*[A4.a] * 6, nonconstant, nonconstant), [blow, tent], [1.0, 2.0, 3.0], 8, linf())
+    cases["coefficient-lost-at-step-1"] = (
+        seq_of(*[A4.a, nonconstant] * 5), tent, [0.1, 0.9, 0.4], 10, l2())
     cases["coefficient-lost-mid-run"] = (
-        seq_of(A4.a, A4.a, [[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]], A4.a),
+        seq_of(A4.a, A4.a, nonconstant, A4.a),
         tent, [0.1, 0.9, 0.4], 4, linf())
     cases["generator"] = (MatrixSequence(generator={
         "kind": "random_stochastic_spanning_tree", "n": 10, "seed": 3, "min_entry": 0.05}),

@@ -2,6 +2,7 @@ import importlib
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -23,10 +24,19 @@ from contractlab import (
     product_contractivity_bound,
     simulate,
 )
-from contractlab.io import InputError, load_matrix, load_sequence, load_vector, parse_weights
+from contractlab.io import (
+    InputError,
+    load_matrix,
+    load_object,
+    load_sequence,
+    load_vector,
+    parse_weights,
+)
+from contractlab.cml import DEFAULT_SYNC_TOL
+from contractlab.matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL
 from contractlab.reference import A1, A4, MATRICES, W4
 
-from conftest import random_doubly_constant
+from conftest import counting_coefficient, random_doubly_constant
 
 
 def write(tmp_path, name, text):
@@ -119,7 +129,34 @@ def test_load_sequence_errors(tmp_path):
                             json.dumps({"generator": {"kind": "nope"}})))
 
 
+# past the recursion limit of the JSON decoder
+DEEP = "[" * 100000 + "]" * 100000
+DEEP_JSON = {
+    "matrix": (load_matrix, '{"rows": ' + DEEP + "}"),
+    "sequence": (load_sequence, '{"matrices": ' + DEEP + "}"),
+    "config": (load_object, '{"map": ' + DEEP + "}"),
+    "vector": (load_vector, DEEP),
+    "weights": (parse_weights, DEEP),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_JSON))
+def test_deeply_nested_json_is_an_input_error(tmp_path, name):
+    loader, text = DEEP_JSON[name]
+    path = write(tmp_path, f"{name}.json", text)
+    with pytest.raises(InputError, match=f"^{re.escape(path)}: JSON nested too deeply$"):
+        loader(path)
+
+
 # ---------------------------------------------------------------- cli
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = write(tmp_path, "deep.json", '{"rows": ' + DEEP + "}")
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_cli_analyze_a4(tmp_path, capsys):
@@ -461,6 +498,31 @@ def test_cli_ergodicity_generator_min_entry_exits_2(tmp_path, capsys, min_entry)
     assert "min_entry must be in (0, 1]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("min_entry, message", [
+    (0.9, "min_entry 0.9 too large for a positive diagonal plus a tree edge"),
+    ("0.1", "min_entry must be a real number, got '0.1'"),
+    (True, "min_entry must be a real number, got True"),
+])
+def test_cli_generator_min_entry_checked_at_load(tmp_path, capsys, min_entry, message):
+    spec = generator_spec(tmp_path, n=4, min_entry=min_entry)
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_sequence(spec)  # before any item is drawn
+    assert_field_error(*run_cli(capsys, "ergodicity", spec, "--horizon", "3"), spec, message)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_analyze_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    code, out, err = run_cli(capsys, "analyze", a4_json(tmp_path), "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+def test_cli_tolerance_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["simulate", "cfg.json"])
+    assert args.zero_tol == DEFAULT_ZERO_TOL and args.row_sum_tol == DEFAULT_ROW_SUM_TOL
+    assert args.sync_tol == DEFAULT_SYNC_TOL
+
+
 def assert_field_error(code, out, err, path, message):
     """Exit 2 with nothing on stdout and one stderr line naming the file
     and the field."""
@@ -574,6 +636,37 @@ def test_cli_product_matches_library_bound(tmp_path, capsys):
     assert doc["c_exact"] == float(f"{c_exact:.12g}")
     assert doc["c_bound"] == float(f"{c_bound:.12g}")
     assert doc["c_bound"] == doc["running_products"][-1]
+
+
+# product on {"matrices": [A4, B], "repeat": 50}: (c_exact, c_bound, per_item_c
+# of A4 and B) as printed before coefficients were computed once per
+# distinct matrix.  c_exact is pinned to 1e-9 only: under linf it is 1 - mu
+# of a nearly rank-one product, where BLAS rounding shows.
+PINNED_REPEATED_PRODUCT = {
+    "linf": (4.82433626381e-09, 1.52430459104e-06, [0.9, 0.85]),
+    "l2": (1.10835842905, 0.107038034474, [1.12505003316, 0.85]),
+}
+
+
+@pytest.mark.parametrize("norm", sorted(PINNED_REPEATED_PRODUCT))
+def test_cli_product_computes_each_coefficient_once(tmp_path, capsys, monkeypatch, norm):
+    a4_json(tmp_path)
+    B = np.full((3, 3), 0.05) + 0.85 * np.eye(3)
+    write(tmp_path, "b.json", json.dumps({"rows": B.tolist()}))
+    spec = write(tmp_path, "seq.json", json.dumps(
+        {"matrices": ["a4.json", "b.json"], "repeat": 50}))
+    calls = counting_coefficient(monkeypatch)
+    code, out, _ = run_cli(capsys, "product", spec, "--norm", norm)
+    assert code == 0
+    # one per distinct factor, then the full product
+    assert len(calls) == 3 and calls[0].a.tolist() == A4.a.tolist()
+    assert calls[1].a.tolist() == B.tolist()
+    doc = json.loads(out)
+    c_exact, c_bound, pair = PINNED_REPEATED_PRODUCT[norm]
+    assert doc["c_exact"] == pytest.approx(c_exact, rel=1e-9)
+    assert doc["c_bound"] == c_bound == doc["running_products"][-1]
+    assert doc["per_item_c"] == pair * 50 and doc["length"] == 100
+    assert not doc["product_numerically_zero"] and doc["product_scrambling"]
 
 
 # The Euclidean coefficients as the CLI printed them (12 significant digits)
@@ -1062,9 +1155,67 @@ def test_cli_process_closed_stdout_exits_2(tmp_path, unbuffered):
     assert len(res.stderr.splitlines()) == 1
 
 
-def test_cli_process_started_without_stdout_exits_0(tmp_path):
-    # with descriptor 1 closed, sys.stdout is None and print writes nothing
+STDOUT_CLOSED = "error: stdout is closed; the report has nowhere to go\n"
+
+
+def test_cli_process_started_without_stdout_exits_2(tmp_path):
+    # with descriptor 1 closed, sys.stdout is None, where print writes nothing
     res = subprocess.run([sys.executable, "-m", "contractlab.cli", "analyze", a4_json(tmp_path)],
                          stderr=subprocess.PIPE, text=True, env=child_env(),
                          preexec_fn=lambda: os.close(1))
+    assert res.returncode == 2 and res.stderr == STDOUT_CLOSED
+
+
+def run_cli_shell(redirect, *argv, **env):
+    """python -m contractlab.cli started by sh with a redirection such as
+    '>&-' (stdout closed) or '2>&-' (stderr closed), in child_env(**env)."""
+    return subprocess.run(["sh", "-c", f'exec "$0" -m contractlab.cli "$@" {redirect}',
+                           sys.executable, *argv],
+                          capture_output=True, text=True, env=child_env(**env))
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_cli_process_closed_stdout_with_a_report_exits_2(tmp_path, unbuffered):
+    res = run_cli_shell(">&-", "reproduce-paper", PYTHONUNBUFFERED=unbuffered)
+    assert res.returncode == 2 and res.stderr == STDOUT_CLOSED
+    res = run_cli_shell(">&-", "simulate", write_simulate_config(tmp_path, "matrix"),
+                        PYTHONUNBUFFERED=unbuffered)
+    assert res.returncode == 2 and res.stderr == STDOUT_CLOSED
+    # a report written to --output needs no stdout
+    out = tmp_path / "report.json"
+    res = run_cli_shell(">&-", "--output", str(out), "reproduce-paper",
+                        PYTHONUNBUFFERED=unbuffered)
     assert res.returncode == 0 and res.stderr == ""
+    assert json.loads(out.read_text())["all_pass"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_cli_process_closed_stderr_keeps_the_exit_code(tmp_path, unbuffered):
+    res = run_cli_shell("2>&-", "analyze", str(tmp_path / "missing.json"),
+                        PYTHONUNBUFFERED=unbuffered)
+    assert res.returncode == 2 and res.stdout == ""
+    res = run_cli_shell("2>&-", "analyze", a4_json(tmp_path), PYTHONUNBUFFERED=unbuffered)
+    assert res.returncode == 0 and json.loads(res.stdout)["n"] == 3
+
+
+class RejectingStream:
+    """A stream whose every write fails, as one on a descriptor that is
+    open for reading only."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("stderr", [None, RejectingStream()], ids=["none", "rejecting"])
+def test_cli_error_without_stderr_keeps_exit_code(tmp_path, capsys, monkeypatch, stderr):
+    def failing_norm(x, ord=None, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli.main(["analyze", str(tmp_path / "missing.json")]) == 2
+    monkeypatch.setattr(np.linalg, "norm", failing_norm)
+    assert cli.main(["contractivity", a4_json(tmp_path), "--norm", "l2"]) == 3
+    assert capsys.readouterr().out == ""

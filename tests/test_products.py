@@ -23,7 +23,7 @@ from contractlab import l2, linf
 from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
 from contractlab.reference import A1, A2, A3, A4, A5
 
-from conftest import random_doubly_constant, random_stochastic
+from conftest import counting_coefficient, random_doubly_constant, random_stochastic
 
 
 def seq_of(*ms):
@@ -139,6 +139,21 @@ def test_product_contractivity_bound():
     assert c_exact == pytest.approx(0.0, abs=1e-12)
     c_exact, c_bound = product_contractivity_bound(seq_of(A4.a), linf())
     assert c_exact == c_bound
+
+
+def test_product_contractivity_bound_computes_each_coefficient_once(monkeypatch):
+    B = Matrix(np.full((3, 3), 0.05) + 0.85 * np.eye(3))
+    seq = MatrixSequence(items=[A4, B] * 10)
+    cs = [contractivity_linf(M).c for M in (A4, B)]
+    calls = counting_coefficient(monkeypatch)
+    c_exact, c_bound = product_contractivity_bound(seq, linf())
+    # the full product first, then A4 and B once each
+    assert len(calls) == 3 and calls[1] is A4 and calls[2] is B
+    assert c_exact == contractivity_linf(product(seq, 0, 19)).c
+    expected = 1.0
+    for k in range(20):
+        expected *= cs[k % 2]
+    assert c_bound == expected
 
 
 def test_submultiplicativity_linf():
