@@ -11,6 +11,36 @@ binds the function.  Reach the module with
 from it (``from contractlab.contractivity import contractivity_l2``).
 """
 
+
+def _load_numpy() -> None:
+    """Import numpy with OpenBLAS's idle busy-wait cut short.
+
+    An OpenBLAS worker thread spins for 2**OPENBLAS_THREAD_TIMEOUT cycles
+    (default 2**28, clamped to [4, 30]) before it sleeps; after numpy
+    loads, that spin burns 0.1-0.15 s of a second core in every process,
+    though the small matrices here never need a BLAS thread.  With 4 the
+    workers sleep at once; the pool stays, so large products and SVDs
+    still run threaded.  OpenBLAS reads the variable only when numpy
+    loads it, so it is set for that import alone and deleted again:
+    os.environ stays as the user left it and no child process inherits
+    it.  A user's own value wins, and if numpy is already loaded nothing
+    changes.  MKL and Accelerate builds ignore the variable.
+    """
+    import os
+    import sys
+
+    if "numpy" in sys.modules or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+        return
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
+
+_load_numpy()
+del _load_numpy
+
 from .matcore import (
     Matrix,
     RowSumProfile,

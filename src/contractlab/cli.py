@@ -108,12 +108,27 @@ def _emit(doc, args) -> None:
 
 
 def _norm_from_args(args):
-    weights = None
+    """The norm of --norm and --weights; weights with another norm than
+    wl2 are rejected by norm_from_name before they are parsed."""
+    weights = getattr(args, "weights", None)  # ergodicity has no --weights
     if args.norm == "wl2":
-        if not args.weights:
+        if not weights:
             raise io.InputError("--norm wl2 requires --weights")
-        weights = io.parse_weights(args.weights)
+        weights = io.parse_weights(weights)
     return norm_from_name(args.norm, weights)
+
+
+def _log_sequence(path, seq) -> None:
+    if seq.items is None:
+        log.info("loaded sequence %s: n = %d, generator %s, seed %d",
+                 path, seq.n, seq.generator["kind"], seq._seed)
+    else:
+        log.info("loaded sequence %s: n = %d, %d matrices", path, seq.n, len(seq.items))
+
+
+def _log_method(rep) -> None:
+    log.info("%s coefficient: method %s%s", rep.norm, rep.method,
+             ", an upper bound" if rep.is_bound_only else "")
 
 
 def _classification(rep) -> str:
@@ -124,6 +139,7 @@ def _classification(rep) -> str:
 
 def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
     A = io.load_matrix(path, zero_tol)
+    log.info("loaded matrix %s: n = %d", path, A.n)
     profile = row_sum_profile(A, row_sum_tol)
     G = interaction_digraph(A)
     tree, root = has_spanning_directed_tree(G)
@@ -151,7 +167,10 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
         report["c_linf"] = reps["linf"].c
         report["c_l2"] = reps["l2"].c
         report["classification"] = {name: _classification(rep) for name, rep in reps.items()}
+        for rep in reps.values():
+            _log_method(rep)
     else:
+        log.info("%s: row sums are not constant; no coefficient", path)
         report["c_linf"] = None
         report["c_l2"] = None
         report["note"] = "row sums are not constant; coefficient formulas do not apply"
@@ -193,11 +212,15 @@ def cmd_contractivity(args) -> int:
     if args.samples < 0:
         raise io.InputError(f"--samples must be >= 0, got {args.samples}")
     A = io.load_matrix(args.matrix, args.zero_tol)
+    log.info("loaded matrix %s: n = %d", args.matrix, A.n)
     norm = _norm_from_args(args)
     # l1 has no closed form: sampling only
     rep = None if norm.kind == L1 else contractivity(A, norm, args.row_sum_tol)
     doc = {"input": str(args.matrix), "norm": args.norm}
-    if rep is not None:
+    if rep is None:
+        log.info("l1 coefficient: no closed form; sampling only")
+    else:
+        _log_method(rep)
         doc.update(rep.to_json())
     if args.samples > 0 or rep is None:
         samples = args.samples if args.samples > 0 else 10000
@@ -213,15 +236,18 @@ def cmd_product(args) -> int:
     seq = io.load_sequence(args.sequence, args.zero_tol)
     if seq.items is None:
         raise io.InputError(f"{args.sequence}: product needs a finite list of matrices")
+    _log_sequence(args.sequence, seq)
     norm = _norm_from_args(args)
     full = products.product(seq, 0, len(seq.items) - 1)
     c_values = coefficients(seq.items, norm, args.row_sum_tol)
     conv = products.check_convergence_condition(c_values)
+    rep = contractivity(full, norm, args.row_sum_tol)
+    _log_method(rep)
     doc = {
         "input": str(args.sequence),
         "norm": args.norm,
         "length": len(seq.items),
-        "c_exact": contractivity(full, norm, args.row_sum_tol).c,
+        "c_exact": rep.c,
         # the last running product is the product of the factor coefficients
         "c_bound": conv["running_products"][-1],
         "per_item_c": c_values,
@@ -235,12 +261,7 @@ def cmd_product(args) -> int:
 
 def cmd_ergodicity(args) -> int:
     seq = io.load_sequence(args.sequence, args.zero_tol)
-    if seq.items is None:
-        log.info("loaded sequence %s: n = %d, generator %s, seed %d",
-                 args.sequence, seq.n, seq.generator["kind"], seq._seed)
-    else:
-        log.info("loaded sequence %s: n = %d, %d matrices",
-                 args.sequence, seq.n, len(seq.items))
+    _log_sequence(args.sequence, seq)
     norm = _norm_from_args(args)
     report = products.weak_ergodicity_diagnostic(
         seq, horizon=args.horizon, block_len=args.block_len, norm=norm)

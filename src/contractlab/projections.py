@@ -68,6 +68,8 @@ def norm_from_name(name: str, weights=None) -> Norm:
         if weights is None:
             raise NormError("wl2 norm requires weights")
         return weighted_l2(weights)
+    if weights is not None:
+        raise NormError("weights apply only to the wl2 norm")
     return Norm(name)
 
 

@@ -312,6 +312,29 @@ def test_cli_contractivity_wl2_needs_weights(tmp_path, capsys):
     assert code == 2 and "weights" in err
 
 
+WEIGHTS_WITHOUT_WL2 = {
+    "contractivity": lambda tmp_path: ["contractivity", a4_json(tmp_path), "--norm", "l2",
+                                       "--weights", "1,2,3"],
+    "contractivity-file": lambda tmp_path: ["contractivity", a4_json(tmp_path), "--norm", "l1",
+                                            "--weights", str(tmp_path / "missing.json")],
+    "product": lambda tmp_path: ["product", repeated_sequence(tmp_path, A4, "a4"),
+                                 "--weights", "1,2,3"],
+    "simulate-config": lambda tmp_path: ["simulate", write_simulate_config(
+        tmp_path, "matrix", norm="l2", weights=[1, 2, 3])],
+    "simulate-flag": lambda tmp_path: ["simulate", write_simulate_config(
+        tmp_path, "matrix", weights=[1, 2, 3]), "--norm", "linf"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS_WITHOUT_WL2))
+def test_cli_weights_without_wl2_exit_2(tmp_path, capsys, name):
+    # weights are rejected, not ignored, and before a weight file is read
+    code, out, err = run_cli(capsys, *WEIGHTS_WITHOUT_WL2[name](tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith("weights apply only to the wl2 norm\n")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_product(tmp_path, capsys):
     a4_json(tmp_path)
     spec = write(tmp_path, "seq.json",
@@ -1109,6 +1132,49 @@ def test_cli_process_logs_at_info(tmp_path):
         f"diverged: state {records} is not finite; the trace stops before it",
         f"wrote CSV trace {csv} ({records} records)",
     ]]
+
+
+def logged_commands(tmp_path):
+    """argv and INFO lines (without the logger prefix) of analyze,
+    contractivity and product runs that log."""
+    a4 = a4_json(tmp_path)
+    uneven = write(tmp_path, "uneven.json", json.dumps({"rows": [[1, 0], [1, 1]]}))
+    spec = repeated_sequence(tmp_path, A4, "a4")
+    return {
+        "analyze": (["analyze", a4, uneven], [
+            f"loaded matrix {a4}: n = 3",
+            "linf coefficient: method closed_form_linf",
+            "l2 coefficient: method spectral_l2, an upper bound",
+            f"loaded matrix {uneven}: n = 2",
+            f"{uneven}: row sums are not constant; no coefficient",
+        ]),
+        "contractivity": (["contractivity", a4, "--norm", "wl2", "--weights", "1,0.5,1"], [
+            f"loaded matrix {a4}: n = 3",
+            "wl2 coefficient: method weighted_bound, an upper bound",
+        ]),
+        "contractivity-l1": (["contractivity", a4, "--norm", "l1", "--samples", "10"], [
+            f"loaded matrix {a4}: n = 3",
+            "l1 coefficient: no closed form; sampling only",
+        ]),
+        "product": (["product", spec], [
+            f"loaded sequence {spec}: n = 3, 5 matrices",
+            "linf coefficient: method closed_form_linf",
+        ]),
+    }
+
+
+@pytest.mark.parametrize("name", ["analyze", "contractivity", "contractivity-l1", "product"])
+def test_cli_process_logs_load_and_method_at_info(tmp_path, name):
+    argv, lines = logged_commands(tmp_path)[name]
+    res = run_cli_process(*argv, CONTRACTLAB_LOG="INFO")
+    assert res.returncode == 0 and json.loads(res.stdout)
+    assert res.stderr.splitlines() == [f"INFO:contractlab.cli:{line}" for line in lines]
+
+
+def test_cli_process_logs_nothing_by_default(tmp_path):
+    for argv, _ in logged_commands(tmp_path).values():
+        res = run_cli_process(*argv)
+        assert (res.returncode, res.stderr) == (0, "")
 
 
 def test_cli_process_runs_exit_handlers(tmp_path):
