@@ -9,6 +9,14 @@ submodule of the same name: ``import contractlab.contractivity as C``
 binds the function.  Reach the module with
 ``importlib.import_module("contractlab.contractivity")`` or import names
 from it (``from contractlab.contractivity import contractivity_l2``).
+
+Importing the package loads ``matcore``, ``graphs``, ``projections`` and
+``contractivity``, which every command uses.  The names re-exported from
+``products`` and ``cml`` (``product``, ``MatrixSequence``, ``simulate``,
+...) are lazy: the first access to one imports its module (PEP 562), and
+``dir(contractlab)`` lists them all the same.  ``contractivity`` stays
+eager, bound to the function: were it lazy, the later import of the
+submodule would bind the package attribute to the module instead.
 """
 
 
@@ -82,25 +90,42 @@ from .contractivity import (
     is_pseudocontractive_stochastic_linf,
     spectral_norm_2,
 )
-from .products import (
-    ErgodicityReport,
-    MatrixSequence,
-    check_convergence_condition,
-    ergodicity_coefficient,
-    min_contractive_product_length,
-    product,
-    product_contractivity_bound,
-    random_stochastic_spanning_tree,
-    scrambling_product_theorem_check,
-    weak_ergodicity_diagnostic,
-)
-from .cml import (
-    MapDef,
-    SimTrace,
-    check_sync_condition,
-    check_sync_corollary,
-    make_map,
-    simulate,
-)
+
+# the names re-exported lazily, each with its module; see __getattr__
+_LAZY = dict.fromkeys((
+    "ErgodicityReport",
+    "MatrixSequence",
+    "check_convergence_condition",
+    "ergodicity_coefficient",
+    "min_contractive_product_length",
+    "product",
+    "product_contractivity_bound",
+    "random_stochastic_spanning_tree",
+    "scrambling_product_theorem_check",
+    "weak_ergodicity_diagnostic",
+), "products") | dict.fromkeys((
+    "MapDef",
+    "SimTrace",
+    "check_sync_condition",
+    "check_sync_corollary",
+    "make_map",
+    "simulate",
+), "cml")
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"

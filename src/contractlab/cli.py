@@ -12,6 +12,11 @@ ends the process with ``os._exit``.  What that skips is the teardown of
 modules and objects, numpy's among them: about 40 ms per process, a
 tenth of a short command, for no output.  ``main`` is the in-process
 entry and ends nothing.
+
+Start-up loads only what every command uses.  ``products`` (product,
+ergodicity, simulate), ``cml`` (simulate), ``reference``
+(reproduce-paper) and the thread pool (analyze with several inputs) are
+imported by the commands that run them.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cml, io, products, reference
+from . import io
 from .contractivity import (
     _linf_report,
     coefficients,
@@ -41,6 +46,7 @@ from .contractivity import (
 from .graphs import has_spanning_directed_tree, interaction_digraph, is_irreducible
 from .matcore import (
     DEFAULT_ROW_SUM_TOL,
+    DEFAULT_SYNC_TOL,
     DEFAULT_ZERO_TOL,
     delta,
     is_scrambling,
@@ -49,6 +55,9 @@ from .matcore import (
     row_sum_profile,
 )
 from .projections import L1, norm_from_name
+
+if TYPE_CHECKING:
+    from .cml import SimTrace
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
@@ -195,6 +204,8 @@ def cmd_analyze(args) -> int:
         if clashes:
             raise io.InputError(
                 "analyze --output: inputs share a report name: " + "; ".join(clashes))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         reports = list(pool.map(
             lambda p: _analysis_report(p, args.zero_tol, args.row_sum_tol), paths))
@@ -233,6 +244,8 @@ def cmd_contractivity(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from . import products
+
     seq = io.load_sequence(args.sequence, args.zero_tol)
     if seq.items is None:
         raise io.InputError(f"{args.sequence}: product needs a finite list of matrices")
@@ -260,6 +273,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_ergodicity(args) -> int:
+    from . import products
+
     seq = io.load_sequence(args.sequence, args.zero_tol)
     _log_sequence(args.sequence, seq)
     norm = _norm_from_args(args)
@@ -288,7 +303,7 @@ def _json12(values: np.ndarray, text: list[str]) -> str:
     return json.dumps(rounded, allow_nan=False)
 
 
-def _write_trace(trace: cml.SimTrace, jsonl_path, csv_path, full_state: bool) -> None:
+def _write_trace(trace: SimTrace, jsonl_path, csv_path, full_state: bool) -> None:
     """Write the simulate trace as JSONL and/or CSV, whichever has a path.
 
     Each distance and bound is formatted once at 12 significant digits.
@@ -325,6 +340,8 @@ def _write_trace(trace: cml.SimTrace, jsonl_path, csv_path, full_state: bool) ->
 
 
 def cmd_simulate(args) -> int:
+    from . import cml, products
+
     config = io.load_object(args.config)
     base = Path(args.config).parent
     try:
@@ -345,7 +362,8 @@ def cmd_simulate(args) -> int:
         x0 = config.get("x0")
         if x0 is None:
             raise io.InputError(f"{args.config}: field 'x0' required")
-        x0 = io.load_vector(base / x0) if isinstance(x0, str) else np.asarray(x0, float)
+        x0 = (io.load_vector(base / x0) if isinstance(x0, str)
+              else io.json_vector(x0, f"{args.config}: field 'x0'"))
         norm = norm_from_name(config.get("norm", args.norm),
                               config.get("weights"))
         trace_path = config.get("trace")
@@ -393,6 +411,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import reference
+
     rows = reference.run_reference_checks()
     doc = {"checks": rows, "all_pass": all(r["pass"] for r in rows)}
     _emit(doc, args)
@@ -443,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--norm", choices=["linf", "l2", "l1", "wl2"], default="linf")
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--sync-tol", type=float, default=cml.DEFAULT_SYNC_TOL)
+    p.add_argument("--sync-tol", type=float, default=DEFAULT_SYNC_TOL)
     p.add_argument("--csv", help="also write a (k, d, bound) CSV")
     p.add_argument("--full-state", action="store_true",
                    help="include full state vectors in the trace")

@@ -9,16 +9,16 @@ not nonnegativity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contractivity import RowSumError, coefficients
-from .matcore import row_sum_profile
+from .matcore import DEFAULT_SYNC_TOL, row_sum_profile
 from .products import MatrixSequence, check_convergence_condition
 from .projections import L1, Norm, linf, project_columns
 
-DEFAULT_SYNC_TOL = 1e-10
 DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
 
 
@@ -40,8 +40,10 @@ def make_map(spec: dict) -> MapDef:
     and rho = a; {"kind": "tent", "s": s} on [0,1] with rho = s;
     {"kind": "affine", "a": a, "b": b} on R with rho = |a|;
     {"kind": "custom_table", "xs": [...], "ys": [...]} piecewise linear
-    with rho estimated as the largest segment slope.  A spec that is not
-    a dict, or that lacks a parameter of its kind, raises ValueError.
+    with rho estimated as the largest segment slope.  Parameters are real
+    numbers, and table entries lists of them: a bool or a string such as
+    "3.9" is not one.  A spec that is not a dict, or whose parameters of
+    its kind are missing or not numbers, raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("map spec must be an object")
@@ -52,30 +54,50 @@ def make_map(spec: dict) -> MapDef:
             raise ValueError(f"{kind} map needs parameter {name!r}")
         return spec[name]
 
+    def number(name):
+        value = param(name)
+        if not _is_real(value):
+            raise ValueError(f"{kind} map parameter {name!r} must be a number, got {value!r}")
+        return float(value)
+
+    def table(name):
+        values = param(name)
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if not (isinstance(values, (list, tuple)) and all(map(_is_real, values))):
+            raise ValueError(f"{kind} map parameter {name!r} must be a list of numbers")
+        return np.array(values, dtype=float)
+
     if kind == "logistic":
-        a = float(param("a"))
+        a = number("a")
         if not np.isfinite(a) or a < 0:
             raise ValueError("logistic parameter must be finite and nonnegative")
         return MapDef(kind, lambda x: a * x * (1.0 - x), rho=a, domain=(0.0, 1.0))
     if kind == "tent":
-        s = float(param("s"))
+        s = number("s")
         if not np.isfinite(s) or s < 0:
             raise ValueError("tent slope must be finite and nonnegative")
         return MapDef(kind, lambda x: s * np.minimum(x, 1.0 - x), rho=s, domain=(0.0, 1.0))
     if kind == "affine":
-        a, b = float(param("a")), float(param("b"))
+        a, b = number("a"), number("b")
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("affine parameters must be finite")
         return MapDef(kind, lambda x: a * x + b, rho=abs(a), domain=None)
     if kind == "custom_table":
-        xs = np.asarray(param("xs"), dtype=float)
-        ys = np.asarray(param("ys"), dtype=float)
+        xs, ys = table("xs"), table("ys")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("table entries must be finite")
         if xs.size < 2 or xs.size != ys.size or np.any(np.diff(xs) <= 0):
             raise ValueError("table needs >= 2 strictly increasing abscissae")
         rho = float(np.abs(np.diff(ys) / np.diff(xs)).max())
         return MapDef(kind, lambda x: np.interp(x, xs, ys), rho=rho,
                       domain=(float(xs[0]), float(xs[-1])), rho_is_estimate=True)
     raise ValueError(f"unknown map kind {kind!r}")
+
+
+def _is_real(value) -> bool:
+    """True for a real number: a bool, Python's or numpy's, is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

@@ -1,24 +1,49 @@
 """File ingestion: matrices as JSON {"rows": [[...], ...]} or CSV (one
 row per line), vectors as JSON arrays or single-column CSV, and sequence
-spec files pointing at matrix files or a seeded generator."""
+spec files pointing at matrix files or a seeded generator.
+
+Every value a JSON file gives as a number must be a JSON number: true,
+false, null and strings are rejected, not converted.  CSV cells are text
+and are parsed as floats.  ``csv`` and ``products`` are imported by the
+functions that read CSV or sequences, so that a command that reads
+neither does not load them.
+"""
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .matcore import DEFAULT_ZERO_TOL, Matrix
-from .products import MatrixSequence, integer
+
+if TYPE_CHECKING:
+    from .products import MatrixSequence
+
+# the types json gives numbers; bool is a type of its own, not int
+_JSON_NUMBER_TYPES = {int, float}
+_JSON_TYPE_NAMES = {bool: "boolean", str: "string", type(None): "null", list: "array",
+                    dict: "object"}
 
 
 class InputError(ValueError):
     """Unparseable or invalid input file."""
 
 
-def _finite_rows(rows, source: str) -> np.ndarray:
+def _json_numbers(values, source: str) -> None:
+    """Raise InputError unless each of values, as parsed by json, is a
+    number.  The types are gathered at C level, one set for all values,
+    so an n x n matrix costs no Python step per entry."""
+    bad = set(map(type, values)) - _JSON_NUMBER_TYPES
+    if bad:
+        found = ", ".join(sorted(_JSON_TYPE_NAMES.get(t, t.__name__) for t in bad))
+        raise InputError(f"{source}: non-numeric value (expected JSON numbers, found {found})")
+
+
+def _finite_rows(rows, source: str, from_json: bool) -> np.ndarray:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError(f"{source}: expected a list of rows")
     if not rows:
@@ -27,6 +52,8 @@ def _finite_rows(rows, source: str) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise InputError(f"{source}: ragged row {i} (expected {width} values)")
+    if from_json:
+        _json_numbers(chain.from_iterable(rows), source)
     try:
         a = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -69,8 +96,10 @@ def load_matrix(path, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
             raise InputError(f"{path}: expected an object with a 'rows' field")
         rows = doc["rows"]
     else:
+        import csv
+
         rows = [row for row in csv.reader(_read(path, as_json=False).splitlines()) if row]
-    a = _finite_rows(rows, str(path))
+    a = _finite_rows(rows, str(path), from_json=path.suffix.lower() == ".json")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{path}: expected a square matrix, got shape {a.shape}")
     return Matrix(a, zero_tol=zero_tol)
@@ -79,23 +108,35 @@ def load_matrix(path, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
 def load_vector(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        values = _read(path, as_json=True)
-        if not isinstance(values, list):
-            raise InputError(f"{path}: expected a JSON array")
-    else:
-        values = []
-        for row in csv.reader(_read(path, as_json=False).splitlines()):
-            if not row:
-                continue
-            if len(row) != 1:
-                raise InputError(f"{path}: expected a single column")
-            values.append(row[0])
+        return json_vector(_read(path, as_json=True), str(path))
+    import csv
+
+    values = []
+    for row in csv.reader(_read(path, as_json=False).splitlines()):
+        if not row:
+            continue
+        if len(row) != 1:
+            raise InputError(f"{path}: expected a single column")
+        values.append(row[0])
+    return _finite_vector(values, str(path))
+
+
+def json_vector(values, source: str) -> np.ndarray:
+    """A parsed JSON array of numbers, such as a simulate config's inline
+    x0, as a nonempty finite vector; source names it in errors."""
+    if not isinstance(values, list):
+        raise InputError(f"{source}: expected a JSON array")
+    _json_numbers(values, source)
+    return _finite_vector(values, source)
+
+
+def _finite_vector(values, source: str) -> np.ndarray:
     try:
         x = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: non-numeric value ({exc})") from exc
+        raise InputError(f"{source}: non-numeric value ({exc})") from exc
     if x.size == 0 or not np.all(np.isfinite(x)):
-        raise InputError(f"{path}: empty or non-finite vector")
+        raise InputError(f"{source}: empty or non-finite vector")
     return x
 
 
@@ -113,6 +154,8 @@ def load_sequence(path, zero_tol: float = DEFAULT_ZERO_TOL) -> MatrixSequence:
     """Sequence spec: {"matrices": [paths], "repeat": k} or
     {"generator": {"kind": ..., "n": ..., "seed": ..., "min_entry": ...}}.
     Relative matrix paths are resolved against the spec file."""
+    from .products import MatrixSequence, integer
+
     path = Path(path)
     doc = load_object(path)
     if "generator" in doc:

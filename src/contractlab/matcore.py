@@ -26,6 +26,7 @@ import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-12
 DEFAULT_ROW_SUM_TOL = 1e-9
+DEFAULT_SYNC_TOL = 1e-10  # cml.simulate's synchronization threshold
 # Elements in one tile x tile x n temporary of _row_pairs (512 KiB of float64).
 _TILE_ELEMENTS = 1 << 16
 

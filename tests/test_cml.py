@@ -67,6 +67,29 @@ def test_make_map_validation():
             make_map(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "logistic", "a": "3.9"},
+    {"kind": "tent", "s": True},
+    {"kind": "affine", "a": 1.0, "b": None},
+    {"kind": "affine", "a": np.bool_(True), "b": 0.0},
+    {"kind": "custom_table", "xs": [0.0, 1.0], "ys": [True, "1"]},
+    {"kind": "custom_table", "xs": "01", "ys": [0.0, 1.0]},
+    {"kind": "custom_table", "xs": np.array([False, True]), "ys": [0.0, 1.0]},
+    {"kind": "custom_table", "xs": [0.0, float("nan"), 1.0], "ys": [0.0, 1.0, 0.0]},
+], ids=repr)
+def test_make_map_parameters_are_numbers(spec):
+    # float() would take "3.9" and True: neither is a parameter
+    with pytest.raises(ValueError):
+        make_map(spec)
+
+
+def test_make_map_takes_numpy_numbers():
+    mp = make_map({"kind": "logistic", "a": np.float64(3.5)})
+    assert mp.rho == 3.5 and type(mp.rho) is float
+    mp = make_map({"kind": "custom_table", "xs": np.array([0, 1]), "ys": (np.int64(0), 2.0)})
+    assert mp.rho == 2.0 and mp.f(0.5) == 1.0
+
+
 def test_simulate_steps_past_sequence_end_raises():
     mp = make_map({"kind": "tent", "s": 1.0})
     with pytest.raises(ValueError, match="steps exceed sequence length"):

@@ -90,3 +90,130 @@ def test_numpy_loads_with_short_blas_spin_and_environment_kept(order, user_value
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == {"seen": [seen], "unchanged": True, "after": user_value,
                                       "inherited": str(user_value)}
+
+
+
+def fresh(script, *args, cwd=None):
+    """The last stdout line of script, as JSON, run with args in a fresh
+    interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+# what some commands load beyond what `import contractlab.cli` loads
+DEFERRED = ["concurrent.futures", "contractlab.cml", "contractlab.products",
+            "contractlab.reference", "csv"]
+LOADED = """
+import json, sys
+import contractlab.cli
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("contractlab.") or m in sys.argv[1:])))
+"""
+
+
+def test_cli_import_loads_only_what_every_command_uses():
+    assert fresh(LOADED, *DEFERRED) == [
+        "contractlab.cli", "contractlab.contractivity", "contractlab.graphs",
+        "contractlab.io", "contractlab.matcore", "contractlab.projections"]
+
+
+COMMAND = """
+import json, sys
+from contractlab import cli
+deferred = sys.argv[1].split(",")
+code = cli.main(sys.argv[2:])
+print(json.dumps([code, [m for m in deferred if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["analyze", "J.json"], []),
+    (["analyze", "J.csv"], ["csv"]),
+    (["analyze", "J.json", "J.csv", "--jobs", "2"], ["concurrent.futures", "csv"]),
+    (["contractivity", "J.json", "--norm", "wl2", "--weights", "w.json"], []),
+    (["decompose", "J.json", "x.csv"], ["csv"]),
+    (["product", "seq.json"], ["contractlab.products"]),
+    (["ergodicity", "seq.json", "--horizon", "2"], ["contractlab.products"]),
+    (["simulate", "sim.json"], ["contractlab.cml", "contractlab.products"]),
+    (["reproduce-paper"], ["contractlab.reference"]),
+], ids=" ".join)
+def test_each_command_loads_what_it_runs(tmp_path, argv, loads):
+    (tmp_path / "J.json").write_text('{"rows": [[0.5, 0.5], [0.5, 0.5]]}')
+    (tmp_path / "J.csv").write_text("0.5,0.5\n0.5,0.5\n")
+    (tmp_path / "w.json").write_text("[1, 2]")
+    (tmp_path / "x.csv").write_text("0.1\n0.9\n")
+    (tmp_path / "seq.json").write_text('{"matrices": ["J.json"], "repeat": 2}')
+    (tmp_path / "sim.json").write_text(json.dumps({
+        "matrix": "J.json", "map": {"kind": "logistic", "a": 3.9}, "x0": [0.1, 0.9],
+        "steps": 3}))
+    assert fresh(COMMAND, ",".join(DEFERRED), *argv, cwd=tmp_path) == [0, loads]
+
+
+# every name the package re-exported when it imported all of its modules
+EXPORTS = {
+    "matcore": ["Matrix", "RowSumProfile", "as_matrix", "delta", "is_scrambling",
+                "is_stochastic", "mu", "row_sum_profile", "spread"],
+    "graphs": ["has_spanning_directed_tree", "interaction_digraph", "is_irreducible"],
+    "projections": ["Norm", "Projection", "distance_to_diagonal", "l1", "l2", "linf",
+                    "project", "weighted_l2"],
+    "contractivity": [
+        "AffineDecomposition", "ContractivityReport", "basis_K", "contractivity",
+        "contractivity_l2", "contractivity_linf", "contractivity_weighted_bound",
+        "decompose_affine", "empirical_contractivity", "exhaustive_binary_contractivity",
+        "is_paracontractive_l2", "is_pseudocontractive_stochastic_linf", "spectral_norm_2"],
+    "products": [
+        "ErgodicityReport", "MatrixSequence", "check_convergence_condition",
+        "ergodicity_coefficient", "min_contractive_product_length", "product",
+        "product_contractivity_bound", "random_stochastic_spanning_tree",
+        "scrambling_product_theorem_check", "weak_ergodicity_diagnostic"],
+    "cml": ["MapDef", "SimTrace", "check_sync_condition", "check_sync_corollary",
+            "make_map", "simulate"],
+}
+API = """
+import importlib, json, sys
+import contractlab
+order, exports = sys.argv[1], json.loads(sys.argv[2])
+loaded = sorted(m for m in ("contractlab.cml", "contractlab.products") if m in sys.modules)
+listed = set(dir(contractlab))
+if order == "modules-first":
+    import contractlab.cml, contractlab.products
+# a lazy name's first access through the package loads its module
+differ = [name for module, names in exports.items() for name in names
+          if getattr(contractlab, name)
+          is not getattr(importlib.import_module("contractlab." + module), name)]
+module = importlib.import_module("contractlab.contractivity")
+try:
+    contractlab.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+try:
+    from contractlab import no_such_name
+    unknown_import = None
+except ImportError as exc:
+    unknown_import = type(exc).__name__
+print(json.dumps({
+    "loaded_at_import": loaded,
+    "not_in_dir": sorted({n for names in exports.values() for n in names} - listed),
+    "differ": differ,
+    "contractivity_is_the_function": contractlab.contractivity is module.contractivity,
+    "unknown": unknown,
+    "unknown_import": unknown_import,
+}))
+"""
+
+
+@pytest.mark.parametrize("order", ["package-first", "modules-first"])
+def test_public_names_unchanged_and_products_cml_lazy(order):
+    assert fresh(API, order, json.dumps(EXPORTS)) == {
+        "loaded_at_import": [],
+        "not_in_dir": [],
+        "differ": [],
+        "contractivity_is_the_function": True,
+        "unknown": "module 'contractlab' has no attribute 'no_such_name'",
+        "unknown_import": "ImportError",
+    }

@@ -100,6 +100,34 @@ def test_parse_weights(tmp_path):
         parse_weights("1.0,oops")
 
 
+# a JSON value where a number belongs, and the JSON type the error names
+NOT_NUMBERS = [("0.5", "string"), (True, "boolean"), (None, "null"), ([0.5], "array"),
+               ({"v": 0.5}, "object")]
+
+
+@pytest.mark.parametrize("value, found", NOT_NUMBERS, ids=lambda v: json.dumps(v))
+def test_json_numbers_only(tmp_path, value, found):
+    # a matrix entry, a JSON vector entry or a weight is a JSON number;
+    # nothing else is converted to one
+    message = f"non-numeric value (expected JSON numbers, found {found})"
+    path = write(tmp_path, "m.json", json.dumps({"rows": [[0.5, value], [0.5, 0.5]]}))
+    with pytest.raises(InputError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+        load_matrix(path)
+    path = write(tmp_path, "v.json", json.dumps([1.0, value]))
+    with pytest.raises(InputError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+        load_vector(path)
+    with pytest.raises(InputError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+        parse_weights(path)
+
+
+def test_cli_analyze_json_string_entry_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "m.json", json.dumps({"rows": [["0.5", True], [0.5, 0.5]]}))
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: non-numeric value "
+                   "(expected JSON numbers, found boolean, string)\n")
+
+
 def test_load_sequence_matrix_list(tmp_path):
     a4_json(tmp_path)
     spec = write(tmp_path, "seq.json",
@@ -820,6 +848,24 @@ def test_cli_simulate_malformed_config_exits_2(tmp_path, capsys, change):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"x0": [0.1, "0.5", 0.9]}, "field 'x0': non-numeric value (expected JSON numbers, "
+                                "found string)"),
+    ({"x0": [0.1, None, 0.9]}, "field 'x0': non-numeric value (expected JSON numbers, "
+                               "found null)"),
+    ({"x0": 0.5}, "field 'x0': expected a JSON array"),
+    ({"map": {"kind": "logistic", "a": "3.9"}},
+     "logistic map parameter 'a' must be a number, got '3.9'"),
+    ({"map": {"kind": "affine", "a": True, "b": 0}},
+     "affine map parameter 'a' must be a number, got True"),
+    ({"map": {"kind": "custom_table", "xs": [0, 1], "ys": [True, "1"]}},
+     "custom_table map parameter 'ys' must be a list of numbers"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
+def test_cli_simulate_json_numbers_only(tmp_path, capsys, fields, message):
+    path = write_simulate_config(tmp_path, "matrix", **fields)
+    assert_field_error(*run_cli(capsys, "simulate", path), path, message)
+
+
 def write_simulate_config(tmp_path, source, **fields):
     """SIMULATE_CONFIG with fields replaced (None drops one), coupled by
     a4.json ("matrix") or by a generated sequence ("generator")."""
@@ -957,7 +1003,9 @@ def test_cli_simulate_trace_files_match_frozen_writer(tmp_path, capsys, monkeypa
         traces.append(simulate(*args, **kwargs))
         return traces[-1]
 
-    monkeypatch.setattr(cli.cml, "simulate", recording_simulate)
+    # cli imports cml when simulate runs and calls cml.simulate through it
+    monkeypatch.setattr(importlib.import_module("contractlab.cml"), "simulate",
+                        recording_simulate)
     path = write_trace_case(tmp_path, name)
     jsonl, csv_path = tmp_path / "t.jsonl", tmp_path / "t.csv"
     argv = ["--output", str(jsonl), "simulate", path, "--csv", str(csv_path)]
