@@ -1,7 +1,10 @@
 """Every module of the package uses each name it imports (``__init__``
-is left out: its imports are the package's re-exports), and importing
-the package loads numpy with OpenBLAS's idle spin cut short while
-leaving the environment as it was."""
+is left out: its imports are the package's re-exports); importing the
+package loads numpy with OpenBLAS's idle spin cut short while leaving
+the environment as it was; ``import contractlab.cli`` loads only the
+modules every command uses, each command loads the rest it runs, and
+the package keeps every public name, those from ``products`` and
+``cml`` resolved on first access."""
 
 import ast
 import json
