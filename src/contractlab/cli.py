@@ -204,11 +204,34 @@ def cmd_analyze(args) -> int:
         if clashes:
             raise io.InputError(
                 "analyze --output: inputs share a report name: " + "; ".join(clashes))
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(
-            lambda p: _analysis_report(p, args.zero_tol, args.row_sum_tol), paths))
+    # the workers' log records are held back, then logged in input order
+    local, held = threading.local(), [[] for _ in paths]
+
+    def hold(record):
+        records = getattr(local, "records", None)
+        if records is not None:
+            records.append(record)
+        return records is None
+
+    def analysis(i):
+        local.records = held[i]
+        return _analysis_report(paths[i], args.zero_tol, args.row_sum_tol)
+
+    log.addFilter(hold)
+    try:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [pool.submit(analysis, i) for i in range(len(paths))]
+            reports = []
+            for future, records in zip(futures, held):
+                future.exception()  # waits for the input's last record
+                for record in records:
+                    log.handle(record)
+                reports.append(future.result())
+    finally:
+        log.removeFilter(hold)
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -294,23 +317,30 @@ def _text12(values: np.ndarray) -> list[str]:
     return [format(v, ".12g") for v in values.tolist()]
 
 
-def _json12(values: np.ndarray, text: list[str]) -> str:
-    """The JSON array _dump writes for values, given their _text12 strings:
-    each value is the float its string spells, or null if it is not finite."""
-    rounded = [float(s) for s in text]
-    if not np.isfinite(values).all():
-        rounded = [v if math.isfinite(v) else None for v in rounded]
-    return json.dumps(rounded, allow_nan=False)
+def _tokens(values: np.ndarray, text: list[str]) -> list[str]:
+    """The JSON token _dump writes for each value, given its _text12
+    string: the float the string spells, or null if that is not finite.
+    Where the value is normal and below 1e12 and the string holds a point
+    or a negative exponent, the string already is that float's repr (the
+    two choose the same notation there, and repr writes 5 as 5.0), so it
+    is its own token.  Each other distinct string is converted once."""
+    size = np.abs(values)
+    plain = ((size >= 2.3e-308) & (size < 1e12)).tolist()
+    other = {s for s, ok in zip(text, plain) if not (ok and ("." in s or "e-" in s))}
+    if not other:
+        return text
+    other = {s: "null" if s.endswith(("inf", "nan")) else json.dumps(float(s)) for s in other}
+    return [other.get(s, s) for s in text]
 
 
 def _write_trace(trace: SimTrace, jsonl_path, csv_path, full_state: bool) -> None:
     """Write the simulate trace as JSONL and/or CSV, whichever has a path.
 
     Each distance and bound is formatted once at 12 significant digits.
-    The CSV holds those strings; the JSONL holds the float each spells,
-    as _dump renders it.  A JSONL line has the keys bound (absent without
-    an envelope), d, k and, with full_state, x, in that order; the x row
-    of a record is rendered as the record is written.
+    The CSV holds those strings; the JSONL holds their _tokens, the float
+    each spells as _dump renders it.  A JSONL line has the keys bound
+    (absent without an envelope), d, k and, with full_state, x, in that
+    order; the x row of a record is rendered as the record is written.
     """
     if not (jsonl_path or csv_path):
         return
@@ -318,14 +348,14 @@ def _write_trace(trace: SimTrace, jsonl_path, csv_path, full_state: bool) -> Non
     d_text = _text12(trace.distances)
     b_text = None if trace.bound is None else _text12(trace.bound)
     if jsonl_path:
-        # no token of a float array holds ", ", so one dumps splits per value
-        columns = [_json12(trace.distances, d_text)[1:-1].split(", "), range(records)]
+        columns = [_tokens(trace.distances, d_text), range(records)]
         template = '"d": %s, "k": %d'
         if b_text is not None:
-            columns.insert(0, _json12(trace.bound, b_text)[1:-1].split(", "))
+            columns.insert(0, _tokens(trace.bound, b_text))
             template = '"bound": %s, ' + template
         if full_state:
-            columns.append(_json12(row, _text12(row)) for row in trace.states)
+            columns.append("[" + ", ".join(_tokens(row, _text12(row))) + "]"
+                           for row in trace.states)
             template += ', "x": %s'
         template = "{" + template + "}\n"
         with open(jsonl_path, "w") as fh:
@@ -364,8 +394,10 @@ def cmd_simulate(args) -> int:
             raise io.InputError(f"{args.config}: field 'x0' required")
         x0 = (io.load_vector(base / x0) if isinstance(x0, str)
               else io.json_vector(x0, f"{args.config}: field 'x0'"))
-        norm = norm_from_name(config.get("norm", args.norm),
-                              config.get("weights"))
+        weights = config.get("weights")
+        if weights is not None:
+            weights = io.json_vector(weights, f"{args.config}: field 'weights'")
+        norm = norm_from_name(config.get("norm", args.norm), weights)
         trace_path = config.get("trace")
         if trace_path is not None:
             # open() would take an integer for a file descriptor
@@ -385,6 +417,10 @@ def cmd_simulate(args) -> int:
     if trace.diverged:
         log.info("diverged: state %d is not finite; the trace stops before it",
                  len(trace.distances))
+    if log.isEnabledFor(logging.DEBUG):  # one line per record
+        bounds = repeat("none") if trace.bound is None else _text12(trace.bound)
+        for k, (d, b) in enumerate(zip(_text12(trace.distances), bounds)):
+            log.debug("record %d: d %s, bound %s", k, d, b)
     _write_trace(trace, args.output or trace_path, args.csv, args.full_state)
     summary = dict(trace.summary(), input=str(args.config))
     if summary["synchronized_at"] is None:
@@ -396,8 +432,11 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     A = io.load_matrix(args.matrix, args.zero_tol)
     x = io.load_vector(args.vector)
+    log.info("loaded matrix %s: n = %d, vector %s: n = %d",
+             args.matrix, A.n, args.vector, x.size)
     dec = decompose_affine(A, x, args.row_sum_tol)
     residual = float(np.abs(dec.B.a @ x + dec.xstar - A.a @ x).max())
+    log.info("residual max |B x + x* - A x| = %.3g", residual)
     doc = {
         "input": str(args.matrix),
         "B": dec.B.a,
@@ -414,7 +453,9 @@ def cmd_reproduce(args) -> int:
     from . import reference
 
     rows = reference.run_reference_checks()
-    doc = {"checks": rows, "all_pass": all(r["pass"] for r in rows)}
+    passed = sum(r["pass"] for r in rows)
+    log.info("%d of %d reference checks passed", passed, len(rows))
+    doc = {"checks": rows, "all_pass": passed == len(rows)}
     _emit(doc, args)
     return 0 if doc["all_pass"] else 1
 

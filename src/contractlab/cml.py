@@ -20,6 +20,7 @@ from .products import MatrixSequence, check_convergence_condition
 from .projections import L1, Norm, linf, project_columns
 
 DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
+BLOCK = 64  # steps taken between two tests for a non-finite state
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,15 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     computed once per distinct coupling.  The envelope is marked void
     from the first step where a state leaves the declared map domain (the
     Lipschitz constant only holds there).
-    Non-finite states flag divergence and truncate the trace.  Raises
+    Non-finite states flag divergence and truncate the trace before the
+    first of them.  The test runs once per BLOCK steps, so a map may be
+    called on up to BLOCK - 1 states past that one: each MapDef.f must
+    accept inf and nan, and leave its argument unchanged.  Raises
     ValueError when steps is below 1 or exceeds a finite sequence, or
     when sync_tol is negative or NaN.
-    The loop only iterates into one states array and records each step's
-    coupling; distances, domain exits, the sync step and the envelope come after it.
+    Each step only iterates into one states array and records its
+    coupling; the finiteness test runs per block, and distances, domain
+    exits, the sync step and the envelope come after the loop.
     """
     norm = linf() if norm is None else norm
     maps = [maps] if isinstance(maps, MapDef) else list(maps)
@@ -156,21 +161,23 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
 
     states = np.empty((steps + 1, x.size))
     states[0] = x
-    couplings = []  # A_k of each step whose state is kept
+    couplings = []  # A_k of each step, cut to the states kept
     used = steps + 1
     # divergence is an outcome the trace reports: a state, distance or
     # envelope past the float range is inf (or nan) and raises no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            mp = maps[k % len(maps)]
-            A = A_seq[k]
-            x = A.a @ mp.f(x)
-            if not np.isfinite(x).all():
-                used = k + 1
+        for start in range(0, steps, BLOCK):
+            stop = min(start + BLOCK, steps)
+            for k in range(start, stop):
+                A = A_seq[k]
+                couplings.append(A)
+                np.matmul(A.a, maps[k % len(maps)].f(states[k]), out=states[k + 1])
+            finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
+            if not finite.all():  # the trace stops before the first non-finite state
+                used = start + 1 + int(finite.argmin())
                 break
-            states[k + 1] = x
-            couplings.append(A)
         states = states[:used]
+        del couplings[used - 1:]
         # states.T has contiguous columns: bit for bit the per-state distances
         distances = project_columns(states.T, norm)[1]
         try:  # no closed form under l1

@@ -13,8 +13,9 @@ from contractlab import (
 )
 from contractlab import cml, contractivity
 from contractlab.cml import MapDef
-from contractlab.contractivity import RowSumError
-from contractlab.projections import L1, distance_to_diagonal
+from contractlab.contractivity import RowSumError, coefficients
+from contractlab.matcore import DEFAULT_SYNC_TOL
+from contractlab.projections import L1, distance_to_diagonal, project_columns
 from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A4
 
@@ -421,3 +422,135 @@ def test_simulate_matches_per_step_oracle(name):
     assert tr.envelope_valid_until == valid_until
     assert tr.synchronized_at == sync
     assert tr.diverged == diverged
+
+
+def frozen_simulate(A_seq, maps, x0, steps, norm):
+    """Frozen copy of simulate as it was with a finiteness test after every
+    step, the oracle for the loop that tests once per block.  Returns the
+    trace and the couplings whose coefficients make the envelope."""
+    maps = [maps] if isinstance(maps, MapDef) else list(maps)
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((steps + 1, x.size))
+    states[0] = x
+    couplings = []
+    used = steps + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            mp = maps[k % len(maps)]
+            A = A_seq[k]
+            x = A.a @ mp.f(x)
+            if not np.isfinite(x).all():
+                used = k + 1
+                break
+            states[k + 1] = x
+            couplings.append(A)
+        states = states[:used]
+        distances = project_columns(states.T, norm)[1]
+        try:
+            c = None if norm.kind == L1 else coefficients(couplings, norm)
+        except RowSumError:
+            c = None
+        rho = np.resize([mp.rho for mp in maps], len(couplings))
+        bound = (None if c is None else
+                 np.cumprod(np.append(distances[0], np.column_stack((c, rho))))[::2])
+    exits = np.zeros(min(used, steps), dtype=bool)
+    for i, mp in enumerate(maps):
+        if mp.domain is not None:
+            rows = states[i:steps:len(maps)]
+            exits[i::len(maps)] = ((rows < mp.domain[0] - cml.DOMAIN_TOL)
+                                   | (rows > mp.domain[1] + cml.DOMAIN_TOL)).any(axis=1)
+    domain_exits = np.flatnonzero(exits).tolist()
+    synced = np.flatnonzero(distances < DEFAULT_SYNC_TOL)
+    trace = cml.SimTrace(
+        states=states, distances=distances, bound=bound,
+        synchronized_at=int(synced[0]) if synced.size else None,
+        envelope_valid_until=domain_exits[0] if domain_exits else None,
+        domain_exits=domain_exits, diverged=used <= steps)
+    return trace, couplings
+
+
+def repeated(a, steps):
+    """A factory of sequences that repeat one coupling."""
+    return lambda: seq_of(*[a] * steps)
+
+
+def generated():
+    return MatrixSequence(generator={
+        "kind": "random_stochastic_spanning_tree", "n": 6, "seed": 4, "min_entry": 0.05})
+
+
+def _block_cases():
+    """name -> (sequence factory, maps, x0, steps, norm, first non-finite
+    state or None)."""
+    double = make_map({"kind": "affine", "a": 2.0, "b": 0.0})
+    cases = {}
+    # x(k) = 2^k x0 is finite at index - 1 and overflows at index
+    for index in (1, 63, 64, 65, 200):
+        cases[f"first-non-finite-{index}"] = (
+            repeated(np.eye(2), 200), double, [1.2e308 / 2.0 ** (index - 1), 1.0], 200, linf(), index)
+    cases["first-non-finite-194"] = (repeated(np.eye(2), 300), double, [1e250, 1.0], 300, l2(), 194)
+    # the table map takes the inf of x(1) back to 1: x(2), x(3), ... are
+    # finite.  J/2 has no zero, whose product with inf would be nan
+    half = np.full((2, 2), 0.5)
+    blow = make_map({"kind": "affine", "a": 1e300, "b": 0.0})
+    table = make_map({"kind": "custom_table", "xs": [0.0, 1.0], "ys": [0.0, 1.0]})
+    cases["custom-table-back-to-finite"] = (
+        repeated(half, 100), [blow, table], [0.5, 1e10], 100, linf(), 1)
+    cases["custom-table-mid-block"] = (
+        repeated(half, 100), [double] * 69 + [blow, table], [0.5, 2.0], 100, l2(), 70)
+    rng = np.random.default_rng(8)
+    A = 0.5 / 6 + 0.5 * np.eye(6)
+    logistic = make_map({"kind": "logistic", "a": 3.7})
+    for steps in (1, 63, 64, 65, 130):
+        cases[f"finite-{steps}-steps"] = (
+            repeated(A, steps), logistic, rng.random(6), steps, linf(), None)
+    cases["generated-finite"] = (generated, logistic, rng.random(6), 150, l2(), None)
+    cases["generated-diverging"] = (
+        generated, make_map({"kind": "affine", "a": 1e30, "b": 1.0}), rng.random(6), 150,
+        linf(), 11)
+    return cases
+
+
+BLOCK_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_simulate_matches_frozen_per_step_test(name, monkeypatch):
+    make_seq, maps, x0, steps, norm, first_bad = BLOCK_CASES[name]
+    used = []
+
+    def recording(couplings, *args, **kwargs):
+        used.append(list(couplings))
+        return coefficients(couplings, *args, **kwargs)
+
+    monkeypatch.setattr(cml, "coefficients", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = simulate(make_seq(), maps, x0, steps, norm=norm)
+    expected, couplings = frozen_simulate(make_seq(), maps, x0, steps, norm)
+    assert len(tr.states) == (steps + 1 if first_bad is None else first_bad)
+    assert tr.states.shape == expected.states.shape
+    assert tr.states.tobytes() == expected.states.tobytes()
+    assert tr.distances.tobytes() == expected.distances.tobytes()
+    assert tr.bound.tobytes() == expected.bound.tobytes()
+    assert tr.diverged == expected.diverged == (first_bad is not None)
+    assert tr.domain_exits == expected.domain_exits
+    assert tr.synchronized_at == expected.synchronized_at
+    assert tr.envelope_valid_until == expected.envelope_valid_until
+    (kept,) = used
+    assert [A.a.tobytes() for A in kept] == [A.a.tobytes() for A in couplings]
+
+
+def test_simulate_takes_one_coupling_per_step(monkeypatch):
+    calls = []
+    getitem = MatrixSequence.__getitem__
+
+    def counting(self, k):
+        calls.append(k)
+        return getitem(self, k)
+
+    monkeypatch.setattr(MatrixSequence, "__getitem__", counting)
+    simulate(seq_of(*[A4.a] * 130), make_map({"kind": "tent", "s": 1.0}),
+             [0.1, 0.5, 0.9], 130)
+    # the row sum test reads the first coupling, then one per step
+    assert calls == [0, *range(130)]

@@ -860,6 +860,9 @@ def test_cli_simulate_malformed_config_exits_2(tmp_path, capsys, change):
      "affine map parameter 'a' must be a number, got True"),
     ({"map": {"kind": "custom_table", "xs": [0, 1], "ys": [True, "1"]}},
      "custom_table map parameter 'ys' must be a list of numbers"),
+    ({"norm": "wl2", "weights": ["1", True, 0.5]},
+     "field 'weights': non-numeric value (expected JSON numbers, found boolean, string)"),
+    ({"norm": "wl2", "weights": "1,1,1"}, "field 'weights': expected a JSON array"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
 def test_cli_simulate_json_numbers_only(tmp_path, capsys, fields, message):
     path = write_simulate_config(tmp_path, "matrix", **fields)
@@ -1333,3 +1336,122 @@ def test_cli_error_without_stderr_keeps_exit_code(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(np.linalg, "norm", failing_norm)
     assert cli.main(["contractivity", a4_json(tmp_path), "--norm", "l2"]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_cli_analyze_jobs_logs_in_input_order(tmp_path, capsys, caplog, monkeypatch):
+    # a large input first, so that without ordering the small ones after it
+    # would log first; more workers than cores and a short switch interval
+    monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
+    big = np.random.default_rng(12).random((120, 120))
+    big /= big.sum(axis=1, keepdims=True)
+    paths = [write(tmp_path, "big.json", json.dumps({"rows": big.tolist()})),
+             a4_json(tmp_path),
+             write(tmp_path, "uneven.json", json.dumps({"rows": [[1, 0], [1, 1]]})),
+             write(tmp_path, "a1.json", json.dumps({"rows": A1.a.tolist()}))]
+    caplog.set_level(logging.INFO, logger="contractlab")
+    code, expected_out, _ = run_cli(capsys, "analyze", *paths, "--jobs", "1")
+    expected = [r.getMessage() for r in caplog.records]
+    assert code == 0 and len(expected) == 11
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            caplog.clear()
+            code, out, _ = run_cli(capsys, "analyze", *paths, "--jobs", "4")
+            assert (code, out) == (0, expected_out)
+            assert [r.getMessage() for r in caplog.records] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cli_analyze_jobs_logs_up_to_a_failing_input(tmp_path, capsys, caplog, monkeypatch):
+    monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
+    caplog.set_level(logging.INFO, logger="contractlab")
+    a4, missing = a4_json(tmp_path), str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "analyze", a4, missing, a4, "--jobs", "3")
+    assert code == 2 and out == "" and missing in err
+    assert [r.getMessage() for r in caplog.records] == [
+        f"loaded matrix {a4}: n = 3",
+        "linf coefficient: method closed_form_linf",
+        "l2 coefficient: method spectral_l2, an upper bound",
+    ]
+
+
+@pytest.mark.parametrize("norm", ["linf", "l1"])
+def test_cli_simulate_logs_each_record_at_debug(tmp_path, capsys, caplog, monkeypatch, norm):
+    monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
+    path = write_simulate_config(tmp_path, "matrix", steps=70, norm=norm)
+    csv_path = tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "simulate", path, "--csv", str(csv_path))
+    assert code == 0 and caplog.records == []
+
+    caplog.set_level(logging.DEBUG, logger="contractlab")
+    code, _, _ = run_cli(capsys, "simulate", path, "--csv", str(csv_path))
+    assert code == 0
+    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(debug) == len(rows) == 71
+    for message, (k, d, bound) in zip(debug, rows):
+        assert message == f"record {k}: d {d}, bound {bound or 'none'}"
+
+
+def test_cli_decompose_and_reproduce_log_at_info(tmp_path, capsys, caplog, monkeypatch):
+    monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
+    a4 = a4_json(tmp_path)
+    x = write(tmp_path, "x.json", json.dumps([0.2, 0.7, 0.4]))
+    for argv in (["decompose", a4, x], ["reproduce-paper"]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0 and caplog.records == []
+
+    caplog.set_level(logging.INFO, logger="contractlab")
+    code, out, _ = run_cli(capsys, "decompose", a4, x)
+    residual = json.loads(out)["residual_linf"]
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"loaded matrix {a4}: n = 3, vector {x}: n = 3",
+        f"residual max |B x + x* - A x| = {residual:.3g}",
+    ]
+    caplog.clear()
+    code, out, _ = run_cli(capsys, "reproduce-paper")
+    assert code == 0 and json.loads(out)["all_pass"]
+    assert [r.getMessage() for r in caplog.records] == ["13 of 13 reference checks passed"]
+
+
+def token_oracle(values):
+    """The JSONL token of each value as the writer once made it: the float
+    that its 12-digit string spells, through json.dumps, or null."""
+    rounded = [float(format(v, ".12g")) for v in values.tolist()]
+    return [json.dumps(v) if np.isfinite(v) else "null" for v in rounded]
+
+
+def token_cases():
+    rng = np.random.default_rng(2024)
+    tiny = np.finfo(float).tiny  # the smallest normal double, 2.2e-308
+    return {
+        "subnormal": np.concatenate([rng.random(300) * tiny, [5e-324, 1e-323, 2e-323, tiny]]),
+        "near-normal": tiny * np.concatenate([1 + rng.random(200) * 0.1, [1.03, 1.033, 1.04]]),
+        "zeros": np.array([0.0, -0.0, 0.0]),
+        "integers": np.concatenate([rng.integers(-10**6, 10**6, 300).astype(float),
+                                    [1.0, -1.0, 10.0, 1e11, 99999999999.0]]),
+        "1e12-to-1e16": 10.0 ** rng.uniform(12, 16, 300) * rng.choice([-1, 1], 300),
+        "1e12-edges": np.array([1e12, -1e12, np.nextafter(1e12, 0), 999999999999.5,
+                                999999999999.4, 1e16, np.nextafter(1e16, 0)]),
+        "past-1e16": 10.0 ** rng.uniform(16, 308, 300) * rng.choice([-1, 1], 300),
+        "negative": -(10.0 ** rng.uniform(-307, 12, 300)),
+        "all-exponents": 10.0 ** rng.uniform(-307, 12, 300),
+        "1e-4-edges": np.array([1e-4, 1e-5, 9.99999999999995e-05, 9.9999999999995e-05,
+                                0.000123456789012345, -1e-4]),
+        "non-finite": np.array([np.inf, -np.inf, np.nan, 1.0, -np.nan]),
+        "bit-patterns": rng.integers(0, 2**64, 2000, dtype=np.uint64).view(float),
+    }
+
+
+TOKEN_CASES = token_cases()
+
+
+@pytest.mark.parametrize("name", sorted(TOKEN_CASES))
+def test_trace_tokens_match_json_of_the_12_digit_float(name):
+    values = TOKEN_CASES[name]
+    assert cli._tokens(values, cli._text12(values)) == token_oracle(values)
+    for row in values.reshape(-1, 1)[:50]:  # one value at a time, as an x row
+        assert cli._tokens(row, cli._text12(row)) == token_oracle(row)
