@@ -135,9 +135,9 @@ def _log_sequence(path, seq) -> None:
         log.info("loaded sequence %s: n = %d, %d matrices", path, seq.n, len(seq.items))
 
 
-def _log_method(rep) -> None:
-    log.info("%s coefficient: method %s%s", rep.norm, rep.method,
-             ", an upper bound" if rep.is_bound_only else "")
+def _log_method(rep, note=log.info) -> None:
+    note("%s coefficient: method %s%s", rep.norm, rep.method,
+         ", an upper bound" if rep.is_bound_only else "")
 
 
 def _classification(rep) -> str:
@@ -146,9 +146,10 @@ def _classification(rep) -> str:
     return "set-nonexpansive" if rep.is_set_nonexpansive else "expansive"
 
 
-def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
+def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
+    """The analyze report of one input; its log lines go through note."""
     A = io.load_matrix(path, zero_tol)
-    log.info("loaded matrix %s: n = %d", path, A.n)
+    note("loaded matrix %s: n = %d", path, A.n)
     profile = row_sum_profile(A, row_sum_tol)
     G = interaction_digraph(A)
     tree, root = has_spanning_directed_tree(G)
@@ -177,9 +178,9 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
         report["c_l2"] = reps["l2"].c
         report["classification"] = {name: _classification(rep) for name, rep in reps.items()}
         for rep in reps.values():
-            _log_method(rep)
+            _log_method(rep, note)
     else:
-        log.info("%s: row sums are not constant; no coefficient", path)
+        note("%s: row sums are not constant; no coefficient", path)
         report["c_linf"] = None
         report["c_l2"] = None
         report["note"] = "row sums are not constant; coefficient formulas do not apply"
@@ -204,39 +205,34 @@ def cmd_analyze(args) -> int:
         if clashes:
             raise io.InputError(
                 "analyze --output: inputs share a report name: " + "; ".join(clashes))
-    import threading
+        # made before any input starts, and kept if an input then fails
+        Path(out).mkdir(parents=True, exist_ok=True)
     from concurrent.futures import ThreadPoolExecutor
 
-    # the workers' log records are held back, then logged in input order
-    local, held = threading.local(), [[] for _ in paths]
+    def analysis(path, notes):
+        # numpy's error state is per thread: main's does not reach a worker
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _analysis_report(path, args.zero_tol, args.row_sum_tol,
+                                    lambda *line: notes.append(line))
 
-    def hold(record):
-        records = getattr(local, "records", None)
-        if records is not None:
-            records.append(record)
-        return records is None
-
-    def analysis(i):
-        local.records = held[i]
-        return _analysis_report(paths[i], args.zero_tol, args.row_sum_tol)
-
-    log.addFilter(hold)
+    # each input's log lines are held in its own list, then logged in input
+    # order; the first failing input ends the command, and neither the
+    # inputs still queued nor a running one are waited for
+    notes = [[] for _ in paths]
+    pool = ThreadPoolExecutor(max_workers=args.jobs)
     try:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(analysis, i) for i in range(len(paths))]
-            reports = []
-            for future, records in zip(futures, held):
-                future.exception()  # waits for the input's last record
-                for record in records:
-                    log.handle(record)
-                reports.append(future.result())
+        futures = [pool.submit(analysis, path, lines) for path, lines in zip(paths, notes)]
+        reports = []
+        for future, lines in zip(futures, notes):
+            future.exception()  # waits for the input's last line
+            for line in lines:
+                log.info(*line)
+            reports.append(future.result())
     finally:
-        log.removeFilter(hold)
+        pool.shutdown(wait=False, cancel_futures=True)
     if out:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
         for name, report in zip(names, reports):
-            (outdir / name).write_text(_dump(report, args.pretty) + "\n")
+            (Path(out) / name).write_text(_dump(report, args.pretty) + "\n")
     else:
         _print_report(_dump(reports, args.pretty))
     return 0
@@ -538,7 +534,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_tolerances(args)
-        return args.func(args)
+        # a finite entry near the float limit overflows in a sum or a
+        # difference; the reports render the result as null
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     # LinAlgError subclasses ValueError, so it has to be caught first.
     except np.linalg.LinAlgError as exc:
         _print_error(f"numerical failure: {exc}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,18 +162,30 @@ class MatrixSequence:
         return self._cache[k]
 
 
+def _partial_products(factors):
+    """Each growing product F_k ... F_0 over the factors, with F_k's zero_tol.
+    The first is F_0's read-only array.  Each factor is dropped before the
+    next is fetched, so a generated item is not kept alive while the next
+    is made."""
+    acc = None
+    for factor in factors:
+        acc, zero_tol = (factor.a if acc is None else factor.a @ acc), factor.zero_tol
+        del factor
+        yield acc, zero_tol
+
+
+def _full_product(factors) -> Matrix:
+    """F_last ... F_0 at F_last's zero_tol; the partial products are not kept."""
+    return Matrix(*deque(_partial_products(factors), maxlen=1).pop())
+
+
 def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
     """A_to ... A_frm, mapping x(frm) to x(to + 1), at the factors' zero_tol."""
     if frm < 0 or to < frm:
         raise IndexError(f"invalid index range [{frm}, {to}]")
     if seq.items is not None and to >= len(seq.items):
         raise IndexError(f"index {to} out of range")
-    acc = np.eye(seq.n)
-    for k in range(frm, to + 1):
-        factor = seq[k]
-        acc, zero_tol = factor.a @ acc, factor.zero_tol
-        del factor  # a generated item is not kept alive while the next is made
-    return Matrix(acc, zero_tol=zero_tol)
+    return _full_product(seq[k] for k in range(frm, to + 1))
 
 
 def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float, float]:
@@ -268,23 +281,12 @@ def min_contractive_product_length(H, norm_q: Norm, max_m: int,
         raise ValueError("family must be nonempty")
     if predicate not in ("contractive", "scrambling"):
         raise ValueError(f"unknown predicate {predicate!r}")
+    holds = ((lambda P: contractivity(P, norm_q).is_set_contractive)
+             if predicate == "contractive" else is_scrambling)
     for m in range(1, max_m + 1):
         if len(H) ** m > budget:
             raise BudgetError(f"|H|^{m} exceeds enumeration budget {budget}")
-        ok = True
-        for combo in itertools.product(H, repeat=m):
-            P = combo[0].a
-            for factor in combo[1:]:
-                P = factor.a @ P
-            P = Matrix(P, zero_tol=combo[-1].zero_tol)
-            if predicate == "contractive":
-                if not contractivity(P, norm_q).is_set_contractive:
-                    ok = False
-                    break
-            elif not is_scrambling(P):
-                ok = False
-                break
-        if ok:
+        if all(holds(_full_product(combo)) for combo in itertools.product(H, repeat=m)):
             return m
     return None
 
@@ -351,19 +353,13 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
             raise ValueError(f"sequence item {k} is not stochastic")
 
     anchors = sorted({0, horizon // 3, (2 * horizon) // 3} - {horizon})
-    delta_by_anchor = {}
-    nonincrease_ok = True
-    for r in anchors:
-        acc = np.eye(seq.n)
-        series = []
-        for k in range(r, horizon):
-            acc = seq[k].a @ acc
-            # a product of validated stochastic factors is finite
-            series.append(_delta(acc))
-        series = np.asarray(series)
-        if np.any(np.diff(series) > 1e-10):
-            nonincrease_ok = False
-        delta_by_anchor[r] = series
+    # a product of validated stochastic factors is finite
+    delta_by_anchor = {
+        r: np.array([_delta(acc) for acc, _ in
+                     _partial_products(seq[k] for k in range(r, horizon))])
+        for r in anchors}
+    nonincrease_ok = not any(np.any(np.diff(series) > 1e-10)
+                             for series in delta_by_anchor.values())
 
     sums = []
     total = 0.0

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,22 @@ def test_cli_analyze_output_name_collision_exits_2(tmp_path, capsys, monkeypatch
     assert code == 2 and out == "" and "Traceback" not in err
     assert all(p in err for p in (p1, p2, p3)) and "M.analysis.json" in err
     assert analysed == [] and not outdir.exists()
+
+
+def test_cli_analyze_output_directory_made_before_any_input(tmp_path, capsys, monkeypatch):
+    p1, p2 = a4_json(tmp_path, "m1.json"), a4_json(tmp_path, "m2.json")
+    analysed = []
+    monkeypatch.setattr(cli, "_analysis_report", lambda *a: analysed.append(a))
+    notadir = Path(write(tmp_path, "notadir", ""))
+    code, out, err = run_cli(capsys, "--output", str(notadir), "analyze", p1, p2)
+    assert code == 2 and out == "" and "File exists" in err and len(err.splitlines()) == 1
+    assert analysed == [] and notadir.read_text() == ""
+    monkeypatch.undo()
+    outdir = tmp_path / "reports"
+    code, out, err = run_cli(capsys, "--output", str(outdir), "analyze", p1,
+                             str(tmp_path / "missing.json"))
+    assert code == 2 and "missing.json" in err
+    assert outdir.is_dir() and list(outdir.iterdir()) == []
 
 
 def test_cli_analyze_computes_mu_once(tmp_path, capsys, monkeypatch):
@@ -930,6 +947,51 @@ def test_cli_input_error_is_one_stderr_line(tmp_path):
     res = run_cli_process("analyze", str(tmp_path / "missing.json"))
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+
+def test_cli_analyze_first_failing_input_ends_the_command(tmp_path):
+    """Neither a running input nor those queued behind a failing one are
+    waited for: the command ends in under half the time one of them takes."""
+    rng = np.random.default_rng(18)
+    bigs = []
+    for name in ("big1.json", "big2.json"):
+        a = rng.random((500, 500))
+        a /= a.sum(axis=1, keepdims=True)
+        bigs.append(write(tmp_path, name, json.dumps({"rows": a.tolist()})))
+    missing = str(tmp_path / "missing.json")
+
+    def timed(*argv):
+        start = time.perf_counter()
+        res = run_cli_process("analyze", *argv)
+        return res, time.perf_counter() - start
+
+    res, alone = timed(bigs[0])
+    assert res.returncode == 0
+    for argv in ([missing, bigs[0], "--jobs", "2"], [missing, *bigs, "--jobs", "1"]):
+        res, took = min((timed(*argv) for _ in range(2)), key=lambda run: run[1])
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and missing in res.stderr
+        assert took < alone / 2, (argv, took, alone)
+
+
+def test_cli_entries_near_the_float_limit_warn_nothing(tmp_path):
+    """Finite entries whose sums and differences overflow: numpy warns
+    nothing, also in analyze's worker threads; the overflowed values are
+    reported as null, and an error is one stderr line."""
+    huge = write(tmp_path, "huge.json", json.dumps({"rows": [[1e308, -1e308], [-1e308, 1e308]]}))
+    sums = write(tmp_path, "sums.json", json.dumps({"rows": [[1e308, 1e308], [1e308, 1e308]]}))
+    vector = write(tmp_path, "x.json", "[1, 2]")
+    cases = [(["analyze", huge], 0), (["analyze", huge, sums, "--jobs", "2"], 0),
+             (["contractivity", huge], 0), (["contractivity", huge, "--norm", "l2"], 0),
+             (["contractivity", sums, "--norm", "l2"], 2), (["decompose", huge, vector], 2)]
+    for argv, code in cases:
+        res = run_cli_process(*argv, PYTHONWARNINGS="error")
+        assert res.returncode == code, (argv, res.stderr)
+        assert len(res.stderr.splitlines()) == (code == 2), (argv, res.stderr)
+    reports = json.loads(run_cli_process("analyze", huge, sums, "--jobs", "2",
+                                         PYTHONWARNINGS="error").stdout)
+    assert [(r["delta"], r["c_linf"], r["mu"]) for r in reports] == [(None, None, None),
+                                                                      (0.0, None, None)]
 
 
 @pytest.mark.parametrize("block_len", ["0", "-1"])

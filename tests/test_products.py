@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from contractlab import (
 )
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
 from contractlab import l2, linf
+from contractlab import products
 from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
 from contractlab.reference import A1, A2, A3, A4, A5
 
@@ -47,6 +50,79 @@ def test_product_index_errors():
         product(s, -1, 0)
     with pytest.raises(ValueError):
         MatrixSequence(items=[np.eye(2), np.eye(3)])
+
+
+def frozen_product(seq, frm, to):
+    """Frozen copy of product as it was when the walk started from I."""
+    acc = np.eye(seq.n)
+    for k in range(frm, to + 1):
+        acc, zero_tol = seq[k].a @ acc, seq[k].zero_tol
+    return Matrix(acc, zero_tol=zero_tol)
+
+
+def test_product_matches_identity_started_copy():
+    rng = np.random.default_rng(18)
+    seqs = [MatrixSequence(generator={"kind": "random_stochastic_spanning_tree",
+                                      "n": n, "seed": 7}) for n in (1, 5, 30)]
+    seqs.append(MatrixSequence(items=[Matrix(random_stochastic(6, rng, density=0.5).a,
+                                             zero_tol=tol) for tol in (1e-12, 1e-9, 0.0)]))
+    for seq in seqs:
+        ranges = [(0, 0), (2, 2), (0, 2), (1, 2)]
+        for frm, to in ranges + ([(0, 39), (7, 20)] if seq.items is None else []):
+            got, want = product(seq, frm, to), frozen_product(seq, frm, to)
+            assert got.a.tobytes() == want.a.tobytes() and got.zero_tol == want.zero_tol
+    # starting from I turned a -0.0 entry into 0.0; the values are the same
+    seq = seq_of(np.array([[0.5, -0.0], [-0.0, 1.0]]))
+    assert np.array_equal(product(seq, 0, 0).a, frozen_product(seq, 0, 0).a)
+
+
+@pytest.fixture
+def alive_at_fetch(monkeypatch):
+    """MatrixSequence.__getitem__ makes each generated item anew, with no
+    cache.  The list returned holds, per call, how many items made by
+    earlier calls are still alive."""
+    live, counts = weakref.WeakValueDictionary(), []  # Matrix is unhashable
+
+    def recompute(self, k):
+        if self.items is not None:
+            return self.items[k]
+        counts.append(len(live))
+        item = random_stochastic_spanning_tree(
+            self.n, np.random.default_rng([self._seed, k]), self._min_entry)
+        live[len(counts)] = item
+        return item
+
+    monkeypatch.setattr(MatrixSequence, "__getitem__", recompute)
+    return counts
+
+
+def test_products_hold_one_generated_item_at_a_time(alive_at_fetch):
+    spec = {"kind": "random_stochastic_spanning_tree", "n": 5, "seed": 7}
+    P = product(MatrixSequence(generator=spec), 0, 39)
+    rep = weak_ergodicity_diagnostic(MatrixSequence(generator=spec), 40)
+    assert len(alive_at_fetch) == 40 + 161 and max(alive_at_fetch) == 0
+    seq = MatrixSequence(generator=spec)
+    want = frozen_weak_ergodicity_diagnostic(seq, 40)
+    assert P.a.tobytes() == frozen_product(seq, 0, 39).a.tobytes()
+    assert rep.delta_of_partial_products.tobytes() == want[3].tobytes()
+    assert rep.block_mu_c_partial_sums.tobytes() == want[5].tobytes()
+
+
+def test_weak_ergodicity_fetches_and_caches(monkeypatch):
+    """The counts the benchmark's traced ergodicity run reads at n = 5,
+    horizon 40: the stochasticity sweep, the three anchored series
+    (anchors 0, 13 and 26) and the ten blocks of 4."""
+    fetched, generated = [], []
+    getitem, generate = MatrixSequence.__getitem__, products.random_stochastic_spanning_tree
+    monkeypatch.setattr(MatrixSequence, "__getitem__",
+                        lambda self, k: fetched.append(k) or getitem(self, k))
+    monkeypatch.setattr(products, "random_stochastic_spanning_tree",
+                        lambda *args: generated.append(args) or generate(*args))
+    seq = MatrixSequence(generator={"kind": "random_stochastic_spanning_tree",
+                                    "n": 5, "seed": 7})
+    weak_ergodicity_diagnostic(seq, horizon=40)
+    assert len(fetched) == 161 == 40 + (40 + 27 + 14) + 40
+    assert len(generated) == 40 and len(seq._cache) == 40
 
 
 def test_generated_sequence_deterministic():
