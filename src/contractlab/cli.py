@@ -54,7 +54,7 @@ from .matcore import (
     mu,
     row_sum_profile,
 )
-from .projections import L1, norm_from_name
+from .projections import norm_from_name
 
 if TYPE_CHECKING:
     from .cml import SimTrace
@@ -244,20 +244,13 @@ def cmd_contractivity(args) -> int:
     A = io.load_matrix(args.matrix, args.zero_tol)
     log.info("loaded matrix %s: n = %d", args.matrix, A.n)
     norm = _norm_from_args(args)
-    # l1 has no closed form: sampling only
-    rep = None if norm.kind == L1 else contractivity(A, norm, args.row_sum_tol)
-    doc = {"input": str(args.matrix), "norm": args.norm}
-    if rep is None:
-        log.info("l1 coefficient: no closed form; sampling only")
-    else:
-        _log_method(rep)
-        doc.update(rep.to_json())
-    if args.samples > 0 or rep is None:
-        samples = args.samples if args.samples > 0 else 10000
-        doc["empirical_lower_bound"] = empirical_contractivity(
-            A, norm, samples=samples, seed=args.seed)
-        doc["samples"] = samples
-        doc["seed"] = args.seed
+    rep = contractivity(A, norm, args.row_sum_tol)
+    _log_method(rep)
+    doc = dict(rep.to_json(), input=str(args.matrix))
+    if args.samples > 0:  # the sampled lower bound, an oracle for c
+        doc.update(samples=args.samples, seed=args.seed,
+                   empirical_lower_bound=empirical_contractivity(
+                       A, norm, samples=args.samples, seed=args.seed))
     _emit(doc, args)
     return 0
 

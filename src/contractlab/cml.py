@@ -17,7 +17,7 @@ import numpy as np
 from .contractivity import RowSumError, coefficients
 from .matcore import DEFAULT_SYNC_TOL, row_sum_profile
 from .products import MatrixSequence, check_convergence_condition
-from .projections import L1, Norm, linf, project_columns
+from .projections import Norm, linf, project_columns
 
 DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
 BLOCK = 64  # steps taken between two tests for a non-finite state
@@ -105,7 +105,7 @@ def _is_real(value) -> bool:
 class SimTrace:
     states: np.ndarray  # rows x(k), k = 0..steps (fewer after divergence)
     distances: np.ndarray  # d(x(k), X*) per row of states
-    bound: np.ndarray | None  # envelope d0 * prod c(A_j) rho_j, when c is available
+    bound: np.ndarray | None  # envelope d0 * prod c(A_j) rho_j, when every c exists
     synchronized_at: int | None
     envelope_valid_until: int | None  # None = valid throughout
     domain_exits: list  # step indices where a state left the map domain
@@ -129,7 +129,7 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
 
     maps may be a single MapDef or a sequence, cycled when shorter than
     the horizon.  The envelope column multiplies c(A_k) * rho_k per step
-    when the coefficient is available for the chosen norm; c(A_k) is
+    when every coupling kept has constant row sums; c(A_k) is
     computed once per distinct coupling.  The envelope is marked void
     from the first step where a state leaves the declared map domain (the
     Lipschitz constant only holds there).
@@ -180,8 +180,8 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
         del couplings[used - 1:]
         # states.T has contiguous columns: bit for bit the per-state distances
         distances = project_columns(states.T, norm)[1]
-        try:  # no closed form under l1
-            c = None if norm.kind == L1 else coefficients(couplings, norm)
+        try:
+            c = coefficients(couplings, norm)
         except RowSumError:
             c = None
         rho = np.resize([mp.rho for mp in maps], len(couplings))  # rho_k cycles with the maps

@@ -2,11 +2,15 @@
 
 For the diagonal span X* = {alpha * e}, the coefficient
 c(A) = sup_{x not in X*} d(Ax, X*) / d(x, X*) is r - mu(A) under the
-max norm.  Under a weighted Euclidean norm ||W^(1/2) A W^(-1) K||_2, K
-an orthonormal basis of e-perp, bounds c(A) from above; its w = e case
-is the paper's Euclidean ||A K||_2, equal to c(A) when the column sums
-are also constant.  As K K^T = I - J/n, one routine computes both with
-no basis: the spectral norm of W^(1/2) A W^(-1) less its row means.
+max norm.  Under the l1 norm it is the largest l1 distance from a column
+of A to X*: d(Ax, X*) is convex in x and, with constant row sums, the
+same at x + alpha e, so its max over the unit ball B1 + span(e) of
+d(x, X*) is at a vertex +-e_j, where d(e_j, X*) = 1 (n >= 2).  Under a
+weighted Euclidean norm ||W^(1/2) A W^(-1) K||_2, K an orthonormal
+basis of e-perp, bounds c(A) from above; its w = e case is the paper's
+Euclidean ||A K||_2, equal to c(A) when the column sums are also
+constant.  As K K^T = I - J/n, one routine computes both with no basis:
+the spectral norm of W^(1/2) A W^(-1) less its row means.
 ``contractivity(A, norm)`` is the one dispatch from a norm to its
 formula; spectral norms come from the LAPACK SVD through numpy, so a
 non-converging SVD surfaces as np.linalg.LinAlgError.
@@ -31,7 +35,7 @@ from .matcore import (
     mu,
     row_sum_profile,
 )
-from .projections import LINF, L2, WL2, Norm, linf, project, project_columns, weighted_l2
+from .projections import LINF, L1, L2, Norm, linf, project, project_columns, weighted_l2
 
 _EXACT_TOL = 1e-12
 _SAMPLE_CHUNK = 20000  # columns per batch in empirical_contractivity
@@ -49,7 +53,7 @@ class ContractivityReport:
     c: float
     is_set_nonexpansive: bool
     is_set_contractive: bool
-    method: str  # closed_form_linf | spectral_l2 | weighted_bound
+    method: str  # closed_form_linf | spectral_l2 | closed_form_l1 | weighted_bound
     is_bound_only: bool = False
 
     def to_json(self) -> dict:
@@ -174,9 +178,11 @@ def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> Co
         return contractivity_linf(A, row_sum_tol)
     if norm.kind == L2:
         return contractivity_l2(A, row_sum_tol)
-    if norm.kind == WL2:
-        return contractivity_weighted_bound(A, norm.weights, row_sum_tol)
-    raise ValueError(f"no contractivity formula for norm {norm.kind!r}")
+    if norm.kind == L1:
+        A = as_matrix(A)
+        _require_constant_row_sum(A, row_sum_tol)
+        return _report(norm, project_columns(A.a, norm)[1].max(), "closed_form_l1")
+    return contractivity_weighted_bound(A, norm.weights, row_sum_tol)
 
 
 def coefficients(matrices, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> list:

@@ -15,7 +15,7 @@ from contractlab import cml, contractivity
 from contractlab.cml import MapDef
 from contractlab.contractivity import RowSumError, coefficients
 from contractlab.matcore import DEFAULT_SYNC_TOL
-from contractlab.projections import L1, distance_to_diagonal, project_columns
+from contractlab.projections import distance_to_diagonal, project_columns
 from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A4
 
@@ -171,10 +171,35 @@ def test_simulate_maps_cycle():
 
 
 def test_simulate_l1_has_no_envelope():
+    # under l1 as under every norm: a later coupling without constant row
+    # sums has no coefficient, so the run has no envelope
     mp = make_map({"kind": "tent", "s": 1.0})
-    tr = simulate(seq_of(*[A4.a] * 5), mp, [0.1, 0.2, 0.3], steps=5, norm=l1())
+    nonconstant = [[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]]
+    tr = simulate(seq_of(*[A4.a] * 4, nonconstant), mp, [0.1, 0.2, 0.3], steps=5, norm=l1())
     assert tr.bound is None
     assert tr.distances.shape == (6,)
+
+
+def test_simulate_l1_envelope_bounds_a_synchronizing_lattice():
+    # the recipe of the benchmark's simulate_fixed coupling at seed 3:
+    # 0.8 J/n + 0.2 S, S row-stochastic with about half its entries zero
+    n, rng = 50, np.random.default_rng(3)
+    mask = rng.random((n, n)) < 0.5
+    np.fill_diagonal(mask, True)
+    S = (0.05 + rng.random((n, n))) * mask
+    A = 0.8 / n + 0.2 * S / S.sum(axis=1, keepdims=True)
+    mp = make_map({"kind": "logistic", "a": 3.9})
+    c = contractivity(A, l1()).c
+    assert c * mp.rho == pytest.approx(0.995, abs=5e-4)
+    tr = simulate(seq_of(*[A] * 400), mp, rng.random(n), steps=400, norm=l1())
+    assert tr.bound is not None and tr.summary()["envelope_valid"]
+    assert tr.synchronized_at is not None
+    # d stops at the rounding floor of a synchronized state, n entries near
+    # 1 apart by a few ulps each, while the bound still falls
+    floor = n * np.finfo(float).eps
+    assert np.all(tr.distances <= tr.bound * (1 + 1e-12) + floor)
+    assert tr.bound[1:].tolist() == pytest.approx(
+        (tr.distances[0] * (c * mp.rho) ** np.arange(1, 401)).tolist(), rel=1e-10)
 
 
 def test_simulate_steps_below_one_raises():
@@ -335,13 +360,10 @@ def per_step_simulate(A_seq, maps, x0, steps, norm, sync_tol=cml.DEFAULT_SYNC_TO
         distances.append(d)
         if bound_available:
             if A is not A_prev:
-                if norm.kind == L1:
-                    c = None  # no closed form; envelope unavailable under l1
-                else:
-                    try:
-                        c = contractivity(A, norm).c
-                    except RowSumError:
-                        c = None
+                try:
+                    c = contractivity(A, norm).c
+                except RowSumError:
+                    c = None
                 A_prev = A
             if c is None:
                 bound_available = False
@@ -447,7 +469,7 @@ def frozen_simulate(A_seq, maps, x0, steps, norm):
         states = states[:used]
         distances = project_columns(states.T, norm)[1]
         try:
-            c = None if norm.kind == L1 else coefficients(couplings, norm)
+            c = coefficients(couplings, norm)
         except RowSumError:
             c = None
         rho = np.resize([mp.rho for mp in maps], len(couplings))

@@ -3,7 +3,9 @@ import pytest
 
 from contractlab import (
     Matrix,
+    MatrixSequence,
     basis_K,
+    contractivity,
     contractivity_l2,
     contractivity_linf,
     contractivity_weighted_bound,
@@ -16,10 +18,12 @@ from contractlab import (
     is_scrambling,
     is_stochastic,
     mu,
+    product_contractivity_bound,
     spectral_norm_2,
 )
 from contractlab.contractivity import RowSumError
-from contractlab import l2, linf, weighted_l2
+from contractlab.projections import project_columns
+from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5, M0, W4
 
 from conftest import random_doubly_constant, random_nonneg_row_sum, random_stochastic
@@ -120,6 +124,64 @@ def test_binary_oracle_matches_linf_closed_form():
                                   density=float(rng.uniform(0.4, 1.0)))
         assert exhaustive_binary_contractivity(A) == pytest.approx(
             contractivity_linf(A).c, abs=1e-12)
+
+
+def random_constant_row_sum(n, rng):
+    """A constant row sum matrix, signed or nonnegative, with -0.0 entries
+    and repeated rows mixed in."""
+    if rng.random() < 0.5:
+        a = random_nonneg_row_sum(n, rng, density=float(rng.uniform(0.3, 1.0))).a
+    else:
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.7)
+        a[:, -1] += rng.uniform(-1.0, 2.0) - a.sum(axis=1)
+    a = np.where(a == 0.0, -0.0, a)
+    if n > 1 and rng.random() < 0.3:
+        a[rng.integers(n)] = a[rng.integers(n)]
+    return Matrix(a)
+
+
+def test_l1_closed_form_matches_binary_oracle():
+    # the exhaustive oracle visits every e_j, so it attains the exact c
+    rng = np.random.default_rng(27)
+    for i in range(320):
+        A = random_constant_row_sum(i % 10 + 1, rng)
+        rep = contractivity(A, l1())
+        assert rep.method == "closed_form_l1" and not rep.is_bound_only
+        gap = abs(rep.c - exhaustive_binary_contractivity(A, l1()))
+        assert gap <= 1e-14 * max(1.0, rep.c)
+
+
+@pytest.mark.parametrize("A, c", [(M0, 0.5), (A1, 0.5), (A2, 1.0), (A3, 1.0), (A4, 0.9),
+                                  (A5, 1.0)], ids=["M0", "A1", "A2", "A3", "A4", "A5"])
+def test_l1_reference_values(A, c):
+    rep = contractivity(A, l1())
+    assert rep.c == pytest.approx(c, abs=1e-15)
+    assert rep.is_set_contractive == (c < 1.0) and rep.is_set_nonexpansive
+
+
+def test_l1_witness_column_attains_the_coefficient():
+    rng = np.random.default_rng(28)
+    for i in range(100):
+        n = i % 9 + 2
+        A = random_constant_row_sum(n, rng)
+        c = contractivity(A, l1()).c
+        j = int(project_columns(A.a, l1())[1].argmax())
+        e_j = np.eye(n)[:, j]
+        _, (d_in, d_out) = project_columns(np.column_stack((e_j, A.a @ e_j)), l1())
+        assert d_in == 1.0 and d_out == pytest.approx(c, rel=1e-15)
+
+
+def test_l1_empirical_and_product_stay_below_the_closed_form():
+    rng = np.random.default_rng(29)
+    for i in range(30):
+        n = int(rng.integers(2, 7))
+        A = random_constant_row_sum(n, rng)
+        assert empirical_contractivity(A, l1(), 2000, seed=i) <= contractivity(A, l1()).c + 1e-12
+        # exact coefficients are submultiplicative: the product's is at most
+        # the product of the factors'
+        seq = MatrixSequence(items=[random_constant_row_sum(n, rng) for _ in range(4)])
+        c_exact, c_bound = product_contractivity_bound(seq, l1())
+        assert c_exact <= c_bound + 1e-12 * max(1.0, c_bound)
 
 
 def test_empirical_contractivity_properties():

@@ -305,7 +305,9 @@ def test_cli_contractivity_norms(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "contractivity", p, "--norm", "l1",
                            "--samples", "500", "--seed", "3")
     doc = json.loads(out)
-    assert code == 0 and "empirical_lower_bound" in doc and doc["samples"] == 500
+    assert code == 0 and doc["samples"] == 500 and doc["method"] == "closed_form_l1"
+    assert doc["c"] == pytest.approx(0.9, abs=1e-12)
+    assert doc["empirical_lower_bound"] <= doc["c"] + 1e-12
 
 
 @pytest.mark.parametrize("norm", ["linf", "l1"])
@@ -314,9 +316,24 @@ def test_cli_contractivity_negative_samples_exits_2(tmp_path, capsys, norm):
     code, out, err = run_cli(capsys, "contractivity", p, "--norm", norm, "--samples", "-5")
     assert code == 2 and out == ""
     assert err == "error: --samples must be >= 0, got -5\n"
-    # 0, the default, samples only where there is no closed form
+    # 0, the default, samples under no norm: every norm has its coefficient
     code, out, _ = run_cli(capsys, "contractivity", p, "--norm", norm, "--samples", "0")
-    assert code == 0 and json.loads(out).get("samples") == (10000 if norm == "l1" else None)
+    doc = json.loads(out)
+    assert code == 0 and doc["method"].startswith("closed_form_")
+    assert not {"empirical_lower_bound", "samples", "seed"} & doc.keys()
+
+
+# constant row sums fail: d(A(x + alpha e), X*) grows without bound in alpha
+UNEVEN_ROWS = {"rows": [[0.5, 0.2], [0.2, 0.8]]}
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2", "l1", "wl2"])
+def test_cli_contractivity_without_constant_row_sums_exits_2(tmp_path, capsys, norm):
+    p = write(tmp_path, "uneven.json", json.dumps(UNEVEN_ROWS))
+    weights = ["--weights", "1,0.5"] if norm == "wl2" else []
+    code, out, err = run_cli(capsys, "contractivity", p, "--norm", norm, *weights)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix does not have constant row sums\n"
 
 
 HALF = {"rows": [[0.5, 0.5], [0.5, 0.5]]}  # J/2: synchronizes any lattice at step 1
@@ -1026,6 +1043,9 @@ TRACE_CASES = {
     "large-values": {"matrix": "eye3.json", "map": {"kind": "affine", "a": 1.0, "b": 0.0},
                      "x0": [1.5e12, 2.3456789012345e15, -7.77777777777777e13], "steps": 3,
                      "norm": "l1"},
+    # the last coupling has no constant row sums: no envelope, no bound key
+    "no-envelope": {"sequence": "uneven-last.json", "map": {"kind": "tent", "s": 1.05},
+                    "x0": [0.2, 0.45, 0.3], "steps": 6, "norm": "l1"},
 }
 
 
@@ -1055,6 +1075,9 @@ def write_trace_case(tmp_path, name):
     a4_json(tmp_path)
     write(tmp_path, "eye2.json", json.dumps({"rows": np.eye(2).tolist()}))
     write(tmp_path, "eye3.json", json.dumps({"rows": np.eye(3).tolist()}))
+    write(tmp_path, "uneven3.json", json.dumps({"rows": [[1, 0, 0], [0.5, 0.6, 0], [0, 0, 1]]}))
+    write(tmp_path, "uneven-last.json",
+          json.dumps({"matrices": ["a4.json"] * 5 + ["uneven3.json"]}))
     return write(tmp_path, "sim.json", json.dumps(TRACE_CASES[name]))
 
 
@@ -1081,7 +1104,8 @@ def test_cli_simulate_trace_files_match_frozen_writer(tmp_path, capsys, monkeypa
     assert csv_path.read_text() == expected_csv
 
 
-@pytest.mark.parametrize("name", ["bound-overflow", "diverging-l2", "tent-l1", "large-values"])
+@pytest.mark.parametrize("name", ["bound-overflow", "diverging-l2", "tent-l1", "large-values",
+                                  "no-envelope"])
 def test_cli_simulate_jsonl_and_csv_agree(tmp_path, capsys, name):
     path = write_trace_case(tmp_path, name)
     jsonl, csv_path = tmp_path / "t.jsonl", tmp_path / "t.csv"
@@ -1267,7 +1291,7 @@ def logged_commands(tmp_path):
         ]),
         "contractivity-l1": (["contractivity", a4, "--norm", "l1", "--samples", "10"], [
             f"loaded matrix {a4}: n = 3",
-            "l1 coefficient: no closed form; sampling only",
+            "l1 coefficient: method closed_form_l1",
         ]),
         "product": (["product", spec], [
             f"loaded sequence {spec}: n = 3, 5 matrices",
@@ -1455,6 +1479,15 @@ def test_cli_simulate_logs_each_record_at_debug(tmp_path, capsys, caplog, monkey
     assert len(debug) == len(rows) == 71
     for message, (k, d, bound) in zip(debug, rows):
         assert message == f"record {k}: d {d}, bound {bound or 'none'}"
+
+
+def test_cli_simulate_logs_bound_none_without_an_envelope(tmp_path, capsys, caplog):
+    path = write_trace_case(tmp_path, "no-envelope")
+    caplog.set_level(logging.DEBUG, logger="contractlab")
+    code, _, _ = run_cli(capsys, "simulate", path)
+    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert code == 0 and len(debug) == 7
+    assert all(message.endswith(", bound none") for message in debug)
 
 
 def test_cli_decompose_and_reproduce_log_at_info(tmp_path, capsys, caplog, monkeypatch):
