@@ -58,7 +58,6 @@ from .matcore import (
     is_stochastic,
     mu,
     row_sum_profile,
-    spread,
 )
 from .graphs import (
     has_spanning_directed_tree,
@@ -78,14 +77,11 @@ from .projections import (
 from .contractivity import (
     AffineDecomposition,
     ContractivityReport,
-    basis_K,
     contractivity,
     contractivity_l2,
     contractivity_linf,
-    contractivity_weighted_bound,
     decompose_affine,
     empirical_contractivity,
-    exhaustive_binary_contractivity,
     is_paracontractive_l2,
     is_pseudocontractive_stochastic_linf,
     spectral_norm_2,

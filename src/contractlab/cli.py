@@ -54,7 +54,7 @@ from .matcore import (
     mu,
     row_sum_profile,
 )
-from .projections import norm_from_name
+from .projections import KINDS, norm_from_name
 
 if TYPE_CHECKING:
     from .cml import SimTrace
@@ -119,7 +119,7 @@ def _emit(doc, args) -> None:
 def _norm_from_args(args):
     """The norm of --norm and --weights; weights with another norm than
     wl2 are rejected by norm_from_name before they are parsed."""
-    weights = getattr(args, "weights", None)  # ergodicity has no --weights
+    weights = args.weights
     if args.norm == "wl2":
         if not weights:
             raise io.InputError("--norm wl2 requires --weights")
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contractivity", help="coefficient under a chosen norm")
     p.add_argument("matrix")
-    p.add_argument("--norm", choices=["linf", "l2", "l1", "wl2"], default="linf")
+    p.add_argument("--norm", choices=KINDS, default="linf")
     p.add_argument("--weights", help="weight vector: file path or comma-separated list")
     p.add_argument("--samples", type=int, default=0,
                    help="also compute a sampled lower bound with this many samples")
@@ -478,20 +478,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product", help="coefficient of a matrix product vs the factor bound")
     p.add_argument("sequence", help="sequence spec file")
-    p.add_argument("--norm", choices=["linf", "l2", "wl2"], default="linf")
+    p.add_argument("--norm", choices=KINDS, default="linf")
     p.add_argument("--weights")
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("ergodicity", help="finite-horizon weak-ergodicity diagnostic")
     p.add_argument("sequence")
-    p.add_argument("--norm", choices=["linf", "l2"], default="linf")
+    p.add_argument("--norm", choices=KINDS, default="linf")
+    p.add_argument("--weights")
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--block-len", type=int, default=None)
     p.set_defaults(func=cmd_ergodicity)
 
     p = sub.add_parser("simulate", help="run a coupled map lattice from a config file")
     p.add_argument("config")
-    p.add_argument("--norm", choices=["linf", "l2", "l1", "wl2"], default="linf")
+    p.add_argument("--norm", choices=KINDS, default="linf")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--sync-tol", type=float, default=DEFAULT_SYNC_TOL)
     p.add_argument("--csv", help="also write a (k, d, bound) CSV")

@@ -11,11 +11,11 @@ basis of e-perp, bounds c(A) from above; its w = e case is the paper's
 Euclidean ||A K||_2, equal to c(A) when the column sums are also
 constant.  As K K^T = I - J/n, one routine computes both with no basis:
 the spectral norm of W^(1/2) A W^(-1) less its row means.
-``contractivity(A, norm)`` is the one dispatch from a norm to its
-formula; spectral norms come from the LAPACK SVD through numpy, so a
+``contractivity(A, norm)`` holds every norm's formula and validates A
+once; spectral norms come from the LAPACK SVD through numpy, so a
 non-converging SVD surfaces as np.linalg.LinAlgError.
 
-Also provides Monte Carlo / exhaustive sampling oracles, the spectral
+Also provides the Monte Carlo sampled lower bound, the spectral
 paracontractivity check, and the affine stochastic decomposition of
 set-nonexpansive maps.
 """
@@ -35,7 +35,7 @@ from .matcore import (
     mu,
     row_sum_profile,
 )
-from .projections import LINF, L1, L2, Norm, linf, project, project_columns, weighted_l2
+from .projections import LINF, L1, L2, Norm, l2, linf, project, project_columns
 
 _EXACT_TOL = 1e-12
 _SAMPLE_CHUNK = 20000  # columns per batch in empirical_contractivity
@@ -73,24 +73,6 @@ class AffineDecomposition:
     xstar: np.ndarray  # constant vector in the diagonal span
 
 
-def basis_K(n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of e, as the
-    columns of a read-only n x (n-1) array.
-
-    Built from the Householder reflector mapping e/sqrt(n) to the first
-    standard basis vector; columns 2..n of the reflector span e-perp.
-    The coefficients need none; it is their independent reference.
-    """
-    if n < 2:
-        raise ValueError("basis requires n >= 2")
-    u = np.full(n, 1.0 / np.sqrt(n))
-    v = u - np.eye(n)[0]
-    H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-    K = H[:, 1:].copy()
-    K.setflags(write=False)
-    return K
-
-
 def spectral_norm_2(M) -> float:
     """Largest singular value of a rectangular matrix, from the LAPACK SVD
     behind ``np.linalg.norm(M, 2)``.
@@ -104,13 +86,6 @@ def spectral_norm_2(M) -> float:
     if not np.all(np.isfinite(M)):
         raise ValueError("entries must be finite")
     return float(np.linalg.norm(M, 2))
-
-
-def _require_constant_row_sum(A: Matrix, row_sum_tol: float) -> float:
-    profile = row_sum_profile(A, row_sum_tol)
-    if not profile.is_constant:
-        raise RowSumError("matrix does not have constant row sums")
-    return profile.r
 
 
 def _report(norm: Norm, c: float, method: str, bound_only: bool = False) -> ContractivityReport:
@@ -137,52 +112,40 @@ def _linf_report(r: float, mu_value: float) -> ContractivityReport:
     return _report(linf(), r - mu_value, "closed_form_linf")
 
 
-def contractivity_linf(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
-    """Exact c(A) = r - mu(A) under the max norm (constant row sums only)."""
+def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
+    """c(A) under norm, from that norm's formula in the module docstring;
+    A is validated and its row sums checked once.  linf and l1 are exact,
+    l2 is exact when the column sums are also constant within row_sum_tol,
+    and wl2 is always an upper bound: below 1 it proves set-contractivity,
+    at 1 or above it proves nothing.  Raises RowSumError without constant
+    row sums."""
     A = as_matrix(A)
-    r = _require_constant_row_sum(A, row_sum_tol)
-    return _linf_report(r, mu(A))
-
-
-def contractivity_l2(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
-    """||A K||_2 under the Euclidean norm: an upper bound on
-    c(A) = sup d(Ax, X*) / d(x, X*), equal to it when the column sums are
-    also constant within row_sum_tol; otherwise the report is bound-only."""
-    A = as_matrix(A)
-    _require_constant_row_sum(A, row_sum_tol)
-    col_sums = A.a.sum(axis=0)
-    exact = np.abs(col_sums - col_sums.mean()).max() <= row_sum_tol
-    return _report(Norm(L2), _spectral_coefficient(A, np.ones(A.n)), "spectral_l2",
-                   bound_only=not exact)
-
-
-def contractivity_weighted_bound(A, w,
-                                 row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
-    """Upper bound ||W^(1/2) A W^(-1) K||_2 on c(A) under the w-weighted norm.
-
-    Only an upper bound: the set-contractive verdict is asserted when the
-    bound is < 1, but a bound >= 1 proves nothing.
-    """
-    A = as_matrix(A)
-    _require_constant_row_sum(A, row_sum_tol)
-    norm = weighted_l2(w)  # validates positivity, renormalizes max(w) = 1
+    profile = row_sum_profile(A, row_sum_tol)
+    if not profile.is_constant:
+        raise RowSumError("matrix does not have constant row sums")
+    if norm.kind == LINF:
+        return _linf_report(profile.r, mu(A))
+    if norm.kind == L1:
+        return _report(norm, project_columns(A.a, norm)[1].max(), "closed_form_l1")
+    if norm.kind == L2:
+        col_sums = A.a.sum(axis=0)
+        exact = np.abs(col_sums - col_sums.mean()).max() <= row_sum_tol
+        return _report(norm, _spectral_coefficient(A, np.ones(A.n)), "spectral_l2",
+                       bound_only=not exact)
     if norm.weights.size != A.n:
         raise ValueError("weight vector length must equal matrix dimension")
     return _report(norm, _spectral_coefficient(A, norm.weights), "weighted_bound",
                    bound_only=True)
 
 
-def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
-    """Dispatch to the closed form / bound for the given norm."""
-    if norm.kind == LINF:
-        return contractivity_linf(A, row_sum_tol)
-    if norm.kind == L2:
-        return contractivity_l2(A, row_sum_tol)
-    if norm.kind == L1:
-        A = as_matrix(A)
-        _require_constant_row_sum(A, row_sum_tol)
-        return _report(norm, project_columns(A.a, norm)[1].max(), "closed_form_l1")
-    return contractivity_weighted_bound(A, norm.weights, row_sum_tol)
+def contractivity_linf(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
+    """contractivity(A, linf(), row_sum_tol)."""
+    return contractivity(A, linf(), row_sum_tol)
+
+
+def contractivity_l2(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
+    """contractivity(A, l2(), row_sum_tol)."""
+    return contractivity(A, l2(), row_sum_tol)
 
 
 def coefficients(matrices, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> list:
@@ -226,26 +189,6 @@ def empirical_contractivity(A, norm: Norm, samples: int = 10000,
     return best
 
 
-def exhaustive_binary_contractivity(A, norm: Norm | None = None) -> float:
-    """Max of d(Ax, X*) / d(x, X*) over all binary vectors x in {0,1}^n
-    excluding 0 and e.
-
-    Under the max norm this restricted maximum attains the exact
-    coefficient r - mu(A) for constant row sum matrices.
-    """
-    A = as_matrix(A)
-    if norm is None:
-        norm = linf()
-    n = A.n
-    if n < 2:
-        return 0.0
-    codes = np.arange(1, 2 ** n - 1)
-    X = ((codes[None, :] >> np.arange(n)[:, None]) & 1).astype(float)
-    _, din = project_columns(X, norm)
-    _, dout = project_columns(A.a @ X, norm)
-    return float((dout / din).max())
-
-
 def is_paracontractive_l2(B) -> bool:
     """Spectral test of the paracontracting property under the Euclidean
     norm: ||Bx|| < ||x|| exactly for the non-fixed points x.
@@ -287,7 +230,7 @@ def decompose_affine(A, x, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> AffineDe
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != A.n or not np.all(np.isfinite(x)):
         raise ValueError("x must be a finite vector matching the matrix dimension")
-    rep = contractivity_linf(A, row_sum_tol)
+    rep = contractivity(A, linf(), row_sum_tol)
     if not rep.is_set_nonexpansive:
         raise ValueError("matrix is not set-nonexpansive under the max norm")
     n = A.n

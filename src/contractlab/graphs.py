@@ -18,25 +18,11 @@ import numpy as np
 from .matcore import as_matrix
 
 
-def _read_only(adj: np.ndarray) -> np.ndarray:
-    adj.setflags(write=False)
-    return adj
-
-
-def digraph_from_edges(n: int, pairs) -> np.ndarray:
-    """Adjacency on vertices 0..n-1 with edge i -> j for each pair (i, j)."""
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    bad = pairs[(pairs < 0) | (pairs >= n)]
-    if bad.size:
-        raise ValueError(f"vertex index {bad[0]} out of range")
-    adj = np.zeros((n, n), dtype=bool)
-    adj[pairs[:, 0], pairs[:, 1]] = True
-    return _read_only(adj)
-
-
 def interaction_digraph(A) -> np.ndarray:
     """Read-only C-contiguous adjacency with edge i -> j iff |A[j, i]| > zero_tol."""
-    return _read_only(np.ascontiguousarray(as_matrix(A).nonzero_pattern().T))
+    G = np.ascontiguousarray(as_matrix(A).nonzero_pattern().T)
+    G.setflags(write=False)
+    return G
 
 
 def _adjacency(G) -> np.ndarray:

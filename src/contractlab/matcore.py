@@ -108,7 +108,7 @@ def _row_pairs(a: np.ndarray, f) -> np.ndarray:
     return out
 
 
-# The elementwise terms of mu, delta and delta_halfsum, written over x.
+# The elementwise terms of mu and delta, written over x.
 def _minimum(x, y):
     np.minimum(x, y, out=x)
 
@@ -116,11 +116,6 @@ def _minimum(x, y):
 def _positive_part_of_difference(x, y):
     np.subtract(x, y, out=x)
     np.maximum(0.0, x, out=x)
-
-
-def _abs_difference(x, y):
-    np.subtract(x, y, out=x)
-    np.abs(x, out=x)
 
 
 def mu(A) -> float:
@@ -146,15 +141,6 @@ def _delta(a: np.ndarray) -> float:
     """delta of a finite square float64 array, taken as it is: no copy and
     no validation, for callers whose arrays are finite by construction."""
     return float(_row_pairs(a, _positive_part_of_difference).max())
-
-
-def delta_halfsum(A) -> float:
-    """Equivalent form (1/2) max_{i,j} sum_k |A[i,k] - A[j,k]|.
-
-    Equals delta(A) when A has constant row sums; used as a cross-check.
-    """
-    A = as_matrix(A)
-    return float(0.5 * _row_pairs(A.a, _abs_difference).max())
 
 
 def is_scrambling(A) -> bool:
@@ -193,8 +179,3 @@ def row_sum_profile(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> RowSumProfil
     constant = bool(np.abs(sums - r).max() <= row_sum_tol)
     return RowSumProfile(sums=sums, is_constant=constant, r=r if constant else None)
 
-
-def spread(x) -> float:
-    """max(x) - min(x), the quantity contracted by delta."""
-    x = np.asarray(x, dtype=float)
-    return float(x.max() - x.min())

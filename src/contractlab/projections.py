@@ -16,6 +16,7 @@ LINF = "linf"
 L2 = "l2"
 L1 = "l1"
 WL2 = "wl2"
+KINDS = (LINF, L2, L1, WL2)  # every norm kind, as --norm offers them
 
 
 class NormError(ValueError):
@@ -31,7 +32,7 @@ class Norm:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (LINF, L2, L1, WL2):
+        if self.kind not in KINDS:
             raise NormError(f"unknown norm kind {self.kind!r}")
         if self.kind == WL2:
             w = np.asarray(self.weights, dtype=float)
@@ -77,19 +78,6 @@ def norm_from_name(name: str, weights=None) -> Norm:
 class Projection:
     alpha: float
     distance: float
-
-
-def vector_norm(x, norm: Norm) -> float:
-    """The norm of x under the given selector."""
-    x = np.asarray(x, dtype=float)
-    if norm.kind == LINF:
-        return float(np.abs(x).max())
-    if norm.kind == L2:
-        return float(np.sqrt(np.sum(x * x)))
-    if norm.kind == L1:
-        return float(np.abs(x).sum())
-    w = _weights_for(norm, x.shape[-1])
-    return float(np.sqrt(np.sum(w * x * x)))
 
 
 def _weights_for(norm: Norm, n: int) -> np.ndarray:

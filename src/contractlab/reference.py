@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contractivity import (
-    contractivity_l2,
-    contractivity_linf,
-    contractivity_weighted_bound,
-    spectral_norm_2,
-)
+from .contractivity import contractivity, spectral_norm_2
 from .graphs import has_spanning_directed_tree, interaction_digraph
 from .matcore import Matrix, is_scrambling, mu
+from .projections import l2, linf, weighted_l2
 
 M0 = Matrix(np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]))
 A1 = Matrix(np.array([[1.1, 0.0, 0.0], [0.6, 0.5, 0.0], [0.6, 0.0, 0.5]]))
@@ -44,19 +40,19 @@ def run_reference_checks() -> list[dict]:
         row("spectral_norm(M0)", 1.088, spectral_norm_2(M0.a), 1e-3),
         row("mu(A1)", 0.6, mu(A1), 0.0),
         # 1.1 - 0.6 rounds to 0.5 + 1 ulp in binary floating point
-        row("c_linf(A1)", 0.5, contractivity_linf(A1).c, 5e-16),
-        row("c_l2(A2)", 1.000, contractivity_l2(A2).c, 1e-6),
+        row("c_linf(A1)", 0.5, contractivity(A1, linf()).c, 5e-16),
+        row("c_l2(A2)", 1.000, contractivity(A2, l2()).c, 1e-6),
         row("spanning_tree(A2)", False,
             has_spanning_directed_tree(interaction_digraph(A2))[0], 0.0),
-        row("c_l2(A3)", 0.939, contractivity_l2(A3).c, 1e-3),
+        row("c_l2(A3)", 0.939, contractivity(A3, l2()).c, 1e-3),
         row("scrambling(A3)", False, is_scrambling(A3), 0.0),
-        row("c_l2(A4)", 1.125, contractivity_l2(A4).c, 1e-3),
+        row("c_l2(A4)", 1.125, contractivity(A4, l2()).c, 1e-3),
         row("scrambling(A4)", True, is_scrambling(A4), 0.0),
         row("spanning_tree(A4)", True,
             has_spanning_directed_tree(interaction_digraph(A4))[0], 0.0),
         row("weighted_bound(A4) < 1", True,
-            contractivity_weighted_bound(A4, W4).c < 1.0, 0.0),
-        row("c_l2(A5)", 0.939, contractivity_l2(A5).c, 1e-3),
+            contractivity(A4, weighted_l2(W4)).c < 1.0, 0.0),
+        row("c_l2(A5)", 0.939, contractivity(A5, l2()).c, 1e-3),
         row("scrambling(A5)", False, is_scrambling(A5), 0.0),
     ]
     return rows

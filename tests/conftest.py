@@ -41,24 +41,69 @@ def random_doubly_constant(n, rng, r=None):
 
 
 def counting_coefficient(monkeypatch):
-    """Wrap the coefficient routines where the package's submodules bind
-    them: the dispatch contractivity everywhere, and the per-norm formulas
-    outside the contractivity module, where the dispatch reaches them.
-    Return the list of their matrix arguments, one entry per coefficient
-    computed.  Calls through the package namespace are not counted."""
+    """Wrap the dispatch contractivity, which computes every coefficient,
+    where the package's submodules bind it.  Return the list of its matrix
+    arguments, one entry per coefficient computed.  Calls through the
+    package namespace are not counted."""
     calls = []
-    module = importlib.import_module("contractlab.contractivity")
-    submodules = [m for key, m in sys.modules.items() if key.startswith("contractlab.")]
-    for name in ("contractivity", "contractivity_linf", "contractivity_l2",
-                 "contractivity_weighted_bound"):
-        original = getattr(module, name)
+    original = importlib.import_module("contractlab.contractivity").contractivity
 
-        def counting(A, *args, _original=original, **kwargs):
-            calls.append(A)
-            return _original(A, *args, **kwargs)
+    def counting(A, *args, **kwargs):
+        calls.append(A)
+        return original(A, *args, **kwargs)
 
-        for mod in submodules:
-            if name == "contractivity" or mod is not module:
-                for attr in [k for k, v in vars(mod).items() if v is original]:
-                    monkeypatch.setattr(mod, attr, counting)
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("contractlab."):
+            for attr in [k for k, v in vars(mod).items() if v is original]:
+                monkeypatch.setattr(mod, attr, counting)
     return calls
+
+
+# Oracles for the tests, written with plain numpy and sharing no code with
+# the package: each reaches its value another way than the library does.
+
+def _array(A) -> np.ndarray:
+    return np.asarray(getattr(A, "a", A), dtype=float)
+
+
+def basis_K(n):
+    """Orthonormal basis of e-perp as the columns of an n x (n-1) array:
+    the right singular vectors of the all-ones row past the first."""
+    return np.linalg.svd(np.ones((1, n)))[2][1:].T
+
+
+def binary_contractivity(A, kind="linf"):
+    """max of d(Ax, X*) / d(x, X*) over the binary x other than 0 and e,
+    one x per row; d is ptp(x) / 2 under linf and sum |x - median(x)|
+    under l1.  0 for n = 1, which has no such x."""
+    a = _array(A)
+    n = a.shape[0]
+    X = (np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1
+
+    def dist(V):
+        if kind == "linf":
+            return np.ptp(V, axis=1) / 2
+        return np.abs(V - np.median(V, axis=1, keepdims=True)).sum(axis=1)
+
+    return float(np.max(dist(X @ a.T) / dist(X), initial=0.0))
+
+
+def delta_halfsum(A):
+    """(1/2) max over row pairs of the l1 distance between the rows, from
+    the full n x n x n broadcast: delta(A) for constant row sums."""
+    a = _array(A)
+    return float(np.abs(a[:, None, :] - a[None, :, :]).sum(axis=2).max() / 2)
+
+
+def norm_of(x, norm):
+    """The norm of x under a Norm selector, from np.linalg.norm."""
+    if norm.kind == "wl2":
+        return float(np.linalg.norm(np.sqrt(norm.weights) * x))
+    return float(np.linalg.norm(x, {"linf": np.inf, "l2": 2, "l1": 1}[norm.kind]))
+
+
+def adjacency(n, pairs):
+    """n x n bool adjacency with edge i -> j for each pair (i, j)."""
+    G = np.zeros((n, n), dtype=bool)
+    G[tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)] = True
+    return G

@@ -4,15 +4,12 @@ import pytest
 from contractlab import (
     Matrix,
     MatrixSequence,
-    basis_K,
     contractivity,
     contractivity_l2,
     contractivity_linf,
-    contractivity_weighted_bound,
     decompose_affine,
     delta,
     empirical_contractivity,
-    exhaustive_binary_contractivity,
     is_paracontractive_l2,
     is_pseudocontractive_stochastic_linf,
     is_scrambling,
@@ -26,17 +23,13 @@ from contractlab.projections import project_columns
 from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5, M0, W4
 
-from conftest import random_doubly_constant, random_nonneg_row_sum, random_stochastic
-
-
-def test_basis_K_invariants():
-    for n in (2, 3, 5, 11):
-        K = basis_K(n)
-        assert np.abs(K.T @ K - np.eye(n - 1)).max() < 1e-12
-        assert np.abs(np.ones(n) @ K).max() < 1e-12
-        assert spectral_norm_2(K) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        basis_K(1)
+from conftest import (
+    basis_K,
+    binary_contractivity,
+    random_doubly_constant,
+    random_nonneg_row_sum,
+    random_stochastic,
+)
 
 
 def test_spectral_norm_examples():
@@ -78,7 +71,7 @@ def test_l2_is_weighted_bound_at_unit_weights():
         a = rng.standard_normal((n, n))
         mats.append(Matrix(a - a.mean(axis=1, keepdims=True) + rng.uniform(-1.0, 2.0)))
     for A in mats:
-        assert contractivity_l2(A).c == contractivity_weighted_bound(A, np.ones(A.n)).c
+        assert contractivity_l2(A).c == contractivity(A, weighted_l2(np.ones(A.n))).c
 
 
 def test_contractivity_l2_examples():
@@ -99,30 +92,30 @@ def test_l2_bound_only_unless_column_sums_constant():
 
 
 def test_weighted_bound_examples():
-    rep = contractivity_weighted_bound(A4, W4)
+    rep = contractivity(A4, weighted_l2(W4))
     assert rep.is_bound_only and rep.c < 1.0
     rng = np.random.default_rng(21)
     for _ in range(50):
         A = random_stochastic(int(rng.integers(2, 7)), rng)
-        uniform = contractivity_weighted_bound(A, np.ones(A.n))
+        uniform = contractivity(A, weighted_l2(np.ones(A.n)))
         assert uniform.c == pytest.approx(contractivity_l2(A).c, abs=1e-10)
 
 
 def test_weighted_bound_validation():
     with pytest.raises(Exception):
-        contractivity_weighted_bound(A4, [1.0, -1.0, 1.0])
+        contractivity(A4, weighted_l2([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
-        contractivity_weighted_bound(A4, [1.0, 1.0])
+        contractivity(A4, weighted_l2([1.0, 1.0]))
 
 
 def test_binary_oracle_matches_linf_closed_form():
-    assert exhaustive_binary_contractivity(A1) == pytest.approx(
+    assert binary_contractivity(A1) == pytest.approx(
         contractivity_linf(A1).c, abs=1e-12)
     rng = np.random.default_rng(22)
     for _ in range(200):
         A = random_nonneg_row_sum(int(rng.integers(2, 9)), rng,
                                   density=float(rng.uniform(0.4, 1.0)))
-        assert exhaustive_binary_contractivity(A) == pytest.approx(
+        assert binary_contractivity(A) == pytest.approx(
             contractivity_linf(A).c, abs=1e-12)
 
 
@@ -147,7 +140,7 @@ def test_l1_closed_form_matches_binary_oracle():
         A = random_constant_row_sum(i % 10 + 1, rng)
         rep = contractivity(A, l1())
         assert rep.method == "closed_form_l1" and not rep.is_bound_only
-        gap = abs(rep.c - exhaustive_binary_contractivity(A, l1()))
+        gap = abs(rep.c - binary_contractivity(A, "l1"))
         assert gap <= 1e-14 * max(1.0, rep.c)
 
 
@@ -222,7 +215,7 @@ def test_weighted_empirical_below_bound():
         n = int(rng.integers(2, 6))
         A = random_stochastic(n, rng)
         w = rng.random(n) + 0.1
-        bound = contractivity_weighted_bound(A, w).c
+        bound = contractivity(A, weighted_l2(w)).c
         emp = empirical_contractivity(A, weighted_l2(w), 5000, seed=i)
         assert emp <= bound + 1e-10
 
@@ -371,7 +364,7 @@ def test_l2_coefficient_invariant_under_basis_rotation():
             else:
                 A = random_nonneg_row_sum(n, rng, density=float(rng.uniform(0.4, 1.0)))
             w = weighted_l2(rng.uniform(0.05, 1.0, n)).weights
-            c_l2, c_wl2 = contractivity_l2(A).c, contractivity_weighted_bound(A, w).c
+            c_l2, c_wl2 = contractivity_l2(A).c, contractivity(A, weighted_l2(w)).c
             if n == 1:
                 assert c_l2 == c_wl2 == 0.0
                 continue

@@ -159,14 +159,13 @@ def test_each_command_loads_what_it_runs(tmp_path, argv, loads):
 # every name the package re-exported when it imported all of its modules
 EXPORTS = {
     "matcore": ["Matrix", "RowSumProfile", "as_matrix", "delta", "is_scrambling",
-                "is_stochastic", "mu", "row_sum_profile", "spread"],
+                "is_stochastic", "mu", "row_sum_profile"],
     "graphs": ["has_spanning_directed_tree", "interaction_digraph", "is_irreducible"],
     "projections": ["Norm", "Projection", "distance_to_diagonal", "l1", "l2", "linf",
                     "project", "weighted_l2"],
     "contractivity": [
-        "AffineDecomposition", "ContractivityReport", "basis_K", "contractivity",
-        "contractivity_l2", "contractivity_linf", "contractivity_weighted_bound",
-        "decompose_affine", "empirical_contractivity", "exhaustive_binary_contractivity",
+        "AffineDecomposition", "ContractivityReport", "contractivity", "contractivity_l2",
+        "contractivity_linf", "decompose_affine", "empirical_contractivity",
         "is_paracontractive_l2", "is_pseudocontractive_stochastic_linf", "spectral_norm_2"],
     "products": [
         "ErgodicityReport", "MatrixSequence", "check_convergence_condition",

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import logging
@@ -15,15 +16,16 @@ import pytest
 import contractlab
 from contractlab import (
     MatrixSequence,
+    Norm,
     cli,
     contractivity_l2,
     contractivity_linf,
-    l2,
     make_map,
     mu,
     product,
     product_contractivity_bound,
     simulate,
+    weak_ergodicity_diagnostic,
 )
 from contractlab.io import (
     InputError,
@@ -34,6 +36,7 @@ from contractlab.io import (
     parse_weights,
 )
 from contractlab.cml import DEFAULT_SYNC_TOL
+from contractlab.projections import NormError
 from contractlab.matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL
 from contractlab.reference import A1, A4, MATRICES, W4
 
@@ -688,11 +691,12 @@ def test_cli_product_generator_exits_2(tmp_path, capsys):
     assert code == 2 and "finite" in err
 
 
-def test_cli_ergodicity_rejects_weights(tmp_path):
+def test_cli_ergodicity_rejects_weights(tmp_path, capsys):
+    # --weights is for --norm wl2 alone, as in contractivity and product
     spec = repeated_sequence(tmp_path, A4, "a4")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ergodicity", spec, "--weights", "1,2,3"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "ergodicity", spec, "--weights", "1,2,3")
+    assert (code, out) == (2, "")
+    assert err == "error: weights apply only to the wl2 norm\n"
 
 
 def test_cli_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -709,18 +713,64 @@ def test_cli_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in err and "SVD did not converge" in err
 
 
+# each norm's --norm arguments, and the Norm they select
+NORM_ARGS = {
+    "linf": ([], Norm("linf")),
+    "l2": ([], Norm("l2")),
+    "l1": ([], Norm("l1")),
+    "wl2": (["--weights", "1,0.5,1"], Norm("wl2", np.array([1.0, 0.5, 1.0]))),
+}
+
+
 def test_cli_product_matches_library_bound(tmp_path, capsys):
     a4_json(tmp_path)
     write(tmp_path, "mix.json", json.dumps({"rows": (0.5 * A4.a + 0.5 * np.eye(3)).tolist()}))
     spec = write(tmp_path, "seq.json", json.dumps(
         {"matrices": ["a4.json", "mix.json", "a4.json"]}))
-    c_exact, c_bound = product_contractivity_bound(load_sequence(spec), l2())
-    code, out, _ = run_cli(capsys, "product", spec, "--norm", "l2")
-    assert code == 0
+    for kind, (flags, norm) in NORM_ARGS.items():
+        c_exact, c_bound = product_contractivity_bound(load_sequence(spec), norm)
+        code, out, _ = run_cli(capsys, "product", spec, "--norm", kind, *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["norm"] == kind
+        assert doc["c_exact"] == float(f"{c_exact:.12g}")
+        assert doc["c_bound"] == float(f"{c_bound:.12g}")
+        assert doc["c_bound"] == doc["running_products"][-1]
+
+
+@pytest.mark.parametrize("kind", sorted(NORM_ARGS))
+def test_cli_ergodicity_every_norm_reports_library_series(tmp_path, capsys, kind):
+    # B = 0.05 J + 0.85 I and M = 0.8 J/3 + 0.2 I in turn: every block
+    # product is set-nonexpansive under each norm of NORM_ARGS
+    write(tmp_path, "b.json", json.dumps({"rows": (0.05 + 0.85 * np.eye(3)).tolist()}))
+    write(tmp_path, "m.json", json.dumps({"rows": (0.8 / 3 + 0.2 * np.eye(3)).tolist()}))
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["b.json", "m.json"],
+                                                   "repeat": 15}))
+    flags, norm = NORM_ARGS[kind]
+    code, out, err = run_cli(capsys, "ergodicity", spec, "--norm", kind, *flags,
+                             "--horizon", "30")
+    assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["c_exact"] == float(f"{c_exact:.12g}")
-    assert doc["c_bound"] == float(f"{c_bound:.12g}")
-    assert doc["c_bound"] == doc["running_products"][-1]
+    report = weak_ergodicity_diagnostic(load_sequence(spec), horizon=30, norm=norm)
+    assert doc["norm"] == kind and doc["verdict"] == report.verdict
+    for name in ("delta_of_partial_products", "block_mu_c_partial_sums"):
+        assert doc[name] == [float(f"{v:.12g}") for v in getattr(report, name)]
+    assert len(doc["block_mu_c_partial_sums"]) == 15
+
+
+def test_every_norm_option_offers_the_kinds_norm_accepts():
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    offered = {name: action.choices for name, p in subcommands.items()
+               for action in p._actions if "--norm" in action.option_strings}
+    assert sorted(offered) == ["contractivity", "ergodicity", "product", "simulate"]
+    assert all(list(choices) == ["linf", "l2", "l1", "wl2"] for choices in offered.values())
+    for kind in ["linf", "l2", "l1"]:
+        Norm(kind)
+    Norm("wl2", [1.0])
+    for kind in ["l3", "max", ""]:
+        with pytest.raises(NormError, match="unknown norm kind"):
+            Norm(kind)
 
 
 # product on {"matrices": [A4, B], "repeat": 50}: (c_exact, c_bound, per_item_c

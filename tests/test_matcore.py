@@ -11,12 +11,11 @@ from contractlab import (
     is_stochastic,
     mu,
     row_sum_profile,
-    spread,
 )
-from contractlab.matcore import MatrixError, delta_halfsum
+from contractlab.matcore import MatrixError
 from contractlab.reference import A1, A3, A4
 
-from conftest import random_nonneg_row_sum, random_stochastic
+from conftest import delta_halfsum, random_nonneg_row_sum, random_stochastic
 
 
 def test_matrix_validation():
@@ -107,7 +106,7 @@ def test_spread_contraction_random():
         n = int(rng.integers(2, 9))
         A = random_nonneg_row_sum(n, rng)
         x = rng.standard_normal(n) * 10
-        assert spread(A.a @ x) <= delta(A) * spread(x) + 1e-10
+        assert np.ptp(A.a @ x) <= delta(A) * np.ptp(x) + 1e-10
 
 
 def test_mu_positive_iff_scrambling():
@@ -142,7 +141,7 @@ def test_delta_equals_r_minus_mu_for_constant_row_sums():
 
 
 def assert_row_pair_functionals_match_direct_broadcast(a):
-    """mu, delta and delta_halfsum of a equal, bit for bit, the reductions
+    """mu and delta of a equal, bit for bit, the reductions
     of the full n x n x n broadcast; returns the scrambling flag, checked
     against the broadcast pattern."""
     n = a.shape[0]
@@ -151,7 +150,6 @@ def assert_row_pair_functionals_match_direct_broadcast(a):
     expected_mu = float(a.sum()) if n == 1 else float(np.minimum(x, y).sum(axis=2)[iu].min())
     assert mu(a) == expected_mu
     assert delta(a) == float(np.maximum(0.0, x - y).sum(axis=2).max())
-    assert delta_halfsum(a) == float(0.5 * np.abs(x - y).sum(axis=2).max())
     nz = np.abs(a) > 1e-12
     expected = bool((nz[:, None, :] & nz[None, :, :]).any(axis=2)[iu].all())
     assert is_scrambling(a) == expected

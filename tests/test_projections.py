@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from contractlab import Norm, distance_to_diagonal, l1, l2, linf, project, weighted_l2
-from contractlab.projections import NormError, norm_from_name, project_columns, vector_norm
+from contractlab.projections import NormError, norm_from_name, project_columns
+
+from conftest import norm_of
 
 NORMS = [linf(), l2(), l1(), weighted_l2([1.0, 0.3, 0.7])]
 
@@ -76,7 +78,7 @@ def test_projection_is_minimizer():
             p = project(x, norm)
             betas = p.alpha + rng.standard_normal(100)
             for beta in betas:
-                assert p.distance <= vector_norm(x - beta, norm) + 1e-12
+                assert p.distance <= norm_of(x - beta, norm) + 1e-12
 
 
 def test_l1_even_n_tie_interval():
@@ -88,7 +90,7 @@ def test_l1_even_n_tie_interval():
         p = project(x, l1())
         assert p.alpha == xs[n // 2 - 1]
         for aprime in np.linspace(xs[n // 2 - 1], xs[n // 2], 7):
-            assert vector_norm(x - aprime, l1()) == pytest.approx(p.distance, abs=1e-10)
+            assert norm_of(x - aprime, l1()) == pytest.approx(p.distance, abs=1e-10)
 
 
 def test_translation_covariance_and_homogeneity():
