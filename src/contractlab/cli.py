@@ -148,10 +148,10 @@ def _classification(rep) -> str:
 
 def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
     """The analyze report of one input; its log lines go through note."""
-    A = io.load_matrix(path, zero_tol)
+    A = io.load_matrix(path)
     note("loaded matrix %s: n = %d", path, A.n)
     profile = row_sum_profile(A, row_sum_tol)
-    G = interaction_digraph(A)
+    G = interaction_digraph(A, zero_tol)
     tree, root = has_spanning_directed_tree(G)
     m = mu(A)
     report = {
@@ -161,7 +161,7 @@ def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
         "constant_row_sum": profile.is_constant,
         "r": profile.r,
         "stochastic": is_stochastic(A, row_sum_tol),
-        "scrambling": is_scrambling(A),
+        "scrambling": is_scrambling(A, zero_tol),
         "mu": m,
         "delta": delta(A),
         "spanning_tree": tree,
@@ -241,7 +241,7 @@ def cmd_analyze(args) -> int:
 def cmd_contractivity(args) -> int:
     if args.samples < 0:
         raise io.InputError(f"--samples must be >= 0, got {args.samples}")
-    A = io.load_matrix(args.matrix, args.zero_tol)
+    A = io.load_matrix(args.matrix)
     log.info("loaded matrix %s: n = %d", args.matrix, A.n)
     norm = _norm_from_args(args)
     rep = contractivity(A, norm, args.row_sum_tol)
@@ -258,7 +258,7 @@ def cmd_contractivity(args) -> int:
 def cmd_product(args) -> int:
     from . import products
 
-    seq = io.load_sequence(args.sequence, args.zero_tol)
+    seq = io.load_sequence(args.sequence)
     if seq.items is None:
         raise io.InputError(f"{args.sequence}: product needs a finite list of matrices")
     _log_sequence(args.sequence, seq)
@@ -278,7 +278,7 @@ def cmd_product(args) -> int:
         "per_item_c": c_values,
         "running_products": conv["running_products"],
         "product_numerically_zero": conv["converges_to_zero_over_horizon"],
-        "product_scrambling": is_scrambling(full),
+        "product_scrambling": is_scrambling(full, args.zero_tol),
     }
     _emit(doc, args)
     return 0
@@ -287,7 +287,7 @@ def cmd_product(args) -> int:
 def cmd_ergodicity(args) -> int:
     from . import products
 
-    seq = io.load_sequence(args.sequence, args.zero_tol)
+    seq = io.load_sequence(args.sequence)
     _log_sequence(args.sequence, seq)
     norm = _norm_from_args(args)
     report = products.weak_ergodicity_diagnostic(
@@ -368,9 +368,9 @@ def cmd_simulate(args) -> int:
         if steps < 1:
             raise io.InputError(f"{args.config}: steps must be >= 1, got {steps}")
         if "sequence" in config:
-            seq = io.load_sequence(base / config["sequence"], args.zero_tol)
+            seq = io.load_sequence(base / config["sequence"])
         elif "matrix" in config:
-            A = io.load_matrix(base / config["matrix"], args.zero_tol)
+            A = io.load_matrix(base / config["matrix"])
             seq = products.MatrixSequence(items=[A] * steps)
         else:
             raise io.InputError(f"{args.config}: field 'matrix' or 'sequence' required")
@@ -419,7 +419,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    A = io.load_matrix(args.matrix, args.zero_tol)
+    A = io.load_matrix(args.matrix)
     x = io.load_vector(args.vector)
     log.info("loaded matrix %s: n = %d, vector %s: n = %d",
              args.matrix, A.n, args.vector, x.size)
@@ -430,7 +430,7 @@ def cmd_decompose(args) -> int:
         "input": str(args.matrix),
         "B": dec.B.a,
         "xstar": dec.xstar,
-        "B_scrambling": is_scrambling(dec.B),
+        "B_scrambling": is_scrambling(dec.B, args.zero_tol),
         "B_stochastic": is_stochastic(dec.B),
         "residual_linf": residual,
     }

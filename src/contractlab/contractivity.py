@@ -242,10 +242,10 @@ def decompose_affine(A, x, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> AffineDe
     if x[hi] - x[lo] <= 1e-14:
         B = np.full((n, n), 1.0 / n)
         xstar = ax - B @ x
-        return AffineDecomposition(B=Matrix(B, zero_tol=A.zero_tol), xstar=xstar)
+        return AffineDecomposition(B=Matrix(B), xstar=xstar)
     lam = (x[hi] - y) / (x[hi] - x[lo])
     lam = np.clip(lam, 0.0, 1.0)
     B = np.zeros((n, n))
     B[:, lo] = lam
     B[:, hi] += 1.0 - lam
-    return AffineDecomposition(B=Matrix(B, zero_tol=A.zero_tol), xstar=xstar)
+    return AffineDecomposition(B=Matrix(B), xstar=xstar)

@@ -2,8 +2,8 @@
 by the graph-based necessary condition for set-contractivity.
 
 The interaction digraph of A is the directed graph of A^T: edge i -> j is
-present iff A[j, i] is structurally nonzero, i.e. j's update depends on i
-and influence flows from i to j.
+present iff A[j, i] is structurally nonzero, |A[j, i]| > zero_tol, i.e.
+j's update depends on i and influence flows from i to j.
 
 A digraph on vertices 0..n-1 is its n x n bool adjacency array G,
 ``G[i, j]`` iff edge i -> j; ``np.argwhere(G)`` lists its edges.
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import as_matrix
+from .matcore import DEFAULT_ZERO_TOL, nonzero_pattern
 
 
-def interaction_digraph(A) -> np.ndarray:
+def interaction_digraph(A, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     """Read-only C-contiguous adjacency with edge i -> j iff |A[j, i]| > zero_tol."""
-    G = np.ascontiguousarray(as_matrix(A).nonzero_pattern().T)
+    G = np.ascontiguousarray(nonzero_pattern(A, zero_tol).T)
     G.setflags(write=False)
     return G
 

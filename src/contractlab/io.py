@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matcore import DEFAULT_ZERO_TOL, Matrix
+from .matcore import Matrix
 
 if TYPE_CHECKING:
     from .products import MatrixSequence
@@ -88,7 +88,7 @@ def load_object(path) -> dict:
     return doc
 
 
-def load_matrix(path, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
+def load_matrix(path) -> Matrix:
     path = Path(path)
     if path.suffix.lower() == ".json":
         doc = _read(path, as_json=True)
@@ -102,7 +102,7 @@ def load_matrix(path, zero_tol: float = DEFAULT_ZERO_TOL) -> Matrix:
     a = _finite_rows(rows, str(path), from_json=path.suffix.lower() == ".json")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{path}: expected a square matrix, got shape {a.shape}")
-    return Matrix(a, zero_tol=zero_tol)
+    return Matrix(a)
 
 
 def load_vector(path) -> np.ndarray:
@@ -150,7 +150,7 @@ def parse_weights(text: str) -> np.ndarray:
     return load_vector(text)
 
 
-def load_sequence(path, zero_tol: float = DEFAULT_ZERO_TOL) -> MatrixSequence:
+def load_sequence(path) -> MatrixSequence:
     """Sequence spec: {"matrices": [paths], "repeat": k} or
     {"generator": {"kind": ..., "n": ..., "seed": ..., "min_entry": ...}}.
     Relative matrix paths are resolved against the spec file."""
@@ -174,7 +174,7 @@ def load_sequence(path, zero_tol: float = DEFAULT_ZERO_TOL) -> MatrixSequence:
         raise InputError(f"{path}: {exc}") from exc
     if repeat < 1:
         raise InputError(f"{path}: repeat must be >= 1")
-    items = [load_matrix(path.parent / p, zero_tol) for p in matrices]
+    items = [load_matrix(path.parent / p) for p in matrices]
     if not items:
         raise InputError(f"{path}: empty matrix list")
     return MatrixSequence(items=items * repeat)

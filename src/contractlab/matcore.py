@@ -37,14 +37,9 @@ class MatrixError(ValueError):
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense real n x n matrix.
-
-    entries below ``zero_tol`` in magnitude are treated as structural
-    zeros by pattern predicates (scrambling, digraph edges).
-    """
+    """Immutable dense real n x n matrix: finite float64 entries."""
 
     a: np.ndarray
-    zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -52,8 +47,6 @@ class Matrix:
             raise MatrixError(f"expected square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise MatrixError("matrix entries must be finite")
-        if not self.zero_tol >= 0:  # NaN too
-            raise MatrixError(f"zero_tol must be nonnegative, got {self.zero_tol}")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -61,10 +54,6 @@ class Matrix:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    def nonzero_pattern(self) -> np.ndarray:
-        """Boolean mask of structurally nonzero entries."""
-        return np.abs(self.a) > self.zero_tol
 
 
 @dataclass(frozen=True)
@@ -143,13 +132,19 @@ def _delta(a: np.ndarray) -> float:
     return float(_row_pairs(a, _positive_part_of_difference).max())
 
 
-def is_scrambling(A) -> bool:
+def nonzero_pattern(A, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Boolean mask of the structurally nonzero entries: |A[i, j]| > zero_tol."""
+    if not zero_tol >= 0:  # NaN too
+        raise ValueError(f"zero_tol must be nonnegative, got {zero_tol}")
+    return np.abs(as_matrix(A).a) > zero_tol
+
+
+def is_scrambling(A, zero_tol: float = DEFAULT_ZERO_TOL) -> bool:
     """True iff every pair of rows shares a column where both entries are
-    structurally nonzero.  True for n = 1."""
-    A = as_matrix(A)
-    if A.n == 1:
+    structurally nonzero, i.e. above zero_tol in magnitude.  True for n = 1."""
+    p = nonzero_pattern(A, zero_tol).astype(float)
+    if p.shape[0] == 1:
         return True
-    p = A.nonzero_pattern().astype(float)
     # (p @ p.T)[i, j] counts the columns rows i and j share, exactly in
     # float64.  A diagonal entry is zero only for an all-zero row, which
     # shares no column with any row, so the minimum is positive iff every

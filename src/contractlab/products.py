@@ -19,7 +19,8 @@ import numpy as np
 
 from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .matcore import Matrix, _delta, as_matrix, is_scrambling, is_stochastic, mu
+from .matcore import (DEFAULT_ZERO_TOL, Matrix, _delta, as_matrix, is_scrambling,
+                      is_stochastic, mu, nonzero_pattern)
 from .projections import Norm, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
@@ -163,24 +164,24 @@ class MatrixSequence:
 
 
 def _partial_products(factors):
-    """Each growing product F_k ... F_0 over the factors, with F_k's zero_tol.
+    """Each growing product F_k ... F_0 over the factors, as an array.
     The first is F_0's read-only array.  Each factor is dropped before the
     next is fetched, so a generated item is not kept alive while the next
     is made."""
     acc = None
     for factor in factors:
-        acc, zero_tol = (factor.a if acc is None else factor.a @ acc), factor.zero_tol
+        acc = factor.a if acc is None else factor.a @ acc
         del factor
-        yield acc, zero_tol
+        yield acc
 
 
 def _full_product(factors) -> Matrix:
-    """F_last ... F_0 at F_last's zero_tol; the partial products are not kept."""
-    return Matrix(*deque(_partial_products(factors), maxlen=1).pop())
+    """F_last ... F_0; the partial products are not kept."""
+    return Matrix(deque(_partial_products(factors), maxlen=1).pop())
 
 
 def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
-    """A_to ... A_frm, mapping x(frm) to x(to + 1), at the factors' zero_tol."""
+    """A_to ... A_frm, mapping x(frm) to x(to + 1)."""
     if frm < 0 or to < frm:
         raise IndexError(f"invalid index range [{frm}, {to}]")
     if seq.items is not None and to >= len(seq.items):
@@ -246,9 +247,9 @@ def scrambling_product_theorem_check(seq: MatrixSequence, epsilon: float,
         a = m.a
         if np.any(a < -HYPOTHESIS_TOL):
             failures.append((k, "negative entry"))
-        if np.any(np.diag(a) <= m.zero_tol):
+        if np.any(np.diag(a) <= DEFAULT_ZERO_TOL):
             failures.append((k, "nonpositive diagonal"))
-        nz = m.nonzero_pattern()
+        nz = nonzero_pattern(m)
         if np.any(a[nz] < epsilon - HYPOTHESIS_TOL):
             failures.append((k, "nonzero entry below epsilon"))
         if np.any(a.sum(axis=1) > r + HYPOTHESIS_TOL):
@@ -355,7 +356,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     anchors = sorted({0, horizon // 3, (2 * horizon) // 3} - {horizon})
     # a product of validated stochastic factors is finite
     delta_by_anchor = {
-        r: np.array([_delta(acc) for acc, _ in
+        r: np.array([_delta(acc) for acc in
                      _partial_products(seq[k] for k in range(r, horizon))])
         for r in anchors}
     nonincrease_ok = not any(np.any(np.diff(series) > 1e-10)

@@ -7,12 +7,13 @@ from contractlab import (
     Matrix,
     MatrixSequence,
     delta,
+    interaction_digraph,
     is_scrambling,
     is_stochastic,
     mu,
     row_sum_profile,
 )
-from contractlab.matcore import MatrixError
+from contractlab.matcore import MatrixError, nonzero_pattern
 from contractlab.reference import A1, A3, A4
 
 from conftest import delta_halfsum, random_nonneg_row_sum, random_stochastic
@@ -23,9 +24,11 @@ def test_matrix_validation():
         Matrix(np.ones((2, 3)))
     with pytest.raises(MatrixError):
         Matrix(np.array([[np.nan]]))
+    # the structural-zero threshold is an argument of each pattern reader
     for zero_tol in (-1.0, np.nan):
-        with pytest.raises(MatrixError, match="zero_tol"):
-            Matrix(np.eye(2), zero_tol=zero_tol)
+        for reads_pattern in (nonzero_pattern, is_scrambling, interaction_digraph):
+            with pytest.raises(ValueError, match="zero_tol"):
+                reads_pattern(np.eye(2), zero_tol)
 
 
 @pytest.mark.parametrize("tol", [-1e-9, np.nan])
@@ -71,7 +74,8 @@ def test_scrambling_examples():
 def test_scrambling_respects_zero_tol():
     a = np.array([[1.0, 1e-15], [1e-15, 1.0]])
     assert not is_scrambling(Matrix(a))
-    assert is_scrambling(Matrix(a, zero_tol=1e-16))
+    assert is_scrambling(Matrix(a), zero_tol=1e-16)
+    assert is_scrambling(a, 1e-16) and not is_scrambling(a, 1e-12)
 
 
 def test_is_stochastic():

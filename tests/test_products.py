@@ -21,6 +21,7 @@ from contractlab import (
     weak_ergodicity_diagnostic,
 )
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
+from contractlab.matcore import nonzero_pattern
 from contractlab import l2, linf
 from contractlab import products
 from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
@@ -56,21 +57,21 @@ def frozen_product(seq, frm, to):
     """Frozen copy of product as it was when the walk started from I."""
     acc = np.eye(seq.n)
     for k in range(frm, to + 1):
-        acc, zero_tol = seq[k].a @ acc, seq[k].zero_tol
-    return Matrix(acc, zero_tol=zero_tol)
+        acc = seq[k].a @ acc
+    return Matrix(acc)
 
 
 def test_product_matches_identity_started_copy():
     rng = np.random.default_rng(18)
     seqs = [MatrixSequence(generator={"kind": "random_stochastic_spanning_tree",
                                       "n": n, "seed": 7}) for n in (1, 5, 30)]
-    seqs.append(MatrixSequence(items=[Matrix(random_stochastic(6, rng, density=0.5).a,
-                                             zero_tol=tol) for tol in (1e-12, 1e-9, 0.0)]))
+    seqs.append(MatrixSequence(items=[random_stochastic(6, rng, density=0.5)
+                                      for _ in range(3)]))
     for seq in seqs:
         ranges = [(0, 0), (2, 2), (0, 2), (1, 2)]
         for frm, to in ranges + ([(0, 39), (7, 20)] if seq.items is None else []):
             got, want = product(seq, frm, to), frozen_product(seq, frm, to)
-            assert got.a.tobytes() == want.a.tobytes() and got.zero_tol == want.zero_tol
+            assert got.a.tobytes() == want.a.tobytes()
     # starting from I turned a -0.0 entry into 0.0; the values are the same
     seq = seq_of(np.array([[0.5, -0.0], [-0.0, 1.0]]))
     assert np.array_equal(product(seq, 0, 0).a, frozen_product(seq, 0, 0).a)
@@ -139,7 +140,7 @@ def test_generator_output_properties():
         n = int(rng.integers(2, 8))
         A = random_stochastic_spanning_tree(n, rng, min_entry=0.05)
         assert np.all(np.diag(A.a) >= 0.05 - 1e-12)
-        nz = A.nonzero_pattern()
+        nz = nonzero_pattern(A)
         assert np.all(A.a[nz] >= 0.05 - 1e-12)
         assert np.abs(A.a.sum(axis=1) - 1.0).max() < 1e-12
         assert has_spanning_directed_tree(interaction_digraph(A))[0]
