@@ -291,7 +291,8 @@ def cmd_ergodicity(args) -> int:
     _log_sequence(args.sequence, seq)
     norm = _norm_from_args(args)
     report = products.weak_ergodicity_diagnostic(
-        seq, horizon=args.horizon, block_len=args.block_len, norm=norm)
+        seq, horizon=args.horizon, block_len=args.block_len, norm=norm,
+        row_sum_tol=args.row_sum_tol)
     log.info("horizon %d, block_len %d, anchors %s",
              report.horizon, report.block_len, list(report.anchors))
     log.info("verdict: %s", report.verdict)
@@ -397,7 +398,8 @@ def cmd_simulate(args) -> int:
         if isinstance(exc, io.InputError):
             raise
         raise io.InputError(f"{args.config}: {exc}") from exc
-    trace = cml.simulate(seq, mp, x0, steps, norm=norm, sync_tol=args.sync_tol)
+    trace = cml.simulate(seq, mp, x0, steps, norm=norm, sync_tol=args.sync_tol,
+                         row_sum_tol=args.row_sum_tol)
     if trace.synchronized_at is not None:
         log.info("synchronized at step %d (distance < %g)", trace.synchronized_at, args.sync_tol)
     if trace.envelope_valid_until is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractivity import RowSumError, coefficients
-from .matcore import DEFAULT_SYNC_TOL, row_sum_profile
+from .matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_SYNC_TOL, row_sum_profile
 from .products import MatrixSequence, check_convergence_condition
 from .projections import Norm, linf, project_columns
 
@@ -123,14 +123,16 @@ class SimTrace:
         }
 
 
-def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
-             norm: Norm | None = None, sync_tol: float = DEFAULT_SYNC_TOL) -> SimTrace:
+def simulate(A_seq: MatrixSequence, maps, x0, steps: int, norm: Norm | None = None,
+             sync_tol: float = DEFAULT_SYNC_TOL,
+             row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> SimTrace:
     """Iterate the lattice for the given number of steps (at least 1).
 
     maps may be a single MapDef or a sequence, cycled when shorter than
     the horizon.  The envelope column multiplies c(A_k) * rho_k per step
-    when every coupling kept has constant row sums; c(A_k) is
-    computed once per distinct coupling.  The envelope is marked void
+    when every coupling kept has constant row sums within row_sum_tol,
+    as the first coupling must; c(A_k) is computed once per distinct
+    coupling.  The envelope is marked void
     from the first step where a state leaves the declared map domain (the
     Lipschitz constant only holds there).
     Non-finite states flag divergence and truncate the trace before the
@@ -156,7 +158,7 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size != A_seq.n or not np.isfinite(x).all():
         raise ValueError("x0 must be a finite vector matching the matrix sequence")
-    if not row_sum_profile(A_seq[0]).is_constant:
+    if not row_sum_profile(A_seq[0], row_sum_tol).is_constant:
         raise RowSumError("coupling matrices must have constant row sums")
 
     states = np.empty((steps + 1, x.size))
@@ -181,7 +183,7 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int,
         # states.T has contiguous columns: bit for bit the per-state distances
         distances = project_columns(states.T, norm)[1]
         try:
-            c = coefficients(couplings, norm)
+            c = coefficients(couplings, norm, row_sum_tol)
         except RowSumError:
             c = None
         rho = np.resize([mp.rho for mp in maps], len(couplings))  # rho_k cycles with the maps

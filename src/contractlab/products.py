@@ -19,15 +19,14 @@ import numpy as np
 
 from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .matcore import (DEFAULT_ZERO_TOL, Matrix, _delta, as_matrix, is_scrambling,
-                      is_stochastic, mu, nonzero_pattern)
+from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, _delta, as_matrix,
+                      is_scrambling, is_stochastic, mu, nonzero_pattern)
 from .projections import Norm, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
 DELTA_ZERO_THRESHOLD = 1e-8
 ENUMERATION_BUDGET = 10 ** 6
 HYPOTHESIS_TOL = 1e-9  # slack on scrambling_product_theorem_check's hypotheses
-ERGODICITY_TOL = 1e-9  # slack on stochasticity and on c <= 1 in ergodicity_coefficient
 
 
 class BudgetError(RuntimeError):
@@ -292,17 +291,19 @@ def min_contractive_product_length(H, norm_q: Norm, max_m: int,
     return None
 
 
-def ergodicity_coefficient(A, norm: Norm | None = None) -> float:
+def ergodicity_coefficient(A, norm: Norm | None = None,
+                           row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> float:
     """Proper coefficient of ergodicity 1 - c(A) for stochastic A that is
     set-nonexpansive under the chosen norm.  Equals 1 exactly for
-    rank-one A = e v^T."""
+    rank-one A = e v^T.  row_sum_tol is the slack on stochasticity, on
+    the constant row sums of c(A) and on c <= 1."""
     A = as_matrix(A)
     if norm is None:
         norm = linf()
-    if not is_stochastic(A, ERGODICITY_TOL):
+    if not is_stochastic(A, row_sum_tol):
         raise ValueError("matrix must be stochastic")
-    c = contractivity(A, norm).c
-    if c > 1.0 + ERGODICITY_TOL:
+    c = contractivity(A, norm, row_sum_tol).c
+    if c > 1.0 + row_sum_tol:
         raise ValueError(f"matrix is not set-nonexpansive under this norm (c = {c:.12g})")
     return float(min(1.0, max(0.0, 1.0 - c)))
 
@@ -330,14 +331,16 @@ class ErgodicityReport:
 
 def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
                                block_len: int | None = None,
-                               norm: Norm | None = None) -> ErgodicityReport:
+                               norm: Norm | None = None,
+                               row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ErgodicityReport:
     """Finite-horizon weak-ergodicity bookkeeping for a stochastic
     sequence: delta of growing partial products from several anchors, and
     partial sums of the ergodicity coefficient over consecutive blocks
     (one canonical subsequence choice, i_j = j * block_len).
 
     The verdict is a diagnostic, never a proof: 'consistent' when every
-    anchored delta series ends below the zero threshold.
+    anchored delta series ends below the zero threshold.  Every item and
+    block is judged stochastic within row_sum_tol.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -350,7 +353,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     if block_len < 1:
         raise ValueError("block_len must be >= 1")
     for k in range(horizon):
-        if not is_stochastic(seq[k]):
+        if not is_stochastic(seq[k], row_sum_tol):
             raise ValueError(f"sequence item {k} is not stochastic")
 
     anchors = sorted({0, horizon // 3, (2 * horizon) // 3} - {horizon})
@@ -367,7 +370,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     for start in range(0, horizon, block_len):
         stop = min(start + block_len, horizon) - 1
         try:
-            total += ergodicity_coefficient(product(seq, start, stop), norm)
+            total += ergodicity_coefficient(product(seq, start, stop), norm, row_sum_tol)
         except ValueError as exc:  # type(exc) keeps a LinAlgError a LinAlgError
             raise type(exc)(f"block of items {start}..{stop}: {exc}") from exc
         sums.append(total)
