@@ -17,7 +17,7 @@ import numpy as np
 from .contractivity import RowSumError, coefficients
 from .matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_SYNC_TOL, row_sum_profile
 from .products import MatrixSequence, check_convergence_condition
-from .projections import Norm, linf, project_columns
+from .projections import Norm, _weights_for, linf, project_columns
 
 DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
 BLOCK = 64  # steps taken between two tests for a non-finite state
@@ -139,13 +139,15 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int, norm: Norm | None = No
     first of them.  The test runs once per BLOCK steps, so a map may be
     called on up to BLOCK - 1 states past that one: each MapDef.f must
     accept inf and nan, and leave its argument unchanged.  Raises
-    ValueError when steps is below 1 or exceeds a finite sequence, or
-    when sync_tol is negative or NaN.
+    ValueError when steps is below 1 or exceeds a finite sequence, when
+    sync_tol is negative or NaN, or when a wl2 norm's weight count is
+    not the lattice size (before any coupling is fetched).
     Each step only iterates into one states array and records its
     coupling; the finiteness test runs per block, and distances, domain
     exits, the sync step and the envelope come after the loop.
     """
     norm = linf() if norm is None else norm
+    _weights_for(norm, A_seq.n)
     maps = [maps] if isinstance(maps, MapDef) else list(maps)
     if not maps:
         raise ValueError("need at least one map")

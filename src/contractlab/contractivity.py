@@ -35,7 +35,7 @@ from .matcore import (
     mu,
     row_sum_profile,
 )
-from .projections import LINF, L1, L2, Norm, l2, linf, project, project_columns
+from .projections import LINF, L1, L2, Norm, _weights_for, l2, linf, project, project_columns
 
 _EXACT_TOL = 1e-12
 _SAMPLE_CHUNK = 20000  # columns per batch in empirical_contractivity
@@ -132,9 +132,7 @@ def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> Co
         exact = np.abs(col_sums - col_sums.mean()).max() <= row_sum_tol
         return _report(norm, _spectral_coefficient(A, np.ones(A.n)), "spectral_l2",
                        bound_only=not exact)
-    if norm.weights.size != A.n:
-        raise ValueError("weight vector length must equal matrix dimension")
-    return _report(norm, _spectral_coefficient(A, norm.weights), "weighted_bound",
+    return _report(norm, _spectral_coefficient(A, _weights_for(norm, A.n)), "weighted_bound",
                    bound_only=True)
 
 

@@ -21,7 +21,7 @@ from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
 from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, _delta, as_matrix,
                       is_scrambling, is_stochastic, mu, nonzero_pattern)
-from .projections import Norm, linf
+from .projections import Norm, _weights_for, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
 DELTA_ZERO_THRESHOLD = 1e-8
@@ -340,7 +340,8 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
 
     The verdict is a diagnostic, never a proof: 'consistent' when every
     anchored delta series ends below the zero threshold.  Every item and
-    block is judged stochastic within row_sum_tol.
+    block is judged stochastic within row_sum_tol; a weight count other
+    than seq.n fails before any item is fetched.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -348,6 +349,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
         raise ValueError("horizon exceeds sequence length")
     if norm is None:
         norm = linf()
+    _weights_for(norm, seq.n)
     if block_len is None:
         block_len = max(1, seq.n - 1)
     if block_len < 1:

@@ -80,8 +80,10 @@ class Projection:
     distance: float
 
 
-def _weights_for(norm: Norm, n: int) -> np.ndarray:
-    if norm.weights.size != n:
+def _weights_for(norm: Norm, n: int) -> np.ndarray | None:
+    """The norm's weights, or None for a norm without them; raises
+    NormError when their count is not n."""
+    if norm.weights is not None and norm.weights.size != n:
         raise NormError(f"weight vector length {norm.weights.size} != vector length {n}")
     return norm.weights
 

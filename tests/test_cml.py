@@ -229,6 +229,30 @@ def test_simulate_validation():
         simulate(seq_of(np.eye(2)), mp, [0.1, np.nan], steps=1)
 
 
+def test_simulate_wrong_weight_count_fails_before_any_fetch(monkeypatch):
+    fetched = []
+    getitem = MatrixSequence.__getitem__
+    monkeypatch.setattr(MatrixSequence, "__getitem__",
+                        lambda self, k: fetched.append(k) or getitem(self, k))
+    mp = make_map({"kind": "tent", "s": 1.0})
+    with pytest.raises(ValueError, match="^weight vector length 2 != vector length 3$"):
+        simulate(seq_of(*[A4.a] * 200), mp, [0.1, 0.5, 0.9], steps=200,
+                 norm=weighted_l2([1.0, 2.0]))
+    assert fetched == []
+
+
+def test_simulate_row_sum_tol_reaches_every_coupling_check():
+    off = A4.a.copy()
+    off[0, 0] += 1e-7
+    mp = make_map({"kind": "tent", "s": 1.0})
+    with pytest.raises(RowSumError):
+        simulate(seq_of(off, off), mp, [0.1, 0.5, 0.9], steps=2)
+    trace = simulate(seq_of(off, A4.a), mp, [0.1, 0.5, 0.9], steps=2, row_sum_tol=1e-6)
+    assert trace.bound is not None
+    # the first coupling passes; the second has no constant row sums at 1e-9
+    assert simulate(seq_of(A4.a, off), mp, [0.1, 0.5, 0.9], steps=2).bound is None
+
+
 def test_check_sync_condition():
     out = check_sync_condition([0.9] * 600, [1.05] * 600)
     assert out["criterion_holds_over_horizon"]

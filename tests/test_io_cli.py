@@ -533,6 +533,45 @@ def test_cli_decompose_keeps_zero_tol(tmp_path, capsys):
     assert code == 0 and json.loads(out)["B_scrambling"]
 
 
+# scrambling, with a first row that sums to 1 + 1e-7: stochastic and of
+# constant row sums within 1e-6, but not within the default 1e-9
+OFF_ROW_SUM = [[0.6000001, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
+
+
+@pytest.mark.parametrize("command", ["ergodicity", "simulate"])
+def test_cli_row_sum_tol_reaches_ergodicity_and_simulate(tmp_path, capsys, command):
+    write(tmp_path, "off.json", json.dumps({"rows": OFF_ROW_SUM}))
+    if command == "ergodicity":
+        argv = ["ergodicity", write(tmp_path, "seq.json", json.dumps(
+            {"matrices": ["off.json"], "repeat": 4})), "--horizon", "4"]
+    else:
+        argv = ["simulate", write(tmp_path, "sim.json", json.dumps(
+            {**SIMULATE_CONFIG, "matrix": "off.json"}))]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "--row-sum-tol", "1e-6", *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["horizon" if command == "ergodicity" else "steps"] in (4, 5)
+
+
+@pytest.mark.parametrize("command", ["contractivity", "product", "ergodicity", "simulate"])
+def test_cli_wrong_weight_count_is_one_error(tmp_path, capsys, command):
+    a4_json(tmp_path)
+    weights = ["--norm", "wl2", "--weights", "1,2"]
+    if command == "contractivity":
+        argv = ["contractivity", str(tmp_path / "a4.json"), *weights]
+    elif command == "simulate":
+        argv = ["simulate", write(tmp_path, "sim.json", json.dumps(
+            {**SIMULATE_CONFIG, "norm": "wl2", "weights": [1, 2]}))]
+    else:
+        spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["a4.json"], "repeat": 5}))
+        argv = [command, spec, *weights] + (["--horizon", "5"] if command == "ergodicity" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: weight vector length 2 != vector length 3\n"
+
+
 def test_cli_exit_code_on_malformed_input(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{nope")
     code, _, err = run_cli(capsys, "analyze", bad)

@@ -22,7 +22,7 @@ from contractlab import (
 )
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
 from contractlab.matcore import nonzero_pattern
-from contractlab import l2, linf
+from contractlab import l2, linf, weighted_l2
 from contractlab import products
 from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
 from contractlab.reference import A1, A2, A3, A4, A5
@@ -124,6 +124,32 @@ def test_weak_ergodicity_fetches_and_caches(monkeypatch):
     weak_ergodicity_diagnostic(seq, horizon=40)
     assert len(fetched) == 161 == 40 + (40 + 27 + 14) + 40
     assert len(generated) == 40 and len(seq._cache) == 40
+
+
+def test_weak_ergodicity_wrong_weight_count_fails_before_any_fetch(monkeypatch):
+    fetched = []
+    getitem = MatrixSequence.__getitem__
+    monkeypatch.setattr(MatrixSequence, "__getitem__",
+                        lambda self, k: fetched.append(k) or getitem(self, k))
+    seq = MatrixSequence(generator={"kind": "random_stochastic_spanning_tree",
+                                    "n": 30, "seed": 7})
+    with pytest.raises(ValueError, match="^weight vector length 29 != vector length 30$"):
+        weak_ergodicity_diagnostic(seq, 1000, norm=weighted_l2(np.ones(29)))
+    assert fetched == []
+
+
+def test_weak_ergodicity_row_sum_tol_reaches_items_and_blocks():
+    off = A4.a.copy()
+    off[0, 0] += 1e-7  # row sum 1 + 1e-7
+    seq = seq_of(off, A4.a, off, A4.a)
+    with pytest.raises(ValueError, match="sequence item 0 is not stochastic"):
+        weak_ergodicity_diagnostic(seq, 4)
+    rep = weak_ergodicity_diagnostic(seq, 4, block_len=2, row_sum_tol=1e-6)
+    assert len(rep.block_mu_c_partial_sums) == 2
+    with pytest.raises(ValueError, match="stochastic"):
+        ergodicity_coefficient(off)
+    assert ergodicity_coefficient(off, row_sum_tol=1e-6) == pytest.approx(
+        ergodicity_coefficient(A4), abs=1e-6)
 
 
 def test_generated_sequence_deterministic():
