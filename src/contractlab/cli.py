@@ -48,16 +48,20 @@ from .matcore import (
     DEFAULT_ROW_SUM_TOL,
     DEFAULT_SYNC_TOL,
     DEFAULT_ZERO_TOL,
-    delta,
     is_scrambling,
     is_stochastic,
     mu,
+    mu_delta,
     row_sum_profile,
 )
 from .projections import KINDS, norm_from_name
 
 if TYPE_CHECKING:
     from .cml import SimTrace
+
+# analyze reads mu from mu_delta; cli.mu stays bound for bench/tests,
+# which checks that the tracer restores it (ROADMAP item 1)
+_TRACED = (mu,)
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
@@ -87,8 +91,9 @@ def _round12(value):
 
 
 def _dump(doc, pretty: bool) -> str:
+    # the report is built fresh and holds no cycles
     return json.dumps(_round12(doc), indent=2 if pretty else None, sort_keys=True,
-                      allow_nan=False)
+                      allow_nan=False, check_circular=False)
 
 
 def _print_report(text: str) -> None:
@@ -153,7 +158,7 @@ def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
     profile = row_sum_profile(A, row_sum_tol)
     G = interaction_digraph(A, zero_tol)
     tree, root = has_spanning_directed_tree(G)
-    m = mu(A)
+    m, d = mu_delta(A)
     report = {
         "input": str(path),
         "n": A.n,
@@ -163,7 +168,7 @@ def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
         "stochastic": is_stochastic(A, row_sum_tol),
         "scrambling": is_scrambling(A, zero_tol),
         "mu": m,
-        "delta": delta(A),
+        "delta": d,
         "spanning_tree": tree,
         "spanning_tree_root": root,
         "irreducible": is_irreducible(G),

@@ -15,6 +15,28 @@ tile's rows i, each repeated once per row j, which the elementwise
 functional then overwrites in place against the rows j.  The functional
 and the sum run over long contiguous stretches even for short rows.
 The scrambling test is one matrix product of the 0/1 nonzero pattern.
+
+mu's table T[i, j] = sum_k min(a_ik, a_jk) is symmetric: only its tiles
+with j >= i are built, the others mirrored, bit for bit.  Since
+max(0, x - y) = x - min(x, y), delta's entry is s_i - T[i, j], s_i the
+row sum, for every real matrix.  ``mu_delta`` reads mu from T, turns T
+into that estimate in place, and recomputes delta's entry, with delta's
+terms and one reduction, only on the pairs within 2 eps of the largest
+estimate.  Let M = max_i sum_k |a_ik| and u the unit roundoff.  Summed in
+any order, n terms x_k err by at most gamma_{n-1} sum |x_k|,
+gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 4.2).  So s_i errs by gamma_{n-1} M; T[i, j] and
+delta's computed entry together by gamma_{n-1} (1 + u) 3 M, as each
+column adds at most |a_ik| + 2 |a_jk|; the differences a_ik - a_jk and
+the subtraction s_i - T[i, j] by 2 u M each.  Every estimate is thus
+within 4 n u M + O(u^2) <= eps = 4 (n + 2) u M of delta's computed entry,
+so the maximal pair's estimate is within 2 eps of the largest, that pair
+is kept, and delta keeps its bits.  When 4 M overflows (eps infinite) or
+more than n pairs are kept, as for rank-one-like matrices whose pairs
+all sit at rounding level, mu_delta makes the full delta sweep.  ``analyze`` calls ``mu_delta``: one n^3 sweep per matrix.
+``delta`` and ``_delta`` stay the full sweep, as the oracle and the
+fallback; ``weak_ergodicity_diagnostic`` calls ``_delta`` on anchored
+products at the rounding floor, where the table would only add a sweep.
 """
 
 from __future__ import annotations
@@ -29,6 +51,7 @@ DEFAULT_ROW_SUM_TOL = 1e-9
 DEFAULT_SYNC_TOL = 1e-10  # cml.simulate's synchronization threshold
 # Elements in one tile x tile x n temporary of _row_pairs (512 KiB of float64).
 _TILE_ELEMENTS = 1 << 16
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class MatrixError(ValueError):
@@ -70,7 +93,7 @@ def as_matrix(A) -> Matrix:
     return Matrix(np.asarray(A, dtype=float))
 
 
-def _row_pairs(a: np.ndarray, f) -> np.ndarray:
+def _row_pairs(a: np.ndarray, f, symmetric: bool = False) -> np.ndarray:
     """n x n array whose [i, j] entry is sum_k f(a[i, k], a[j, k]).
 
     ``f(x, y)`` overwrites x with the elementwise terms.  The table is
@@ -78,6 +101,8 @@ def _row_pairs(a: np.ndarray, f) -> np.ndarray:
     terms go into the same buffer of about _TILE_ELEMENTS floats, which
     is allocated once per call.  Every entry is one reduction over the
     contiguous last axis, so the result does not depend on the tiling.
+    For an f symmetric in its arguments, ``symmetric`` builds only the
+    tiles with j >= i and mirrors the others.
     """
     n = a.shape[0]
     tile = min(n, max(1, math.isqrt(_TILE_ELEMENTS // n)))
@@ -85,7 +110,7 @@ def _row_pairs(a: np.ndarray, f) -> np.ndarray:
     buf = np.empty(tile * tile * n)
     for i in range(0, n, tile):
         rows_i = a[i:i + tile]
-        for j in range(0, n, tile):
+        for j in range(i if symmetric else 0, n, tile):
             rows_j = a[j:j + tile]
             # a contiguous prefix of buf: against it, f runs as one long loop
             # over the whole tile however short the rows are
@@ -94,6 +119,8 @@ def _row_pairs(a: np.ndarray, f) -> np.ndarray:
             np.copyto(terms, rows_i[:, None, :])
             f(terms, rows_j)
             out[i:i + tile, j:j + tile] = np.add.reduce(terms, axis=2)
+            if symmetric and j > i:
+                out[j:j + tile, i:i + tile] = out[i:i + tile, j:j + tile].T
     return out
 
 
@@ -116,14 +143,41 @@ def mu(A) -> float:
     A = as_matrix(A)
     if A.n == 1:
         return float(A.a.sum())
-    pair_sums = _row_pairs(A.a, _minimum)
-    np.fill_diagonal(pair_sums, np.inf)  # the table is symmetric; skip j == k
-    return float(pair_sums.min())
+    return _off_diagonal_min(_row_pairs(A.a, _minimum, symmetric=True))
+
+
+def _off_diagonal_min(table: np.ndarray) -> float:
+    """The table's smallest entry off the diagonal; the diagonal becomes inf."""
+    np.fill_diagonal(table, np.inf)  # the table is symmetric; skip j == k
+    return float(table.min())
 
 
 def delta(A) -> float:
     """max over row pairs i, j of sum_k max(0, A[i,k] - A[j,k]); 0 for n = 1."""
     return _delta(as_matrix(A).a)
+
+
+def mu_delta(A) -> tuple[float, float]:
+    """(mu(A), delta(A)), bit for bit, from one sweep of row pairs: delta
+    is read off mu's table (see the module docstring)."""
+    A = as_matrix(A)
+    a, n = A.a, A.n
+    if n == 1:
+        return float(a.sum()), 0.0
+    # infinite exactly when 4 M overflows; otherwise no sum overflows
+    eps = 4.0 * float(np.abs(a).sum(axis=1).max()) * ((n + 2) * _UNIT_ROUNDOFF)
+    est = _row_pairs(a, _minimum, symmetric=True)
+    m = _off_diagonal_min(est)
+    np.subtract(a.sum(axis=1)[:, None], est, out=est)
+    np.fill_diagonal(est, 0.0)  # a row against itself: delta's entry is 0
+    kept = est >= est.max() - 2.0 * eps if math.isfinite(eps) else None
+    del est
+    if kept is None or np.count_nonzero(kept) > n:
+        return m, _delta(a)
+    i, j = np.nonzero(kept)
+    terms = a[i]
+    _positive_part_of_difference(terms, a[j])
+    return m, float(np.add.reduce(terms, axis=1).max())
 
 
 def _delta(a: np.ndarray) -> float:

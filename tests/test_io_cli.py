@@ -21,7 +21,6 @@ from contractlab import (
     contractivity_l2,
     contractivity_linf,
     make_map,
-    mu,
     product,
     product_contractivity_bound,
     simulate,
@@ -275,23 +274,26 @@ def test_cli_analyze_output_directory_made_before_any_input(tmp_path, capsys, mo
 
 
 def test_cli_analyze_computes_mu_once(tmp_path, capsys, monkeypatch):
-    # contractlab.contractivity is shadowed by the function of that name
-    contractivity_module = importlib.import_module("contractlab.contractivity")
-    calls = []
+    # analyze makes one n^3 row-pair sweep: the table of mu, from which it
+    # also reads delta, and never delta's own full sweep
+    matcore = importlib.import_module("contractlab.matcore")
+    sweeps = []
 
-    def counting_mu(A):
-        calls.append(A)
-        return mu(A)
+    def counting(name, sweep):
+        def counted(*args, **kwargs):
+            sweeps.append(name)
+            return sweep(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(cli, "mu", counting_mu)
-    monkeypatch.setattr(contractivity_module, "mu", counting_mu)
+    monkeypatch.setattr(matcore, "_row_pairs", counting("table", matcore._row_pairs))
+    monkeypatch.setattr(matcore, "_delta", counting("_delta", matcore._delta))
     rng = np.random.default_rng(9)
     a = rng.random((12, 12))
     a /= a.sum(axis=1, keepdims=True)
     path = write(tmp_path, "a.json", json.dumps({"rows": a.tolist()}))
     code, out, _ = run_cli(capsys, "analyze", path)
     assert code == 0 and json.loads(out)["c_linf"] is not None
-    assert len(calls) == 1
+    assert sweeps == ["table"]
     report = cli._analysis_report(path, 1e-12, 1e-9)
     assert report["c_linf"] == contractivity_linf(load_matrix(path)).c
 

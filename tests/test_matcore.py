@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ from contractlab import (
     mu,
     row_sum_profile,
 )
-from contractlab.matcore import MatrixError, nonzero_pattern
+from contractlab import matcore
+from contractlab.matcore import MatrixError, mu_delta, nonzero_pattern
 from contractlab.reference import A1, A3, A4
 
 from conftest import delta_halfsum, random_nonneg_row_sum, random_stochastic
@@ -224,10 +226,23 @@ def test_row_pair_functionals_memory_is_quadratic(fn):
     assert peak < 32 * 2 ** 20
 
 
-@pytest.mark.parametrize("fn", [mu, delta])
-def test_row_pair_kernel_memory_is_one_table(fn):
+def near_rank_one(n, rng):
+    """Identical rows but for a relative perturbation of about 1e-16: every
+    pair's delta sits at rounding level, so mu_delta takes the full sweep."""
+    v = rng.random(n)
+    return np.outer(np.ones(n), v / v.sum()) * (1.0 + 1e-16 * rng.standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("fn, near_rank_one_input", [
+    pytest.param(mu, False, id="mu"),
+    pytest.param(delta, False, id="delta"),
+    pytest.param(mu_delta, False, id="mu_delta"),
+    pytest.param(mu_delta, True, id="mu_delta-near_rank_one"),
+])
+def test_row_pair_kernel_memory_is_one_table(fn, near_rank_one_input):
     # the n x n result (1.2 MiB at n = 400) plus one small tile temporary
-    A = Matrix(np.random.default_rng(107).random((400, 400)))
+    rng = np.random.default_rng(107)
+    A = Matrix(near_rank_one(400, rng) if near_rank_one_input else rng.random((400, 400)))
     tracemalloc.start()
     try:
         fn(A)
@@ -235,3 +250,95 @@ def test_row_pair_kernel_memory_is_one_table(fn):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def broadcast_mu_delta(a):
+    """mu and delta from the plain n x n x n broadcast, a few rows i at a
+    time so that the oracle's memory stays small; each entry is the same
+    reduction over the last axis."""
+    n = a.shape[0]
+    if n == 1:
+        return float(a.sum()), 0.0
+    minima, positive_parts = np.empty((n, n)), np.empty((n, n))
+    for i in range(0, n, 16):
+        x, y = a[i:i + 16, None, :], a[None, :, :]
+        minima[i:i + 16] = np.minimum(x, y).sum(axis=2)
+        positive_parts[i:i + 16] = np.maximum(0.0, x - y).sum(axis=2)
+    return float(minima[np.triu_indices(n, k=1)].min()), float(positive_parts.max())
+
+
+def mu_delta_family(family, n, rng):
+    if family == "uniform":
+        return rng.random((n, n))
+    if family == "signed_normal":
+        return rng.standard_normal((n, n))
+    if family == "sparse_stochastic":
+        return random_stochastic(n, rng, density=0.5).a
+    if family == "tie_heavy":  # few distinct integer rows: many pairs tie for delta
+        rows = rng.integers(0, 4, size=(max(1, n // 8), n)).astype(float)
+        return rows[rng.integers(0, len(rows), size=n)]
+    if family == "near_rank_one":
+        return near_rank_one(n, rng)
+    if family == "stochastic_product":  # delta near or at the rounding floor
+        acc = np.eye(n)
+        for _ in range(31):
+            acc = random_stochastic(n, rng, density=0.3).a @ acc
+        return acc
+    if family == "scale_1e300":  # no sum overflows: 4 M stays below 1e304
+        return 1e300 * rng.standard_normal((n, n))
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 101, 257])
+@pytest.mark.parametrize("family", ["uniform", "signed_normal", "sparse_stochastic",
+                                    "tie_heavy", "near_rank_one", "stochastic_product",
+                                    "scale_1e300"])
+def test_mu_delta_matches_direct_broadcast(family, n):
+    # mu from the half-tile walk, delta recomputed on the pairs whose
+    # estimate s_i - T[i, j] lies within 2 eps of the largest, or the full
+    # sweep: either way the broadcast's bits
+    a = mu_delta_family(family, n, np.random.default_rng([n, len(family)]))
+    assert mu_delta(a) == broadcast_mu_delta(a)
+
+
+def counting_full_sweeps(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return delta_sweep(a)
+
+    delta_sweep = matcore._delta
+    monkeypatch.setattr(matcore, "_delta", counting)
+    return calls
+
+
+def test_mu_delta_recomputes_only_near_maximal_pairs(monkeypatch):
+    # a random matrix keeps a few pairs, far fewer than n, and makes no
+    # second sweep
+    full_sweeps = counting_full_sweeps(monkeypatch)
+    a = np.random.default_rng(109).random((120, 120))
+    assert mu_delta(a) == broadcast_mu_delta(a)
+    assert full_sweeps == []
+
+
+def test_mu_delta_falls_back_above_n_candidates(monkeypatch):
+    # identical rows: every estimate is 0, all n^2 pairs qualify
+    full_sweeps = counting_full_sweeps(monkeypatch)
+    v = np.random.default_rng(110).random(50)
+    a = np.tile(v, (50, 1))
+    assert mu_delta(a) == broadcast_mu_delta(a) == (float(v.sum()), 0.0)
+    assert full_sweeps == [(50, 50)]
+
+
+@pytest.mark.parametrize("scale", [5e307, 1e308])
+def test_mu_delta_falls_back_when_eps_is_not_finite(monkeypatch, scale):
+    # 4 M overflows at 5e307 though every sum and delta is finite; at 1e308
+    # the difference of rows 0 and 1 overflows too, and so do delta and mu
+    full_sweeps = counting_full_sweeps(monkeypatch)
+    a = scale * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        got, expected = mu_delta(a), broadcast_mu_delta(a)
+    assert got == expected
+    assert math.isfinite(got[1]) == (scale < 1e308)
+    assert full_sweeps == [(3, 3)]
