@@ -14,9 +14,8 @@ tenth of a short command, for no output.  ``main`` is the in-process
 entry and ends nothing.
 
 Start-up loads only what every command uses.  ``products`` (product,
-ergodicity, simulate), ``cml`` (simulate), ``reference``
-(reproduce-paper) and the thread pool (analyze with several inputs) are
-imported by the commands that run them.
+ergodicity, simulate), ``cml`` (simulate) and ``reference``
+(reproduce-paper) are imported by the commands that run them.
 """
 
 from __future__ import annotations
@@ -140,9 +139,9 @@ def _log_sequence(path, seq) -> None:
         log.info("loaded sequence %s: n = %d, %d matrices", path, seq.n, len(seq.items))
 
 
-def _log_method(rep, note=log.info) -> None:
-    note("%s coefficient: method %s%s", rep.norm, rep.method,
-         ", an upper bound" if rep.is_bound_only else "")
+def _log_method(rep) -> None:
+    log.info("%s coefficient: method %s%s", rep.norm, rep.method,
+             ", an upper bound" if rep.is_bound_only else "")
 
 
 def _classification(rep) -> str:
@@ -151,10 +150,10 @@ def _classification(rep) -> str:
     return "set-nonexpansive" if rep.is_set_nonexpansive else "expansive"
 
 
-def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
-    """The analyze report of one input; its log lines go through note."""
+def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
+    """The analyze report of one input."""
     A = io.load_matrix(path)
-    note("loaded matrix %s: n = %d", path, A.n)
+    log.info("loaded matrix %s: n = %d", path, A.n)
     profile = row_sum_profile(A, row_sum_tol)
     G = interaction_digraph(A, zero_tol)
     tree, root = has_spanning_directed_tree(G)
@@ -183,9 +182,9 @@ def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
         report["c_l2"] = reps["l2"].c
         report["classification"] = {name: _classification(rep) for name, rep in reps.items()}
         for rep in reps.values():
-            _log_method(rep, note)
+            _log_method(rep)
     else:
-        note("%s: row sums are not constant; no coefficient", path)
+        log.info("%s: row sums are not constant; no coefficient", path)
         report["c_linf"] = None
         report["c_l2"] = None
         report["note"] = "row sums are not constant; coefficient formulas do not apply"
@@ -193,8 +192,6 @@ def _analysis_report(path, zero_tol, row_sum_tol, note=log.info) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    if args.jobs < 1:
-        raise io.InputError(f"--jobs must be >= 1, got {args.jobs}")
     paths, out = args.matrix, args.output
     # --output is a directory, except for one input and a path that is not one
     if len(paths) == 1 and not (out and (out.endswith(("/", os.sep)) or Path(out).is_dir())):
@@ -212,29 +209,9 @@ def cmd_analyze(args) -> int:
                 "analyze --output: inputs share a report name: " + "; ".join(clashes))
         # made before any input starts, and kept if an input then fails
         Path(out).mkdir(parents=True, exist_ok=True)
-    from concurrent.futures import ThreadPoolExecutor
-
-    def analysis(path, notes):
-        # numpy's error state is per thread: main's does not reach a worker
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _analysis_report(path, args.zero_tol, args.row_sum_tol,
-                                    lambda *line: notes.append(line))
-
-    # each input's log lines are held in its own list, then logged in input
-    # order; the first failing input ends the command, and neither the
-    # inputs still queued nor a running one are waited for
-    notes = [[] for _ in paths]
-    pool = ThreadPoolExecutor(max_workers=args.jobs)
-    try:
-        futures = [pool.submit(analysis, path, lines) for path, lines in zip(paths, notes)]
-        reports = []
-        for future, lines in zip(futures, notes):
-            future.exception()  # waits for the input's last line
-            for line in lines:
-                log.info(*line)
-            reports.append(future.result())
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    # in input order; the first failing input ends the command before any
+    # later input is read
+    reports = [_analysis_report(path, args.zero_tol, args.row_sum_tol) for path in paths]
     if out:
         for name, report in zip(names, reports):
             (Path(out) / name).write_text(_dump(report, args.pretty) + "\n")
@@ -471,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural and coefficient report for matrices")
     p.add_argument("matrix", nargs="+")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("contractivity", help="coefficient under a chosen norm")

@@ -147,15 +147,14 @@ def contractivity_l2(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> Contractivi
 
 
 def coefficients(matrices, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> list:
-    """contractivity(A, norm, row_sum_tol).c for each matrix of the list,
+    """contractivity(A, norm, row_sum_tol).c for each Matrix of the list,
     computed once per distinct object and in list order, so the first
-    matrix that fails raises.  A sequence repeats an item by reference;
-    the list holds every object, so no id is reused while this runs."""
-    c_by_id = {}
+    matrix that fails raises.  A sequence repeats an item by reference."""
+    c_of = {}
     for A in matrices:
-        if id(A) not in c_by_id:
-            c_by_id[id(A)] = contractivity(A, norm, row_sum_tol).c
-    return [c_by_id[id(A)] for A in matrices]
+        if A not in c_of:
+            c_of[A] = contractivity(A, norm, row_sum_tol).c
+    return [c_of[A] for A in matrices]
 
 
 def empirical_contractivity(A, norm: Norm, samples: int = 10000,

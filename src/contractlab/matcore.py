@@ -58,9 +58,11 @@ class MatrixError(ValueError):
     """Invalid matrix data (non-square, non-finite, bad shape)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable dense real n x n matrix: finite float64 entries."""
+    """Immutable dense real n x n matrix: finite float64 entries.
+    Matrices compare and hash by identity: two are equal only if they are
+    the same object."""
 
     a: np.ndarray
 

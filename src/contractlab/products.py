@@ -11,6 +11,7 @@ A_b A_(b-1) ... A_a.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
@@ -339,9 +340,18 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     (one canonical subsequence choice, i_j = j * block_len).
 
     The verdict is a diagnostic, never a proof: 'consistent' when every
-    anchored delta series ends below the zero threshold.  Every item and
-    block is judged stochastic within row_sum_tol; a weight count other
-    than seq.n fails before any item is fetched.
+    anchored delta series ends below the zero threshold.  Every item is
+    judged stochastic within t = row_sum_tol; a weight count other than
+    seq.n fails before any item is fetched.
+
+    A block of m items is judged within (1 + t)^m - 1, the slack its row
+    sums can reach from items that pass: if every factor is nonnegative
+    with row sums in [1 - t, 1 + t], F e lies between (1 - t) e and
+    (1 + t) e entrywise, so the product's row sums lie in
+    [(1 - t)^m, (1 + t)^m], and 1 - (1 - t)^m <= (1 + t)^m - 1.  The
+    derivation assumes nonnegative factors (an item may have entries down
+    to -t) and does not count the rounding of the product itself.  A
+    one-item block is judged within t, as its item is.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -358,7 +368,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
         if not is_stochastic(seq[k], row_sum_tol):
             raise ValueError(f"sequence item {k} is not stochastic")
 
-    anchors = sorted({0, horizon // 3, (2 * horizon) // 3} - {horizon})
+    anchors = sorted({0, horizon // 3, (2 * horizon) // 3})
     # a product of validated stochastic factors is finite
     delta_by_anchor = {
         r: np.array([_delta(acc) for acc in
@@ -371,8 +381,12 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     total = 0.0
     for start in range(0, horizon, block_len):
         stop = min(start + block_len, horizon) - 1
+        m = stop - start + 1
+        # expm1(m log1p(t)) is (1 + t)^m - 1 >= m t; the max keeps its
+        # rounding from judging a one-item block below t
+        block_tol = max(m * row_sum_tol, math.expm1(m * math.log1p(row_sum_tol)))
         try:
-            total += ergodicity_coefficient(product(seq, start, stop), norm, row_sum_tol)
+            total += ergodicity_coefficient(product(seq, start, stop), norm, block_tol)
         except ValueError as exc:  # type(exc) keeps a LinAlgError a LinAlgError
             raise type(exc)(f"block of items {start}..{stop}: {exc}") from exc
         sums.append(total)

@@ -212,8 +212,7 @@ def test_cli_analyze_nonconstant_rows(tmp_path, capsys):
 def test_cli_analyze_multi_to_directory(tmp_path, capsys):
     p1, p2 = a4_json(tmp_path, "m1.json"), a4_json(tmp_path, "m2.json")
     outdir = tmp_path / "reports"
-    code, _, _ = run_cli(capsys, "--output", str(outdir),
-                         "analyze", p1, p2, "--jobs", "2")
+    code, _, _ = run_cli(capsys, "--output", str(outdir), "analyze", p1, p2)
     assert code == 0
     for stem in ("m1", "m2"):
         doc = json.loads((outdir / f"{stem}.analysis.json").read_text())
@@ -555,6 +554,23 @@ def test_cli_row_sum_tol_reaches_ergodicity_and_simulate(tmp_path, capsys, comma
     assert code == 0 and err == "" and json.loads(out)
 
 
+def test_cli_ergodicity_judges_a_block_within_its_items_slack(tmp_path, capsys):
+    # each item's first row sums to 1 + 9e-7, within --row-sum-tol 1e-6,
+    # and a block of two such items to about 1 + 1.8e-6; far.json's first
+    # row sums to 1 + 2e-6
+    off = [[0.6000009, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
+    write(tmp_path, "off.json", json.dumps({"rows": off}))
+    write(tmp_path, "far.json", json.dumps({"rows": [[0.600002, 0.2, 0.2], *off[1:]]}))
+    for matrices, want in ((["off.json"] * 4, (0, "")),
+                           (["off.json", "off.json", "far.json", "off.json"],
+                            (2, "error: sequence item 2 is not stochastic\n"))):
+        spec = write(tmp_path, "seq.json", json.dumps({"matrices": matrices}))
+        code, out, err = run_cli(capsys, "--row-sum-tol", "1e-6", "ergodicity", spec,
+                                 "--horizon", "4")
+        assert (code, err) == want
+        assert bool(out) == (code == 0)
+
+
 @pytest.mark.parametrize("command", ["contractivity", "product", "ergodicity", "simulate"])
 def test_cli_wrong_weight_count_is_one_error(tmp_path, capsys, command):
     a4_json(tmp_path)
@@ -635,13 +651,6 @@ def test_cli_generator_min_entry_checked_at_load(tmp_path, capsys, min_entry, me
     with pytest.raises(InputError, match=re.escape(message)):
         load_sequence(spec)  # before any item is drawn
     assert_field_error(*run_cli(capsys, "ergodicity", spec, "--horizon", "3"), spec, message)
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_cli_analyze_jobs_below_one_exits_2(tmp_path, capsys, jobs):
-    code, out, err = run_cli(capsys, "analyze", a4_json(tmp_path), "--jobs", jobs)
-    assert code == 2 and out == ""
-    assert err == f"error: --jobs must be >= 1, got {jobs}\n"
 
 
 def test_cli_tolerance_defaults_are_the_library_defaults():
@@ -1073,7 +1082,7 @@ def test_cli_analyze_first_failing_input_ends_the_command(tmp_path):
 
     res, alone = timed(bigs[0])
     assert res.returncode == 0
-    for argv in ([missing, bigs[0], "--jobs", "2"], [missing, *bigs, "--jobs", "1"]):
+    for argv in ([missing, bigs[0]], [missing, *bigs]):
         res, took = min((timed(*argv) for _ in range(2)), key=lambda run: run[1])
         assert res.returncode == 2 and res.stdout == ""
         assert len(res.stderr.splitlines()) == 1 and missing in res.stderr
@@ -1082,20 +1091,19 @@ def test_cli_analyze_first_failing_input_ends_the_command(tmp_path):
 
 def test_cli_entries_near_the_float_limit_warn_nothing(tmp_path):
     """Finite entries whose sums and differences overflow: numpy warns
-    nothing, also in analyze's worker threads; the overflowed values are
+    nothing, also for analyze's later inputs; the overflowed values are
     reported as null, and an error is one stderr line."""
     huge = write(tmp_path, "huge.json", json.dumps({"rows": [[1e308, -1e308], [-1e308, 1e308]]}))
     sums = write(tmp_path, "sums.json", json.dumps({"rows": [[1e308, 1e308], [1e308, 1e308]]}))
     vector = write(tmp_path, "x.json", "[1, 2]")
-    cases = [(["analyze", huge], 0), (["analyze", huge, sums, "--jobs", "2"], 0),
+    cases = [(["analyze", huge], 0), (["analyze", huge, sums], 0),
              (["contractivity", huge], 0), (["contractivity", huge, "--norm", "l2"], 0),
              (["contractivity", sums, "--norm", "l2"], 2), (["decompose", huge, vector], 2)]
     for argv, code in cases:
         res = run_cli_process(*argv, PYTHONWARNINGS="error")
         assert res.returncode == code, (argv, res.stderr)
         assert len(res.stderr.splitlines()) == (code == 2), (argv, res.stderr)
-    reports = json.loads(run_cli_process("analyze", huge, sums, "--jobs", "2",
-                                         PYTHONWARNINGS="error").stdout)
+    reports = json.loads(run_cli_process("analyze", huge, sums, PYTHONWARNINGS="error").stdout)
     assert [(r["delta"], r["c_linf"], r["mu"]) for r in reports] == [(None, None, None),
                                                                       (0.0, None, None)]
 
@@ -1322,7 +1330,7 @@ EXIT_PATH_CASES = {
     "simulate-output-csv": simulate_outputs,
     "analyze-directory-jobs": lambda tmp_path, out: [
         "--output", f"{out / 'reports'}{os.sep}", "analyze", a4_json(tmp_path),
-        write(tmp_path, "a1.json", json.dumps({"rows": A1.a.tolist()})), "--jobs", "2"],
+        write(tmp_path, "a1.json", json.dumps({"rows": A1.a.tolist()}))],
 }
 
 
@@ -1514,8 +1522,8 @@ def test_cli_error_without_stderr_keeps_exit_code(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_analyze_jobs_logs_in_input_order(tmp_path, capsys, caplog, monkeypatch):
-    # a large input first, so that without ordering the small ones after it
-    # would log first; more workers than cores and a short switch interval
+    # several inputs log each input's lines in input order, and report
+    # what each input alone reports
     monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
     big = np.random.default_rng(12).random((120, 120))
     big /= big.sum(axis=1, keepdims=True)
@@ -1524,32 +1532,45 @@ def test_cli_analyze_jobs_logs_in_input_order(tmp_path, capsys, caplog, monkeypa
              write(tmp_path, "uneven.json", json.dumps({"rows": [[1, 0], [1, 1]]})),
              write(tmp_path, "a1.json", json.dumps({"rows": A1.a.tolist()}))]
     caplog.set_level(logging.INFO, logger="contractlab")
-    code, expected_out, _ = run_cli(capsys, "analyze", *paths, "--jobs", "1")
-    expected = [r.getMessage() for r in caplog.records]
-    assert code == 0 and len(expected) == 11
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            caplog.clear()
-            code, out, _ = run_cli(capsys, "analyze", *paths, "--jobs", "4")
-            assert (code, out) == (0, expected_out)
-            assert [r.getMessage() for r in caplog.records] == expected
-    finally:
-        sys.setswitchinterval(interval)
+    code, out, _ = run_cli(capsys, "analyze", *paths)
+    messages = [r.getMessage() for r in caplog.records]
+    assert code == 0 and len(messages) == 11
+    assert [messages[i] for i in (0, 3, 6, 8)] == [
+        f"loaded matrix {path}: n = {n}" for path, n in zip(paths, (120, 3, 2, A1.n))]
+    assert messages[7] == f"{paths[2]}: row sums are not constant; no coefficient"
+    alone = []
+    for path in paths:
+        code, single, _ = run_cli(capsys, "analyze", path)
+        assert code == 0
+        alone.append(json.loads(single))
+    assert json.loads(out) == alone
 
 
 def test_cli_analyze_jobs_logs_up_to_a_failing_input(tmp_path, capsys, caplog, monkeypatch):
     monkeypatch.delenv("CONTRACTLAB_LOG", raising=False)
     caplog.set_level(logging.INFO, logger="contractlab")
     a4, missing = a4_json(tmp_path), str(tmp_path / "missing.json")
-    code, out, err = run_cli(capsys, "analyze", a4, missing, a4, "--jobs", "3")
+    code, out, err = run_cli(capsys, "analyze", a4, missing, a4)
     assert code == 2 and out == "" and missing in err
     assert [r.getMessage() for r in caplog.records] == [
         f"loaded matrix {a4}: n = 3",
         "linf coefficient: method closed_form_linf",
         "l2 coefficient: method spectral_l2, an upper bound",
     ]
+
+
+def test_cli_analyze_reads_no_input_after_a_failing_one(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_matrix(path)
+
+    monkeypatch.setattr(cli.io, "load_matrix", counting_load)
+    a4, missing = a4_json(tmp_path), str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "analyze", a4, missing, a4)
+    assert code == 2 and out == "" and missing in err
+    assert calls == [a4, missing]
 
 
 @pytest.mark.parametrize("norm", ["linf", "l1"])

@@ -48,6 +48,14 @@ def test_matrix_immutable():
         m.a[0, 0] = 5.0
 
 
+def test_matrix_compares_by_identity():
+    A, B = Matrix(np.eye(2)), Matrix(np.eye(2))
+    assert A != B and A == A
+    assert hash(A) == hash(A)
+    assert {A, A, B} == {A, B}
+    assert A not in [B] and A in [B, A]
+
+
 def test_mu_examples():
     assert mu(A1) == 0.6
     assert mu(np.eye(3)) == 0.0
