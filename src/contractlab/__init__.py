@@ -81,7 +81,6 @@ from .contractivity import (
     contractivity_l2,
     contractivity_linf,
     decompose_affine,
-    empirical_contractivity,
     is_paracontractive_l2,
     is_pseudocontractive_stochastic_linf,
     spectral_norm_2,

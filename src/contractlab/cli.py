@@ -37,10 +37,10 @@ import numpy as np
 from . import io
 from .contractivity import (
     _linf_report,
+    attained_lower_bound,
     coefficients,
     contractivity,
     decompose_affine,
-    empirical_contractivity,
 )
 from .graphs import has_spanning_directed_tree, interaction_digraph, is_irreducible
 from .matcore import (
@@ -221,18 +221,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_contractivity(args) -> int:
-    if args.samples < 0:
-        raise io.InputError(f"--samples must be >= 0, got {args.samples}")
     A = io.load_matrix(args.matrix)
     log.info("loaded matrix %s: n = %d", args.matrix, A.n)
     norm = _norm_from_args(args)
     rep = contractivity(A, norm, args.row_sum_tol)
     _log_method(rep)
     doc = dict(rep.to_json(), input=str(args.matrix))
-    if args.samples > 0:  # the sampled lower bound, an oracle for c
-        doc.update(samples=args.samples, seed=args.seed,
-                   empirical_lower_bound=empirical_contractivity(
-                       A, norm, samples=args.samples, seed=args.seed))
+    if rep.is_bound_only:  # the ratio at one x brackets c from below
+        doc["lower_bound"] = attained_lower_bound(A, norm)
     _emit(doc, args)
     return 0
 
@@ -248,7 +244,8 @@ def cmd_product(args) -> int:
     full = products.product(seq, 0, len(seq.items) - 1)
     c_values = coefficients(seq.items, norm, args.row_sum_tol)
     conv = products.check_convergence_condition(c_values)
-    rep = contractivity(full, norm, args.row_sum_tol)
+    norms = [np.abs(F.a).sum(axis=1).max() for F in seq.items]  # for the product's rounding
+    rep = contractivity(full, norm, args.row_sum_tol + products._product_rounding(seq.n, norms))
     _log_method(rep)
     doc = {
         "input": str(args.sequence),
@@ -454,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--norm", choices=KINDS, default="linf")
     p.add_argument("--weights", help="weight vector: file path or comma-separated list")
-    p.add_argument("--samples", type=int, default=0,
-                   help="also compute a sampled lower bound with this many samples")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_contractivity)
 
     p = sub.add_parser("product", help="coefficient of a matrix product vs the factor bound")

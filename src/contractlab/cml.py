@@ -31,7 +31,6 @@ class MapDef:
     f: callable
     rho: float
     domain: tuple[float, float] | None  # None = all of R
-    rho_is_estimate: bool = False
 
 
 def make_map(spec: dict) -> MapDef:
@@ -40,8 +39,8 @@ def make_map(spec: dict) -> MapDef:
     kinds: {"kind": "logistic", "a": a} with f(x) = a x (1 - x) on [0,1]
     and rho = a; {"kind": "tent", "s": s} on [0,1] with rho = s;
     {"kind": "affine", "a": a, "b": b} on R with rho = |a|;
-    {"kind": "custom_table", "xs": [...], "ys": [...]} piecewise linear
-    with rho estimated as the largest segment slope.  Parameters are real
+    {"kind": "custom_table", "xs": [...], "ys": [...]} piecewise linear,
+    flat outside xs, so rho = its largest segment slope exactly.  Parameters are real
     numbers, and table entries lists of them: a bool or a string such as
     "3.9" is not one.  A spec that is not a dict, or whose parameters of
     its kind are missing or not numbers, raises ValueError.
@@ -92,7 +91,7 @@ def make_map(spec: dict) -> MapDef:
             raise ValueError("table needs >= 2 strictly increasing abscissae")
         rho = float(np.abs(np.diff(ys) / np.diff(xs)).max())
         return MapDef(kind, lambda x: np.interp(x, xs, ys), rho=rho,
-                      domain=(float(xs[0]), float(xs[-1])), rho_is_estimate=True)
+                      domain=(float(xs[0]), float(xs[-1])))
     raise ValueError(f"unknown map kind {kind!r}")
 
 

@@ -15,9 +15,9 @@ the spectral norm of W^(1/2) A W^(-1) less its row means.
 once; spectral norms come from the LAPACK SVD through numpy, so a
 non-converging SVD surfaces as np.linalg.LinAlgError.
 
-Also provides the Monte Carlo sampled lower bound, the spectral
-paracontractivity check, and the affine stochastic decomposition of
-set-nonexpansive maps.
+Also provides the ratio attained at one x, the maximizer under l2 and
+wl2, the spectral paracontractivity check, and the affine stochastic
+decomposition of set-nonexpansive maps.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .matcore import (
 from .projections import LINF, L1, L2, Norm, _weights_for, l2, linf, project, project_columns
 
 _EXACT_TOL = 1e-12
-_SAMPLE_CHUNK = 20000  # columns per batch in empirical_contractivity
 _UNIT_SV_TOL = 1e-8  # is_paracontractive_l2: |s - 1| below it counts as s = 1
 _FIXED_TOL = 1e-6  # is_paracontractive_l2: B fixes V1 when ||B V1 - V1|| is below it
 
@@ -157,33 +156,26 @@ def coefficients(matrices, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL)
     return [c_of[A] for A in matrices]
 
 
-def empirical_contractivity(A, norm: Norm, samples: int = 10000,
-                            seed: int = 0) -> float:
-    """Monte Carlo lower bound on c(A): max over sampled x outside the
-    diagonal span of d(Ax, X*) / d(x, X*).
-
-    Samples are standard normal vectors with their projection removed, so
-    the sup over the unit sphere of the complement is being probed.
-    Deterministic for a fixed seed.
-    """
+def attained_lower_bound(A, norm: Norm) -> float:
+    """d(Ax, X*) / d(x, X*) at x = W^(-1/2) v, v the top eigenvector of
+    M^T M: a lower bound on c(A) under norm, and the sup under l2 and wl2.
+    With W = diag(w) (w = e but under wl2) and Q_w = I - e w^T / (w^T e),
+    d(x, X*) = ||W^(1/2) Q_w x||_2 and Q_w A Q_w = Q_w A, so for y =
+    W^(1/2) x the ratio is ||M y|| / ||P y||, M = W^(1/2) Q_w A W^(-1/2)
+    = M P, P the orthogonal projector onto the complement of W^(1/2) e:
+    its sup ||M||_2 is ||M v||.  0.0 where d(x, X*) = 0 (n = 1); nan
+    where M is not finite."""
     A = as_matrix(A)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    remaining = samples
-    while remaining > 0:
-        m = min(_SAMPLE_CHUNK, remaining)
-        remaining -= m
-        X = rng.standard_normal((A.n, m))
-        alpha, dist = project_columns(X, norm)
-        keep = dist > 1e-12
-        if not np.any(keep):
-            continue
-        X = (X[:, keep] - alpha[keep]) / dist[keep]
-        _, dout = project_columns(A.a @ X, norm)
-        best = max(best, float(dout.max()))
-    return best
+    w = np.ones(A.n) if norm.weights is None else _weights_for(norm, A.n)
+    root = np.sqrt(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = root[:, None] * (A.a - w @ A.a / w.sum()) / root  # Q_w A = A - e w^T A / w^T e
+    if not np.all(np.isfinite(M)):
+        return float("nan")
+    M /= np.abs(M).max() or 1.0  # keeps M^T M finite; v is the same
+    x = np.linalg.eigh(M.T @ M)[1][:, -1] / root
+    _, (d_in, d_out) = project_columns(np.column_stack((x, A.a @ x)), norm)
+    return float(d_out / d_in) if d_in > 0 else 0.0
 
 
 def is_paracontractive_l2(B) -> bool:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, _delta, as_matrix,
-                      is_scrambling, is_stochastic, mu, nonzero_pattern)
+from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, _UNIT_ROUNDOFF, Matrix, _delta,
+                      as_matrix, is_scrambling, is_stochastic, mu, nonzero_pattern)
 from .projections import Norm, _weights_for, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
@@ -178,6 +178,19 @@ def _partial_products(factors):
 def _full_product(factors) -> Matrix:
     """F_last ... F_0; the partial products are not kept."""
     return Matrix(deque(_partial_products(factors), maxlen=1).pop())
+
+
+def _product_rounding(n: int, norms) -> float:
+    """((1 + g)^m - 1) N: how far a computed row sum of the product P of m
+    n x n factors F_k can lie from the exact one, N the product of norms,
+    bounds on the ||F_k||_inf, g = gamma_n = n u / (1 - n u), u the unit
+    roundoff.  Each computed product errs by |fl(F G) - F G| <= g |F| |G|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    3.5); by induction the m - 1 of them give |P' - P| <= ((1 + g)^(m-1)
+    - 1) |F_m| ... |F_1|, and summing a row of P' adds at most
+    g ||P'||_inf <= g (1 + g)^(m-1) N (4.2 there)."""
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return math.expm1(len(norms) * math.log1p(gamma)) * math.prod(norms)
 
 
 def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
@@ -345,13 +358,13 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     seq.n fails before any item is fetched.
 
     A block of m items is judged within (1 + t)^m - 1, the slack its row
-    sums can reach from items that pass: if every factor is nonnegative
+    sums can reach from items that pass, plus the product's rounding with
+    ||F||_inf <= 1 + t (_product_rounding): if every factor is nonnegative
     with row sums in [1 - t, 1 + t], F e lies between (1 - t) e and
     (1 + t) e entrywise, so the product's row sums lie in
     [(1 - t)^m, (1 + t)^m], and 1 - (1 - t)^m <= (1 + t)^m - 1.  The
     derivation assumes nonnegative factors (an item may have entries down
-    to -t) and does not count the rounding of the product itself.  A
-    one-item block is judged within t, as its item is.
+    to -t).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -382,9 +395,11 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     for start in range(0, horizon, block_len):
         stop = min(start + block_len, horizon) - 1
         m = stop - start + 1
-        # expm1(m log1p(t)) is (1 + t)^m - 1 >= m t; the max keeps its
-        # rounding from judging a one-item block below t
-        block_tol = max(m * row_sum_tol, math.expm1(m * math.log1p(row_sum_tol)))
+        # (1 + t)^m - 1 >= m t; the max keeps rounding from failing a one-item block
+        log_growth = m * math.log1p(row_sum_tol)
+        growth = math.expm1(log_growth) if log_growth < 709.0 else math.inf
+        block_tol = (max(m * row_sum_tol, growth)
+                     + _product_rounding(seq.n, [1.0 + row_sum_tol] * m))
         try:
             total += ergodicity_coefficient(product(seq, start, stop), norm, block_tol)
         except ValueError as exc:  # type(exc) keeps a LinAlgError a LinAlgError

@@ -95,6 +95,30 @@ def delta_halfsum(A):
     return float(np.abs(a[:, None, :] - a[None, :, :]).sum(axis=2).max() / 2)
 
 
+def _distances(X, norm):
+    """d(x, X*) for each column x of X, from each norm's closed form: half
+    the range under linf, the l1 distance to the median under l1, and
+    the weighted root mean square about the weighted mean under l2 and
+    wl2."""
+    if norm.kind == "linf":
+        return np.ptp(X, axis=0) / 2
+    if norm.kind == "l1":
+        return np.abs(X - np.median(X, axis=0)).sum(axis=0)
+    w = norm.weights if norm.kind == "wl2" else np.ones(X.shape[0])
+    return np.sqrt(w @ (X - w @ X / w.sum()) ** 2)
+
+
+def sampled_contractivity(A, norm, samples, seed=0):
+    """Monte Carlo lower bound on c(A): the max of d(Ax, X*) / d(x, X*)
+    over `samples` standard normal x off the diagonal span, deterministic
+    in the seed; 0.0 when no sample is off it."""
+    a = _array(A)
+    X = np.random.default_rng(seed).standard_normal((a.shape[0], samples))
+    d = _distances(X, norm)
+    keep = d > 1e-12
+    return float(np.max(_distances(a @ X[:, keep], norm) / d[keep], initial=0.0))
+
+
 def norm_of(x, norm):
     """The norm of x under a Norm selector, from np.linalg.norm."""
     if norm.kind == "wl2":

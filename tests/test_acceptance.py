@@ -14,7 +14,6 @@ from contractlab import (
     contractivity_linf,
     decompose_affine,
     delta,
-    empirical_contractivity,
     ergodicity_coefficient,
     has_spanning_directed_tree,
     interaction_digraph,
@@ -35,6 +34,7 @@ from conftest import (
     random_doubly_constant,
     random_nonneg_row_sum,
     random_stochastic,
+    sampled_contractivity,
 )
 
 
@@ -77,7 +77,7 @@ def test_criterion_3_l2_closed_form_vs_sampling():
             n = int(rng.integers(3, 6))
             A = random_doubly_constant(n, rng)
             c = contractivity_l2(A).c
-            emp = empirical_contractivity(A, l2(), samples=100000, seed=i)
+            emp = sampled_contractivity(A, l2(), samples=100000, seed=i)
             assert emp <= c + 1e-10, (A.a, c, emp)
             if c > 1e-10:
                 assert emp >= 0.99 * c, (A.a, c, emp)

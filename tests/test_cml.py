@@ -30,7 +30,6 @@ def test_make_map_logistic():
     mp = make_map({"kind": "logistic", "a": 4.0})
     assert mp.rho == 4.0 and mp.domain == (0.0, 1.0)
     assert mp.f(0.5) == 1.0 and mp.f(0.0) == 0.0
-    assert not mp.rho_is_estimate
 
 
 def test_make_map_tent():
@@ -49,7 +48,7 @@ def test_make_map_affine():
 def test_make_map_custom_table():
     mp = make_map({"kind": "custom_table", "xs": [0.0, 0.5, 1.0],
                    "ys": [0.0, 1.0, 0.0]})
-    assert mp.rho == 2.0 and mp.rho_is_estimate
+    assert mp.rho == 2.0
     assert mp.f(0.25) == 0.5
     assert mp.domain == (0.0, 1.0)
 

@@ -9,7 +9,6 @@ from contractlab import (
     contractivity_linf,
     decompose_affine,
     delta,
-    empirical_contractivity,
     is_paracontractive_l2,
     is_pseudocontractive_stochastic_linf,
     is_scrambling,
@@ -18,7 +17,7 @@ from contractlab import (
     product_contractivity_bound,
     spectral_norm_2,
 )
-from contractlab.contractivity import RowSumError
+from contractlab.contractivity import RowSumError, attained_lower_bound
 from contractlab.projections import project_columns
 from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5, M0, W4
@@ -29,6 +28,7 @@ from conftest import (
     random_doubly_constant,
     random_nonneg_row_sum,
     random_stochastic,
+    sampled_contractivity,
 )
 
 
@@ -169,7 +169,7 @@ def test_l1_empirical_and_product_stay_below_the_closed_form():
     for i in range(30):
         n = int(rng.integers(2, 7))
         A = random_constant_row_sum(n, rng)
-        assert empirical_contractivity(A, l1(), 2000, seed=i) <= contractivity(A, l1()).c + 1e-12
+        assert sampled_contractivity(A, l1(), 2000, seed=i) <= contractivity(A, l1()).c + 1e-12
         # exact coefficients are submultiplicative: the product's is at most
         # the product of the factors'
         seq = MatrixSequence(items=[random_constant_row_sum(n, rng) for _ in range(4)])
@@ -180,13 +180,11 @@ def test_l1_empirical_and_product_stay_below_the_closed_form():
 def test_empirical_contractivity_properties():
     # averaging matrix maps everything onto the diagonal: ratio 0
     J4 = np.full((4, 4), 0.25)
-    assert empirical_contractivity(J4, l2(), 1000, seed=0) == 0.0
+    assert sampled_contractivity(J4, l2(), 1000, seed=0) == 0.0
     # deterministic in the seed
-    a = empirical_contractivity(A3, l2(), 5000, seed=42)
-    b = empirical_contractivity(A3, l2(), 5000, seed=42)
+    a = sampled_contractivity(A3, l2(), 5000, seed=42)
+    b = sampled_contractivity(A3, l2(), 5000, seed=42)
     assert a == b
-    with pytest.raises(ValueError):
-        empirical_contractivity(A3, l2(), samples=0)
 
 
 def test_empirical_never_exceeds_l2_closed_form():
@@ -194,7 +192,7 @@ def test_empirical_never_exceeds_l2_closed_form():
     rng = np.random.default_rng(23)
     for _ in range(50):
         A = random_stochastic(int(rng.integers(2, 7)), rng)
-        emp = empirical_contractivity(A, l2(), 2000, seed=1)
+        emp = sampled_contractivity(A, l2(), 2000, seed=1)
         assert emp <= contractivity_l2(A).c + 1e-10
 
 
@@ -203,7 +201,7 @@ def test_empirical_reaches_l2_value_on_doubly_constant():
     for i in range(20):
         A = random_doubly_constant(int(rng.integers(3, 6)), rng)
         c = contractivity_l2(A).c
-        emp = empirical_contractivity(A, l2(), 100000, seed=i)
+        emp = sampled_contractivity(A, l2(), 100000, seed=i)
         assert emp <= c + 1e-10
         if c > 1e-10:
             assert emp >= 0.99 * c
@@ -216,8 +214,62 @@ def test_weighted_empirical_below_bound():
         A = random_stochastic(n, rng)
         w = rng.random(n) + 0.1
         bound = contractivity(A, weighted_l2(w)).c
-        emp = empirical_contractivity(A, weighted_l2(w), 5000, seed=i)
+        emp = sampled_contractivity(A, weighted_l2(w), 5000, seed=i)
         assert emp <= bound + 1e-10
+
+
+def witness_cases(seed, count):
+    """(A, norm) over nonnegative, doubly constant and signed constant row
+    sum matrices with n = 2 to 8, under l2 and random wl2 weights."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        A = (random_nonneg_row_sum(n, rng), random_doubly_constant(n, rng),
+             random_constant_row_sum(n, rng))[i % 3]
+        yield A, (l2() if i % 2 else weighted_l2(rng.random(n) + 0.05))
+
+
+def test_attained_lower_bound_between_sampling_and_the_bound():
+    for i, (A, norm) in enumerate(witness_cases(30, 120)):
+        c = contractivity(A, norm).c
+        lower = attained_lower_bound(A, norm)
+        assert lower <= c * (1 + 1e-12), (A.a, norm, lower, c)
+        assert lower >= sampled_contractivity(A, norm, 2000, seed=i) - 1e-12, (A.a, norm, lower)
+
+
+def test_attained_lower_bound_is_c_on_doubly_constant_l2():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        A = random_doubly_constant(int(rng.integers(2, 9)), rng)
+        c = contractivity(A, l2()).c
+        assert attained_lower_bound(A, l2()) == pytest.approx(c, abs=1e-12 * max(1.0, c))
+
+
+def test_attained_lower_bound_reference_values():
+    assert attained_lower_bound(A4, l2()) == pytest.approx(0.955505136625, abs=1e-12)
+    assert attained_lower_bound(A4, weighted_l2(W4)) == pytest.approx(0.893748035587, abs=1e-12)
+    # A3 under W4: the sup itself is above 1, below the bound 1.867
+    assert 1.09 < attained_lower_bound(A3, weighted_l2(W4)) < contractivity(A3, weighted_l2(W4)).c
+
+
+@pytest.mark.parametrize("norm_of_n", [lambda n: linf(), lambda n: l1(), lambda n: l2(),
+                                       lambda n: weighted_l2(np.linspace(1.0, 0.3, n))],
+                         ids=["linf", "l1", "l2", "wl2"])
+def test_attained_lower_bound_zero_for_n_1_and_rank_one(norm_of_n):
+    assert attained_lower_bound([[2.0]], norm_of_n(1)) == 0.0
+    # A x is a constant vector; only the rounding of its mean is left of it
+    rank_one = np.outer(np.ones(3), [0.2, 0.3, 0.5])
+    assert attained_lower_bound(rank_one, norm_of_n(3)) <= 4 * np.finfo(float).eps
+
+
+def test_attained_lower_bound_nan_when_m_overflows():
+    # finite entries whose column sums overflow
+    huge = np.array([[1e308, -1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 0.0]])
+    assert np.isnan(attained_lower_bound(huge, l2()))
+    # entries far from 1 on either side: M is scaled before M^T M
+    for scale in (1e-200, 1e200):
+        assert attained_lower_bound(A4.a * scale, l2()) == pytest.approx(
+            0.955505136625 * scale, rel=1e-12)
 
 
 def test_delta_mu_c_chain():

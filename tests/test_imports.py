@@ -166,7 +166,7 @@ EXPORTS = {
                     "project", "weighted_l2"],
     "contractivity": [
         "AffineDecomposition", "ContractivityReport", "contractivity", "contractivity_l2",
-        "contractivity_linf", "decompose_affine", "empirical_contractivity",
+        "contractivity_linf", "decompose_affine",
         "is_paracontractive_l2", "is_pseudocontractive_stochastic_linf", "spectral_norm_2"],
     "products": [
         "ErgodicityReport", "MatrixSequence", "check_convergence_condition",

@@ -306,25 +306,34 @@ def test_cli_contractivity_norms(tmp_path, capsys):
                            "--weights", "1,0.2265,1")
     doc = json.loads(out)
     assert code == 0 and doc["bound_only"] and doc["c"] < 1.0
-    code, out, _ = run_cli(capsys, "contractivity", p, "--norm", "l1",
-                           "--samples", "500", "--seed", "3")
+    assert doc["lower_bound"] == 0.893748035587
+    code, out, _ = run_cli(capsys, "contractivity", p, "--norm", "l1")
     doc = json.loads(out)
-    assert code == 0 and doc["samples"] == 500 and doc["method"] == "closed_form_l1"
+    assert code == 0 and doc["method"] == "closed_form_l1" and "lower_bound" not in doc
     assert doc["c"] == pytest.approx(0.9, abs=1e-12)
-    assert doc["empirical_lower_bound"] <= doc["c"] + 1e-12
 
 
-@pytest.mark.parametrize("norm", ["linf", "l1"])
-def test_cli_contractivity_negative_samples_exits_2(tmp_path, capsys, norm):
+def test_cli_contractivity_lower_bound_only_with_an_upper_bound(tmp_path, capsys):
+    # A4's l2 coefficient is a bound above 1, its attained ratio the exact
+    # sup below 1; a doubly constant matrix has the exact l2 coefficient
     p = a4_json(tmp_path)
-    code, out, err = run_cli(capsys, "contractivity", p, "--norm", norm, "--samples", "-5")
-    assert code == 2 and out == ""
-    assert err == "error: --samples must be >= 0, got -5\n"
-    # 0, the default, samples under no norm: every norm has its coefficient
-    code, out, _ = run_cli(capsys, "contractivity", p, "--norm", norm, "--samples", "0")
+    code, out, _ = run_cli(capsys, "contractivity", p, "--norm", "l2")
     doc = json.loads(out)
-    assert code == 0 and doc["method"].startswith("closed_form_")
-    assert not {"empirical_lower_bound", "samples", "seed"} & doc.keys()
+    assert code == 0 and doc["bound_only"] and doc["c"] == pytest.approx(1.125050033165)
+    assert doc["lower_bound"] == 0.955505136625
+    exact = write(tmp_path, "exact.json", json.dumps({"rows": [[0.5, 0.5], [0.5, 0.5]]}))
+    for argv in ([p], [p, "--norm", "l1"], [exact, "--norm", "l2"]):
+        code, out, _ = run_cli(capsys, "contractivity", *argv)
+        doc = json.loads(out)
+        assert code == 0 and not doc["bound_only"] and "lower_bound" not in doc
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_cli_contractivity_samples_and_seed_are_usage_errors(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["contractivity", a4_json(tmp_path), "--norm", "l2", flag, "10"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"unrecognized arguments: {flag} 10" in err
 
 
 # constant row sums fail: d(A(x + alpha e), X*) grows without bound in alpha
@@ -569,6 +578,42 @@ def test_cli_ergodicity_judges_a_block_within_its_items_slack(tmp_path, capsys):
                                  "--horizon", "4")
         assert (code, err) == want
         assert bool(out) == (code == 0)
+
+
+def exactly_stochastic(rng, n):
+    """A random n x n stochastic matrix whose rows sum to exactly 1.0."""
+    while True:
+        a = rng.random((n, n))
+        a /= a.sum(axis=1, keepdims=True)
+        a[:, -1] = 1.0 - a[:, :-1].sum(axis=1)
+        if np.all(a >= 0) and np.all(a.sum(axis=1) == 1.0):
+            return a
+
+
+@pytest.mark.parametrize("command", ["ergodicity", "product"])
+def test_cli_product_rounding_passes_a_zero_row_sum_tol(tmp_path, capsys, command):
+    # three 5 x 5 items whose rows sum to exactly 1.0, nine in all: the
+    # first block of four and the product of all nine drift by rounding
+    rng = np.random.default_rng(5)
+    names = []
+    for k in range(3):
+        names.append(f"x{k}.json")
+        write(tmp_path, names[-1], json.dumps({"rows": exactly_stochastic(rng, 5).tolist()}))
+    spec = write(tmp_path, "xs.json", json.dumps({"matrices": names, "repeat": 3}))
+    seq = load_sequence(spec)
+    for stop in (3, 8):
+        assert np.abs(product(seq, 0, stop).a.sum(axis=1) - 1.0).max() > 0
+    argv = ["ergodicity", spec, "--horizon", "9"] if command == "ergodicity" else ["product", spec]
+    code, out, err = run_cli(capsys, "--row-sum-tol", "0", *argv)
+    assert (code, err) == (0, "") and json.loads(out)
+
+
+def test_cli_ergodicity_block_slack_past_the_float_range(tmp_path, capsys):
+    # (1 + 1e300)^5 - 1 is past the float range: the block's slack is infinite
+    spec = repeated_sequence(tmp_path, A4, "a4")
+    code, out, err = run_cli(capsys, "--row-sum-tol", "1e300", "ergodicity", spec,
+                             "--horizon", "5", "--block-len", "5")
+    assert (code, err) == (0, "") and json.loads(out)["block_mu_c_partial_sums"]
 
 
 @pytest.mark.parametrize("command", ["contractivity", "product", "ergodicity", "simulate"])
@@ -1095,14 +1140,21 @@ def test_cli_entries_near_the_float_limit_warn_nothing(tmp_path):
     reported as null, and an error is one stderr line."""
     huge = write(tmp_path, "huge.json", json.dumps({"rows": [[1e308, -1e308], [-1e308, 1e308]]}))
     sums = write(tmp_path, "sums.json", json.dumps({"rows": [[1e308, 1e308], [1e308, 1e308]]}))
+    # row sums 0, column sums past the float range: an l2 bound and its
+    # lower end, both null
+    cols = write(tmp_path, "cols.json", json.dumps(
+        {"rows": [[1e308, -1e308, 0], [1e308, -1e308, 0], [0, 0, 0]]}))
     vector = write(tmp_path, "x.json", "[1, 2]")
     cases = [(["analyze", huge], 0), (["analyze", huge, sums], 0),
              (["contractivity", huge], 0), (["contractivity", huge, "--norm", "l2"], 0),
-             (["contractivity", sums, "--norm", "l2"], 2), (["decompose", huge, vector], 2)]
+             (["contractivity", sums, "--norm", "l2"], 2), (["contractivity", cols, "--norm", "l2"], 0),
+             (["decompose", huge, vector], 2)]
     for argv, code in cases:
         res = run_cli_process(*argv, PYTHONWARNINGS="error")
         assert res.returncode == code, (argv, res.stderr)
         assert len(res.stderr.splitlines()) == (code == 2), (argv, res.stderr)
+    doc = json.loads(run_cli_process("contractivity", cols, "--norm", "l2").stdout)
+    assert (doc["bound_only"], doc["c"], doc["lower_bound"]) == (True, None, None)
     reports = json.loads(run_cli_process("analyze", huge, sums, PYTHONWARNINGS="error").stdout)
     assert [(r["delta"], r["c_linf"], r["mu"]) for r in reports] == [(None, None, None),
                                                                       (0.0, None, None)]
@@ -1386,7 +1438,7 @@ def logged_commands(tmp_path):
             f"loaded matrix {a4}: n = 3",
             "wl2 coefficient: method weighted_bound, an upper bound",
         ]),
-        "contractivity-l1": (["contractivity", a4, "--norm", "l1", "--samples", "10"], [
+        "contractivity-l1": (["contractivity", a4, "--norm", "l1"], [
             f"loaded matrix {a4}: n = 3",
             "l1 coefficient: method closed_form_l1",
         ]),
