@@ -4,6 +4,9 @@ Subcommands: analyze, contractivity, product, ergodicity, simulate,
 decompose, reproduce-paper.  All reports are JSON (floats rendered at 12
 significant digits so repeated runs are byte-identical); exit codes are
 0 for success, 2 for input errors, 3 for internal numerical failure.
+``product`` and ``ergodicity`` judge each item at --row-sum-tol, and a
+product of accepted items within ``products._product_slack``, the row-sum
+drift such items allow.
 
 ``run`` is the process entry (``python -m contractlab.cli`` and the
 ``contractlab`` script).  Once ``main`` returns it runs the exit handlers
@@ -38,7 +41,6 @@ from . import io
 from .contractivity import (
     _linf_report,
     attained_lower_bound,
-    coefficients,
     contractivity,
     decompose_affine,
 )
@@ -241,11 +243,8 @@ def cmd_product(args) -> int:
         raise io.InputError(f"{args.sequence}: product needs a finite list of matrices")
     _log_sequence(args.sequence, seq)
     norm = _norm_from_args(args)
-    full = products.product(seq, 0, len(seq.items) - 1)
-    c_values = coefficients(seq.items, norm, args.row_sum_tol)
+    c_values, full, rep = products._judged_product(seq.items, norm, args.row_sum_tol)
     conv = products.check_convergence_condition(c_values)
-    norms = [np.abs(F.a).sum(axis=1).max() for F in seq.items]  # for the product's rounding
-    rep = contractivity(full, norm, args.row_sum_tol + products._product_rounding(seq.n, norms))
     _log_method(rep)
     doc = {
         "input": str(args.sequence),

@@ -148,11 +148,15 @@ def contractivity_l2(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> Contractivi
 def coefficients(matrices, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> list:
     """contractivity(A, norm, row_sum_tol).c for each Matrix of the list,
     computed once per distinct object and in list order, so the first
-    matrix that fails raises.  A sequence repeats an item by reference."""
+    matrix that fails raises; a RowSumError names its index.  A sequence
+    repeats an item by reference."""
     c_of = {}
-    for A in matrices:
+    for k, A in enumerate(matrices):
         if A not in c_of:
-            c_of[A] = contractivity(A, norm, row_sum_tol).c
+            try:
+                c_of[A] = contractivity(A, norm, row_sum_tol).c
+            except RowSumError as exc:
+                raise RowSumError(f"item {k}: {exc}") from exc
     return [c_of[A] for A in matrices]
 
 

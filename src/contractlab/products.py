@@ -6,6 +6,10 @@ length over a finite family, and weak-ergodicity bookkeeping.
 Composition convention: sequence index k is application time in
 x(k+1) = A_k x(k), so the composite operator over [a, b] is
 A_b A_(b-1) ... A_a.
+
+A product's row sums are judged only after each item passed at the
+tolerance t, and then within ``_product_slack``, the drift such items
+allow.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -180,17 +185,44 @@ def _full_product(factors) -> Matrix:
     return Matrix(deque(_partial_products(factors), maxlen=1).pop())
 
 
-def _product_rounding(n: int, norms) -> float:
-    """((1 + g)^m - 1) N: how far a computed row sum of the product P of m
-    n x n factors F_k can lie from the exact one, N the product of norms,
-    bounds on the ||F_k||_inf, g = gamma_n = n u / (1 - n u), u the unit
-    roundoff.  Each computed product errs by |fl(F G) - F G| <= g |F| |G|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    3.5); by induction the m - 1 of them give |P' - P| <= ((1 + g)^(m-1)
-    - 1) |F_m| ... |F_1|, and summing a row of P' adds at most
-    g ||P'||_inf <= g (1 + g)^(m-1) N (4.2 there)."""
+def _product_slack(n: int, t: float, norms) -> float:
+    """Slack for the row sums of the computed product P = F_m ... F_1 of
+    n x n factors that each passed a row-sum check at t: 2 S, where S =
+    t sum_k prod_(j!=k) N_j + ((1 + g)^(2m+1) - 1) prod_j N_j, the N_j >=
+    ||F_j||_inf are the norms, g = n u / (1 - n u) and u the unit roundoff.
+
+    A passed F_j has F_j e = r_j e + d_j with ||d_j||_inf <= t, r_j = 1
+    for the stochastic check and the mean row sum for the constant one,
+    so |r_j| <= N_j (r_j = 1 needs N_j >= 1) for entries of any sign.
+    Then P e - r_m ... r_1 e = sum_k r_(k-1) ... r_1 F_m ... F_(k+1) d_k
+    is at most t sum_k prod_(j!=k) N_j in the max norm, and rounding
+    carried the same way adds 2m + 1 errors of relative size g: the
+    factors' row sums, the m - 1 products, and P's row sums and their
+    mean (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 3.5 and 4.2; terms in u t are dropped).  So P's row sums lie
+    within S of r_m ... r_1, which is 1 for the stochastic check, and
+    within 2 S of their mean.  Entry signs are not carried: entries down
+    to -t can give a product entry below -2 S.  O(m) from prefix and
+    suffix products; inf past the float range.
+    """
+    prefix = list(itertools.accumulate(norms, operator.mul, initial=1.0))
+    suffix = list(itertools.accumulate(reversed(norms), operator.mul, initial=1.0))
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    return math.expm1(len(norms) * math.log1p(gamma)) * math.prod(norms)
+    slack = 2.0 * (t * sum(map(operator.mul, prefix, reversed(suffix[:-1])))
+                   + math.expm1((2 * len(norms) + 1) * math.log1p(gamma)) * prefix[-1])
+    return slack if slack == slack else math.inf  # nan from 0 * inf
+
+
+def _judged_product(factors, norm: Norm, t: float):
+    """(the factors' coefficients, each judged at t in order, their
+    product P = F_last ... F_0, P's report within _product_slack)."""
+    return coefficients(factors, norm, t), *_product_report(factors, norm, t)
+
+
+def _product_report(factors, norm: Norm, t: float):
+    P = _full_product(factors)
+    norms = [float(np.abs(F.a).sum(axis=1).max()) for F in factors]
+    return P, contractivity(P, norm, _product_slack(P.n, t, norms))
 
 
 def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
@@ -208,12 +240,12 @@ def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float,
     exceeds the second.  Under the Euclidean norms every coefficient is an
     upper bound ||W^(1/2) A W^(-1) K||_2 on the sup, and the product's can
     exceed the product of the factors', so there the comparison is
-    diagnostic."""
-    ms = seq.items
-    if ms is None:
+    diagnostic.  Each factor is judged before the product, as in
+    _judged_product."""
+    if seq.items is None:
         raise ValueError("requires a finite sequence")
-    c_exact = contractivity(product(seq, 0, len(ms) - 1), norm).c
-    return c_exact, float(np.cumprod(coefficients(ms, norm))[-1])  # left to right
+    c_values, _, rep = _judged_product(seq.items, norm, DEFAULT_ROW_SUM_TOL)
+    return rep.c, float(np.cumprod(c_values)[-1])  # left to right
 
 
 def check_convergence_condition(c_values, horizon: int | None = None) -> dict:
@@ -288,19 +320,23 @@ def min_contractive_product_length(H, norm_q: Norm, max_m: int,
     'scrambling'), or None if no such m is found.
 
     All |H|^m orderings are enumerated; raises BudgetError when a level
-    would exceed the enumeration budget.
+    would exceed the enumeration budget.  Under 'contractive' each member
+    of H is judged first, and each ordering's product within
+    _product_slack, as in _judged_product.
     """
     H = [as_matrix(m) for m in H]
     if not H:
         raise ValueError("family must be nonempty")
     if predicate not in ("contractive", "scrambling"):
         raise ValueError(f"unknown predicate {predicate!r}")
-    holds = ((lambda P: contractivity(P, norm_q).is_set_contractive)
-             if predicate == "contractive" else is_scrambling)
+    if predicate == "contractive":
+        coefficients(H, norm_q)  # raises, naming the first member that fails
+    holds = ((lambda F: _product_report(F, norm_q, DEFAULT_ROW_SUM_TOL)[1].is_set_contractive)
+             if predicate == "contractive" else lambda F: is_scrambling(_full_product(F)))
     for m in range(1, max_m + 1):
         if len(H) ** m > budget:
             raise BudgetError(f"|H|^{m} exceeds enumeration budget {budget}")
-        if all(holds(_full_product(combo)) for combo in itertools.product(H, repeat=m)):
+        if all(holds(combo) for combo in itertools.product(H, repeat=m)):
             return m
     return None
 
@@ -355,16 +391,9 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     The verdict is a diagnostic, never a proof: 'consistent' when every
     anchored delta series ends below the zero threshold.  Every item is
     judged stochastic within t = row_sum_tol; a weight count other than
-    seq.n fails before any item is fetched.
-
-    A block of m items is judged within (1 + t)^m - 1, the slack its row
-    sums can reach from items that pass, plus the product's rounding with
-    ||F||_inf <= 1 + t (_product_rounding): if every factor is nonnegative
-    with row sums in [1 - t, 1 + t], F e lies between (1 - t) e and
-    (1 + t) e entrywise, so the product's row sums lie in
-    [(1 - t)^m, (1 + t)^m], and 1 - (1 - t)^m <= (1 + t)^m - 1.  The
-    derivation assumes nonnegative factors (an item may have entries down
-    to -t).
+    seq.n fails before any item is fetched.  Each block's product is
+    judged within _product_slack, with the norms that acceptance implies:
+    entries >= -t and row sums within t of 1 give ||F||_inf <= 1 + (2n - 1) t.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -392,14 +421,10 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
 
     sums = []
     total = 0.0
+    bound = 1.0 + (2 * seq.n - 1) * row_sum_tol  # on each accepted item's ||F||_inf
     for start in range(0, horizon, block_len):
         stop = min(start + block_len, horizon) - 1
-        m = stop - start + 1
-        # (1 + t)^m - 1 >= m t; the max keeps rounding from failing a one-item block
-        log_growth = m * math.log1p(row_sum_tol)
-        growth = math.expm1(log_growth) if log_growth < 709.0 else math.inf
-        block_tol = (max(m * row_sum_tol, growth)
-                     + _product_rounding(seq.n, [1.0 + row_sum_tol] * m))
+        block_tol = _product_slack(seq.n, row_sum_tol, [bound] * (stop - start + 1))
         try:
             total += ergodicity_coefficient(product(seq, start, stop), norm, block_tol)
         except ValueError as exc:  # type(exc) keeps a LinAlgError a LinAlgError

@@ -3,7 +3,8 @@ under the max, Euclidean, l1, and weighted Euclidean norms.
 
 Closed forms: the l2 projection coefficient is the mean, the max-norm
 coefficient is the midpoint of the range, the l1 coefficient is a median,
-and the weighted-l2 coefficient is sum(w * x) / sum(w).
+and the weighted-l2 coefficient is sum(w * x) / sum(w).  Under every norm
+a constant vector c e has alpha = c and distance 0 exactly.
 """
 
 from __future__ import annotations
@@ -154,4 +155,7 @@ def _project_columns(X: np.ndarray, norm: Norm) -> tuple[np.ndarray, np.ndarray]
         w = _weights_for(norm, n)
         alpha = (w[:, None] * X).sum(axis=0) / w.sum()
         dist = np.sqrt((w[:, None] * (X - alpha) ** 2).sum(axis=0))
+    if norm.kind in (L2, WL2):  # a constant column's mean can miss its value by an ulp
+        missed = (X == X[:1]).all(axis=0) & (alpha != X[0])
+        alpha[missed], dist[missed] = X[0, missed], 0.0
     return alpha, dist

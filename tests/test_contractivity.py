@@ -257,9 +257,9 @@ def test_attained_lower_bound_reference_values():
                          ids=["linf", "l1", "l2", "wl2"])
 def test_attained_lower_bound_zero_for_n_1_and_rank_one(norm_of_n):
     assert attained_lower_bound([[2.0]], norm_of_n(1)) == 0.0
-    # A x is a constant vector; only the rounding of its mean is left of it
+    # A x is a constant vector, which lies on X* under every norm
     rank_one = np.outer(np.ones(3), [0.2, 0.3, 0.5])
-    assert attained_lower_bound(rank_one, norm_of_n(3)) <= 4 * np.finfo(float).eps
+    assert attained_lower_bound(rank_one, norm_of_n(3)) == 0.0
 
 
 def test_attained_lower_bound_nan_when_m_overflows():

@@ -580,6 +580,48 @@ def test_cli_ergodicity_judges_a_block_within_its_items_slack(tmp_path, capsys):
         assert bool(out) == (code == 0)
 
 
+# row 0 sums to 1 + 9e-7: within --row-sum-tol 1e-6 of the mean row sum
+DRIFTING = [[0.6000009, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
+# row sums within 9e-7 of 1, and 1.2e-6 from their mean
+SPREAD_DIAGONAL = [[1.0000009, 0, 0], [0, 0.9999991, 0], [0, 0, 0.9999991]]
+
+
+@pytest.mark.parametrize("repeat", [12, 16])
+def test_cli_product_of_accepted_items_is_accepted(tmp_path, capsys, monkeypatch, repeat):
+    write(tmp_path, "drift.json", json.dumps({"rows": DRIFTING}))
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["drift.json"], "repeat": repeat}))
+    calls = counting_coefficient(monkeypatch)
+    code, out, err = run_cli(capsys, "--row-sum-tol", "1e-6", "product", spec)
+    assert (code, err) == (0, "")
+    # the item's coefficient first, then the product's
+    assert len(calls) == 2 and calls[0].a.tolist() == DRIFTING
+    full = product(load_sequence(spec), 0, repeat - 1)
+    assert calls[1].a.tolist() == full.a.tolist()
+    doc = json.loads(out)
+    assert doc["c_exact"] == float(f"{contractivity_linf(full, 1e-3).c:.12g}")
+
+
+def test_cli_ergodicity_block_of_one_accepted_item(tmp_path, capsys):
+    write(tmp_path, "spread.json", json.dumps({"rows": SPREAD_DIAGONAL}))
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["spread.json"], "repeat": 2}))
+    code, out, err = run_cli(capsys, "--row-sum-tol", "1e-6", "ergodicity", spec,
+                             "--horizon", "2", "--block-len", "1")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["block_mu_c_partial_sums"]) == 2
+
+
+def test_cli_product_names_an_item_off_by_twice_the_tolerance(tmp_path, capsys):
+    # far.json's row sums are 2e-6 apart; ergodicity's case is in
+    # test_cli_ergodicity_judges_a_block_within_its_items_slack
+    write(tmp_path, "drift.json", json.dumps({"rows": DRIFTING}))
+    write(tmp_path, "far.json", json.dumps({"rows": [[0.600002, 0.2, 0.2], *DRIFTING[1:]]}))
+    spec = write(tmp_path, "seq.json", json.dumps(
+        {"matrices": ["drift.json", "far.json", "drift.json"]}))
+    code, out, err = run_cli(capsys, "--row-sum-tol", "1e-6", "product", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: item 1: matrix does not have constant row sums\n"
+
+
 def exactly_stochastic(rng, n):
     """A random n x n stochastic matrix whose rows sum to exactly 1.0."""
     while True:

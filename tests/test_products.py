@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -21,7 +22,8 @@ from contractlab import (
     weak_ergodicity_diagnostic,
 )
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
-from contractlab.matcore import nonzero_pattern
+from contractlab.contractivity import RowSumError, contractivity
+from contractlab.matcore import _UNIT_ROUNDOFF, nonzero_pattern, row_sum_profile
 from contractlab import l2, linf, weighted_l2
 from contractlab import products
 from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
@@ -250,13 +252,102 @@ def test_product_contractivity_bound_computes_each_coefficient_once(monkeypatch)
     cs = [contractivity_linf(M).c for M in (A4, B)]
     calls = counting_coefficient(monkeypatch)
     c_exact, c_bound = product_contractivity_bound(seq, linf())
-    # the full product first, then A4 and B once each
-    assert len(calls) == 3 and calls[1] is A4 and calls[2] is B
+    # A4 and B once each, then the full product
+    assert len(calls) == 3 and calls[0] is A4 and calls[1] is B
     assert c_exact == contractivity_linf(product(seq, 0, 19)).c
     expected = 1.0
     for k in range(20):
         expected *= cs[k % 2]
     assert c_bound == expected
+
+
+# a first row that sums to 1 + 9e-10: within the default 1e-9 of the mean
+R3_ITEM = [[0.6000000009, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
+
+
+@pytest.mark.parametrize("m", [8, 20])
+def test_product_contractivity_bound_accepts_a_product_of_accepted_items(m):
+    seq = MatrixSequence(items=[R3_ITEM] * m)
+    c_exact, c_bound = product_contractivity_bound(seq, linf())
+    assert c_exact == contractivity(product(seq, 0, m - 1), linf(), 1e-6).c
+    assert c_bound == pytest.approx(contractivity_linf(R3_ITEM).c ** m, rel=1e-12)
+
+
+def test_product_contractivity_bound_names_the_item_that_fails():
+    far = np.array(R3_ITEM)
+    far[0, 0] += 2e-9  # row sums 2.9e-9 apart
+    with pytest.raises(RowSumError, match="^item 1: matrix does not have constant row sums$"):
+        product_contractivity_bound(seq_of(R3_ITEM, far, R3_ITEM), linf())
+
+
+def half_shift(n):
+    """0.5 I + 0.5 (cyclic shift): its m-th power is first scrambling at m = n / 2."""
+    return 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+
+
+def test_min_contractive_product_length_judges_products_within_the_slack():
+    F = half_shift(40)
+    assert min_contractive_product_length([F], linf(), 40) == 20
+    F[0, 0] += 9e-10  # row 0 sums to 1 + 9e-10: the item passes at 1e-9
+    assert min_contractive_product_length([F], linf(), 40) == 20
+    # each member is judged before any product
+    with pytest.raises(RowSumError, match="^item 1: "):
+        min_contractive_product_length([A4.a, [[0.5, 0.5], [0.2, 0.7]]], linf(), 3)
+
+
+def test_product_slack_values():
+    gamma = 3 * _UNIT_ROUNDOFF / (1 - 3 * _UNIT_ROUNDOFF)
+    rounding = math.expm1(5 * math.log1p(gamma))  # 2m + 1 roundings at m = 2
+    assert products._product_slack(3, 1e-6, [2.0, 0.5]) == pytest.approx(
+        2 * (1e-6 * (0.5 + 2.0) + rounding), rel=1e-12)
+    assert products._product_slack(3, 0.0, [1.0]) == pytest.approx(
+        2 * math.expm1(3 * math.log1p(gamma)), rel=1e-12)
+    # past the float range, and 0 * inf: infinite, not an error
+    assert products._product_slack(3, 1e300, [5e300] * 5) == math.inf
+    assert products._product_slack(3, 0.0, [1e300, 1e300, 0.0]) == math.inf
+
+
+def dyadic_item(n, rng, t, kind):
+    """An n x n item whose computed row sums lie within t of their mean.
+    'signed': random signed entries, ||F||_inf about 0.5, 1 or 2, and
+    exactly constant row sums before a move of up to t / 2 per row;
+    'diagonal': r I with row 0 moved by 0.99 t and the others against it,
+    which carries the moves through the product at full size."""
+    while True:
+        if kind == "diagonal":
+            r = rng.integers(16, 33) / 16 * rng.choice([-1.0, 1.0]) / 2
+            d = np.full(n, -0.99 * t / max(1, n - 1))
+            d[0] = 0.99 * t
+            a = np.diag(r + d)
+        else:
+            # small multiples of a power of two: every sum of them is exact
+            scale = 2.0 ** -(max(0, math.floor(math.log2(n / 2))) + rng.integers(-1, 2))
+            a = rng.integers(-64, 65, (n, n)) / 64 * scale
+            r = rng.integers(-64, 65) / 64 * scale
+            a[:, -1] = r - a[:, :-1].sum(axis=1)
+            a[:, -1] += rng.uniform(-0.5, 0.5, n) * t
+        F = Matrix(a)
+        if row_sum_profile(F, t).is_constant:
+            return F
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 30])
+@pytest.mark.parametrize("t", [0.0, 1e-12, 1e-9, 1e-6])
+def test_product_slack_bounds_the_row_sums_of_products(n, t):
+    rng = np.random.default_rng([n, int(-math.log10(t)) if t else 0])
+    small = 0
+    for case in range(12):
+        kind = "diagonal" if case % 3 == 0 else "signed"
+        m = int(rng.integers(1, 51))
+        items = [dyadic_item(n, rng, t, kind) for _ in range(m)]
+        norms = [float(np.abs(F.a).sum(axis=1).max()) for F in items]
+        small += sum(N < 1 for N in norms)
+        slack = products._product_slack(n, t, norms)
+        sums = product(MatrixSequence(items=items), 0, m - 1).a.sum(axis=1)
+        target = math.prod(row_sum_profile(F, t).r for F in items)
+        assert np.abs(sums - target).max() <= slack
+        assert sums.max() - sums.min() <= slack
+    assert small > 0  # some items have ||F||_inf < 1
 
 
 def test_submultiplicativity_linf():

@@ -122,6 +122,27 @@ def test_project_columns_matches_scalar_version():
                 assert dists[j] == p.distance
 
 
+@pytest.mark.parametrize("norm", [linf(), l2(), l1(), weighted_l2([1.0, 0.3, 0.7])], ids=str)
+def test_constant_columns_lie_on_the_diagonal_exactly(norm):
+    # 0.1 + 0.1 + 0.1 rounds up, so the mean of [0.1, 0.1, 0.1] misses 0.1
+    rng = np.random.default_rng(15)
+    values = np.concatenate(([0.1, 0.7, -1e-300, 1e308, -0.0], rng.standard_normal(20)))
+    X = np.hstack([rng.standard_normal((3, 25)), np.tile(values, (3, 1))])
+    constant = (X == X[0]).all(axis=0)
+    assert constant.sum() == 25
+    alpha, dist = project_columns(X, norm)
+    assert alpha[constant].tolist() == X[0, constant].tolist()
+    assert not dist[constant].any()
+    # every other column keeps the bits of the plain formula
+    w = np.ones(3) if norm.weights is None else norm.weights
+    if norm.kind in ("l2", "wl2"):
+        Y = X[:, ~constant]
+        a = (w[:, None] * Y).sum(axis=0) / w.sum() if norm.kind == "wl2" else Y.mean(axis=0)
+        assert alpha[~constant].tobytes() == a.tobytes()
+        d = np.sqrt((w[:, None] * (Y - a) ** 2).sum(axis=0))
+        assert dist[~constant].tobytes() == d.tobytes()
+
+
 @pytest.mark.parametrize("norm", [linf(), l2(), l1(), weighted_l2([1.0, 0.3])], ids=str)
 def test_project_columns_finite_past_the_square_root_of_the_float_range(norm):
     X = np.array([[1e200, 1e308, 1.7e308, 0.1], [3e200, -1e308, 1.6e308, 0.9]])
