@@ -37,6 +37,9 @@ all sit at rounding level, mu_delta makes the full delta sweep.  ``analyze`` cal
 ``delta`` and ``_delta`` stay the full sweep, as the oracle and the
 fallback; ``weak_ergodicity_diagnostic`` calls ``_delta`` on anchored
 products at the rounding floor, where the table would only add a sweep.
+``_delta_bound`` bounds the computed delta from above by the summed
+column spreads, in one n x n pass: where that bound is small enough, the
+diagnostic's verdict-only anchors need no sweep at all.
 """
 
 from __future__ import annotations
@@ -186,6 +189,46 @@ def _delta(a: np.ndarray) -> float:
     """delta of a finite square float64 array, taken as it is: no copy and
     no validation, for callers whose arrays are finite by construction."""
     return float(_row_pairs(a, _positive_part_of_difference).max())
+
+
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u), u the unit roundoff: the relative error
+    that m rounded operations can build up (Higham, 2nd ed., 3.1)."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def _delta_bound(a: np.ndarray) -> float:
+    """b(a) = (1 + 4 gamma_n) sum_k fl(max_i a_ik - min_i a_ik), from one
+    pass over the square float64 array a: at least _delta(a), the value
+    as computed, not only the exact delta.
+
+    Write s_k = fl(max_i a_ik - min_i a_ik) and S = sum_k s_k, exactly.
+    - Each term max(0, fl(a_ik - a_jk)) of _delta is at most s_k.
+      Rounding is monotone, x <= y gives fl(x) <= fl(y) (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., 2.2), and
+      a_ik - a_jk <= max_i a_ik - min_i a_ik; max(0, .) keeps the order,
+      as s_k >= 0.
+    - A fixed order of rounded additions is monotone in each nonnegative
+      term, and n terms summed in any order err by at most gamma_(n-1)
+      times the sum of their magnitudes (4.2).  So each pair's sum in
+      _delta, with whatever order numpy takes there, is at most
+      (1 + gamma_(n-1)) S, and the sum of the s_k here, in its own order,
+      is at least (1 - gamma_(n-1)) S.  Underflow does not break this:
+      rounded sums and differences that underflow are exact.
+    - The factor covers both orders and the rounding of the final product.
+      For n >= 2, gamma_n >= 2 u, and 1 + 4 gamma_n, even as computed (to
+      within u + 8 u gamma_n), exceeds (1 + gamma_(n-1)) / ((1 - u)
+      (1 - gamma_(n-1))) while n u < 1/16.  If the product underflows
+      instead, every sum below it was exact and b >= S >= _delta(a).
+      For n = 1 both are 0.
+    - An overflow, or an entry that is not finite, makes b inf or nan, and
+      then b <= x is false for every x: a caller that takes the bound
+      only when b <= x falls back to _delta.
+    """
+    n = a.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.subtract(a.max(axis=0), a.min(axis=0))
+        return (1.0 + 4.0 * _gamma(n)) * float(np.add.reduce(spread))
 
 
 def nonzero_pattern(A, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:

@@ -10,11 +10,17 @@ A_b A_(b-1) ... A_a.
 A product's row sums are judged only after each item passed at the
 tolerance t, and then within ``_product_slack``, the drift such items
 allow.
+
+The weak-ergodicity diagnostic reports the delta series of anchor 0 and
+decides its verdict from two more anchors, whose series it does not
+keep: there a product whose ``_delta_bound`` is at most NONINCREASE_TOL
+settles its step in O(n^2), and only the others take the n^3 ``_delta``.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import numbers
 import operator
@@ -25,14 +31,17 @@ import numpy as np
 
 from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, _UNIT_ROUNDOFF, Matrix, _delta,
-                      as_matrix, is_scrambling, is_stochastic, mu, nonzero_pattern)
+from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, _delta, _delta_bound,
+                      _gamma, as_matrix, is_scrambling, is_stochastic, mu, nonzero_pattern)
 from .projections import Norm, _weights_for, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
 DELTA_ZERO_THRESHOLD = 1e-8
+NONINCREASE_TOL = 1e-10  # the most an anchored delta series may rise in one step
 ENUMERATION_BUDGET = 10 ** 6
 HYPOTHESIS_TOL = 1e-9  # slack on scrambling_product_theorem_check's hypotheses
+
+log = logging.getLogger(__name__)
 
 
 class BudgetError(RuntimeError):
@@ -207,9 +216,8 @@ def _product_slack(n: int, t: float, norms) -> float:
     """
     prefix = list(itertools.accumulate(norms, operator.mul, initial=1.0))
     suffix = list(itertools.accumulate(reversed(norms), operator.mul, initial=1.0))
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     slack = 2.0 * (t * sum(map(operator.mul, prefix, reversed(suffix[:-1])))
-                   + math.expm1((2 * len(norms) + 1) * math.log1p(gamma)) * prefix[-1])
+                   + math.expm1((2 * len(norms) + 1) * math.log1p(_gamma(n))) * prefix[-1])
     return slack if slack == slack else math.inf  # nan from 0 * inf
 
 
@@ -236,12 +244,19 @@ def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
 
 def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float, float]:
     """(coefficient of the full product, product of per-factor
-    coefficients).  Under the max norm both are exact and the first never
-    exceeds the second.  Under the Euclidean norms every coefficient is an
-    upper bound ||W^(1/2) A W^(-1) K||_2 on the sup, and the product's can
-    exceed the product of the factors', so there the comparison is
-    diagnostic.  Each factor is judged before the product, as in
-    _judged_product."""
+    coefficients).  Under the max norm both are exact, and the first
+    exceeds the second only through the items' row-sum drift: for items
+    whose row sums are exactly constant it never does.  Items that pass
+    only within the tolerance can reverse the order, as c = r - mu takes
+    r, the mean row sum, and the product's mean is not the product of the
+    items' means.  16 copies of [[0.6000000009, 0.2, 0.2], [0.2, 0.6, 0.2],
+    [0.2, 0.2, 0.6]] give 4.300e-07 against 4.295e-07 here, and with a
+    first entry of 0.6000009, judged at t = 1e-6 (``contractlab
+    --row-sum-tol 1e-6 product``), 9.29e-07 against 4.30e-07.  Under
+    the Euclidean norms every coefficient is an upper bound
+    ||W^(1/2) A W^(-1) K||_2 on the sup, and the product's can exceed the
+    product of the factors', so there the comparison is diagnostic.  Each
+    factor is judged before the product, as in _judged_product."""
     if seq.items is None:
         raise ValueError("requires a finite sequence")
     c_values, _, rep = _judged_product(seq.items, norm, DEFAULT_ROW_SUM_TOL)
@@ -364,7 +379,6 @@ class ErgodicityReport:
     block_len: int
     anchors: tuple
     delta_of_partial_products: np.ndarray  # growing products from anchor 0
-    delta_by_anchor: dict
     block_mu_c_partial_sums: np.ndarray
     verdict: str  # consistent_with_weak_ergodicity | inconclusive | violated_nonincrease
 
@@ -379,6 +393,46 @@ class ErgodicityReport:
         }
 
 
+def _verdict_only_anchor(seq: MatrixSequence, anchor: int,
+                         horizon: int) -> tuple[bool, bool]:
+    """(whether the delta series of the growing products of items
+    anchor..horizon - 1 rises by more than NONINCREASE_TOL in some step,
+    whether it ends at most DELTA_ZERO_THRESHOLD), decided exactly as the
+    full series would decide them.
+
+    A product P with _delta_bound(P) <= NONINCREASE_TOL has delta(P) at
+    most that bound, so its step rises by fl(delta(P) - previous) <=
+    delta(P) <= NONINCREASE_TOL (every delta is >= 0) and, if last, it
+    ends below the threshold: its bound is all it takes.  Every other
+    product takes _delta, and so does the product before it when that
+    one was only bounded; it is the one product kept.  Logs at INFO the
+    step (0 at the anchor) from which the bound held to the end, and the
+    number of _delta sweeps.
+    """
+    rises = False
+    last = None  # the previous step's delta; None when it was only bounded
+    kept = None  # the previous product, while only its bound is known
+    held_from = None
+    sweeps = 0
+    for step, acc in enumerate(_partial_products(seq[k] for k in range(anchor, horizon))):
+        if _delta_bound(acc) <= NONINCREASE_TOL:
+            kept, last = acc, None
+            held_from = step if held_from is None else held_from
+            continue
+        held_from = None
+        if kept is not None:
+            last, kept = _delta(kept), None
+            sweeps += 1
+        d = _delta(acc)
+        sweeps += 1
+        rises = rises or (last is not None and d - last > NONINCREASE_TOL)
+        last = d
+    log.info("anchor %d: delta bound <= %g %s; %d exact sweeps in %d steps",
+             anchor, NONINCREASE_TOL,
+             "never" if held_from is None else f"from step {held_from} on", sweeps, step + 1)
+    return rises, last is None or last <= DELTA_ZERO_THRESHOLD
+
+
 def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
                                block_len: int | None = None,
                                norm: Norm | None = None,
@@ -388,8 +442,12 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     partial sums of the ergodicity coefficient over consecutive blocks
     (one canonical subsequence choice, i_j = j * block_len).
 
-    The verdict is a diagnostic, never a proof: 'consistent' when every
-    anchored delta series ends below the zero threshold.  Every item is
+    The verdict is a diagnostic, never a proof: 'violated_nonincrease'
+    when some anchored delta series rises by more than NONINCREASE_TOL in
+    one step, else 'consistent' when every series ends below the zero
+    threshold.  The report holds anchor 0's series; the anchors at
+    horizon // 3 and 2 horizon // 3 only take part in the verdict, which
+    _verdict_only_anchor decides as their full series would.  Every item is
     judged stochastic within t = row_sum_tol; a weight count other than
     seq.n fails before any item is fetched.  Each block's product is
     judged within _product_slack, with the norms that acceptance implies:
@@ -412,12 +470,14 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
 
     anchors = sorted({0, horizon // 3, (2 * horizon) // 3})
     # a product of validated stochastic factors is finite
-    delta_by_anchor = {
-        r: np.array([_delta(acc) for acc in
-                     _partial_products(seq[k] for k in range(r, horizon))])
-        for r in anchors}
-    nonincrease_ok = not any(np.any(np.diff(series) > 1e-10)
-                             for series in delta_by_anchor.values())
+    series = np.array([_delta(acc) for acc in
+                       _partial_products(seq[k] for k in range(horizon))])
+    nonincrease_ok = not np.any(np.diff(series) > NONINCREASE_TOL)
+    ends_at_zero = series[-1] <= DELTA_ZERO_THRESHOLD
+    for r in anchors[1:]:
+        rises, ends = _verdict_only_anchor(seq, r, horizon)
+        nonincrease_ok = nonincrease_ok and not rises
+        ends_at_zero = ends_at_zero and ends
 
     sums = []
     total = 0.0
@@ -433,13 +493,12 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
 
     if not nonincrease_ok:
         verdict = "violated_nonincrease"
-    elif all(series[-1] <= DELTA_ZERO_THRESHOLD for series in delta_by_anchor.values()):
+    elif ends_at_zero:
         verdict = "consistent_with_weak_ergodicity"
     else:
         verdict = "inconclusive"
     return ErgodicityReport(
         horizon=horizon, block_len=block_len, anchors=tuple(anchors),
-        delta_of_partial_products=delta_by_anchor[0],
-        delta_by_anchor=delta_by_anchor,
+        delta_of_partial_products=series,
         block_mu_c_partial_sums=np.asarray(sums),
         verdict=verdict)

@@ -601,6 +601,17 @@ def test_cli_product_of_accepted_items_is_accepted(tmp_path, capsys, monkeypatch
     assert doc["c_exact"] == float(f"{contractivity_linf(full, 1e-3).c:.12g}")
 
 
+def test_cli_product_of_drifting_items_exceeds_the_factor_bound(tmp_path, capsys):
+    # c = r - mu under linf, and the product's mean row sum r is not the
+    # product of the items' means: c_exact passes c_bound only by the drift
+    write(tmp_path, "drift.json", json.dumps({"rows": DRIFTING}))
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["drift.json"], "repeat": 16}))
+    code, out, _ = run_cli(capsys, "--row-sum-tol", "1e-6", "product", spec)
+    doc = json.loads(out)
+    assert code == 0 and doc["c_exact"] > 2 * doc["c_bound"]
+    assert (doc["c_exact"], doc["c_bound"]) == pytest.approx((9.295e-07, 4.295e-07), rel=1e-3)
+
+
 def test_cli_ergodicity_block_of_one_accepted_item(tmp_path, capsys):
     write(tmp_path, "spread.json", json.dumps({"rows": SPREAD_DIAGONAL}))
     spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["spread.json"], "repeat": 2}))
@@ -1357,18 +1368,31 @@ def test_cli_ergodicity_logs_load_parameters_and_verdict(tmp_path, capsys, caplo
     assert code == 0 and all(r.levelno < logging.WARNING for r in caplog.records)
 
     caplog.set_level(logging.INFO, logger="contractlab")
-    for spec, loaded, argv in [
-        (generated, "n = 4, generator random_stochastic_spanning_tree, seed 7", []),
-        (listed, "n = 3, 5 matrices", ["--block-len", "2"]),
+    never = "delta bound <= 1e-10 never"
+    # one line per verdict-only anchor: the step from which its delta
+    # bound held to the end, and the exact delta sweeps taken
+    for spec, loaded, argv, anchors, anchor_lines in [
+        (generated, "n = 4, generator random_stochastic_spanning_tree, seed 7",
+         ["--horizon", "5"], [0, 1, 3],
+         [f"anchor 1: {never}; 4 exact sweeps in 4 steps",
+          f"anchor 3: {never}; 2 exact sweeps in 2 steps"]),
+        (listed, "n = 3, 5 matrices", ["--horizon", "5", "--block-len", "2"], [0, 1, 3],
+         [f"anchor 1: {never}; 4 exact sweeps in 4 steps",
+          f"anchor 3: {never}; 2 exact sweeps in 2 steps"]),
+        (generated, "n = 4, generator random_stochastic_spanning_tree, seed 7",
+         ["--horizon", "300"], [0, 100, 200],
+         ["anchor 100: delta bound <= 1e-10 from step 27 on; 27 exact sweeps in 200 steps",
+          "anchor 200: delta bound <= 1e-10 from step 33 on; 33 exact sweeps in 100 steps"]),
     ]:
         caplog.clear()
-        code, out, _ = run_cli(capsys, "ergodicity", spec, "--horizon", "5", *argv)
+        code, out, _ = run_cli(capsys, "ergodicity", spec, *argv)
         report = json.loads(out)
         assert code == 0
-        assert [r.levelno for r in caplog.records] == [logging.INFO] * 3
+        assert [r.levelno for r in caplog.records] == [logging.INFO] * 5
         assert [r.getMessage() for r in caplog.records] == [
             f"loaded sequence {spec}: {loaded}",
-            f"horizon 5, block_len {report['block_len']}, anchors [0, 1, 3]",
+            *anchor_lines,
+            f"horizon {report['horizon']}, block_len {report['block_len']}, anchors {anchors}",
             f"verdict: {report['verdict']}",
         ]
 

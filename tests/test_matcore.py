@@ -350,3 +350,48 @@ def test_mu_delta_falls_back_when_eps_is_not_finite(monkeypatch, scale):
     assert got == expected
     assert math.isfinite(got[1]) == (scale < 1e308)
     assert full_sweeps == [(3, 3)]
+
+
+def delta_bound_family(family, n, count, rng):
+    """count arrays of one family, for the bound on the computed delta."""
+    if family == "stochastic":
+        return [random_stochastic(n, rng, density=float(rng.uniform(0.3, 1.0))).a
+                for _ in range(count)]
+    if family == "signed_constant_row_sum":
+        out = []
+        for _ in range(count):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-12, 3)
+            out.append(a - (a.sum(axis=1, keepdims=True) - rng.uniform(-2, 2)) / n)
+        return out
+    if family == "near_rank_one":
+        return [near_rank_one(n, rng) for _ in range(count)]
+    if family == "floor_product":  # the growing products past ~40 factors
+        acc, out = np.eye(n), []
+        for k in range(count + 40):
+            acc = random_stochastic(n, rng, density=0.3).a @ acc
+            if k >= 40:
+                out.append(acc)
+        return out
+    if family == "column_sorted":  # rows 0 and n - 1 hold every column's extremes
+        return [np.sort(rng.standard_normal((n, n)), axis=0)[::-1] for _ in range(count)]
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 47])
+def test_delta_bound_is_at_least_the_computed_delta(n):
+    # 5 families x 400 arrays at each of 5 sizes: 10^4 arrays in all
+    rng = np.random.default_rng([n, 28])
+    for family in ["stochastic", "signed_constant_row_sum", "near_rank_one",
+                   "floor_product", "column_sorted"]:
+        arrays = delta_bound_family(family, n, 400, rng)
+        bounds = [matcore._delta_bound(a) for a in arrays]
+        assert all(b >= matcore._delta(a) for a, b in zip(arrays, bounds)), family
+        if family == "floor_product" and n > 1:  # the products the bound settles
+            assert max(bounds) <= 1e-10
+
+
+def test_delta_bound_past_the_float_range_is_not_finite():
+    # inf, or nan for an infinite entry: "b <= x" is false, and the caller sweeps
+    a = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    assert matcore._delta_bound(a) == math.inf
+    assert math.isnan(matcore._delta_bound(np.array([[np.inf, 0.0], [np.inf, 1.0]])))

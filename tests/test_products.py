@@ -1,3 +1,4 @@
+import logging
 import math
 import weakref
 
@@ -23,9 +24,10 @@ from contractlab import (
 )
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
 from contractlab.contractivity import RowSumError, contractivity
-from contractlab.matcore import _UNIT_ROUNDOFF, nonzero_pattern, row_sum_profile
+from contractlab.matcore import (DEFAULT_ROW_SUM_TOL, _UNIT_ROUNDOFF, nonzero_pattern,
+                                 row_sum_profile)
 from contractlab import l2, linf, weighted_l2
-from contractlab import products
+from contractlab import matcore, products
 from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
 from contractlab.reference import A1, A2, A3, A4, A5
 
@@ -572,16 +574,14 @@ def frozen_weak_ergodicity_diagnostic(seq, horizon, block_len=None, norm=None):
 
 def assert_report_matches_frozen(seq, horizon, block_len):
     rep = weak_ergodicity_diagnostic(seq, horizon, block_len)
-    (horizon_, block_len_, anchors, partial, by_anchor, sums,
+    (horizon_, block_len_, anchors, partial, _, sums,
      verdict) = frozen_weak_ergodicity_diagnostic(seq, horizon, block_len)
     assert rep.horizon == horizon_ and rep.block_len == block_len_
     assert rep.anchors == anchors and rep.verdict == verdict
     for got, want in [(rep.delta_of_partial_products, partial),
-                      (rep.block_mu_c_partial_sums, sums),
-                      *((rep.delta_by_anchor[r], by_anchor[r]) for r in anchors)]:
+                      (rep.block_mu_c_partial_sums, sums)]:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert rep.delta_by_anchor.keys() == by_anchor.keys()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 47])
@@ -605,3 +605,83 @@ def test_weak_ergodicity_matches_frozen_copy_on_item_lists():
         for horizon in sorted({1, 2, len(items)}):
             for block_len in (None, 1, 7):
                 assert_report_matches_frozen(seq, horizon, block_len)
+
+
+# Listed n = 2 sequences whose item 0 is the exact rank-one J/2, so anchor
+# 0's series is all 0 and the verdict rests on the verdict-only anchors.
+# Every entry is dyadic, so every product from anchor 0 is J/2 exactly.
+# STRETCH has row sums 1 and entries down to -1.5: it passes at t = 1.5
+# and stretches the difference of two rows 4-fold, so delta grows 4x per
+# step.  J2 + e TILT is a stochastic item with delta 2e.
+J2 = np.full((2, 2), 0.5)
+TILT = np.array([[1.0, -1.0], [-1.0, 1.0]])
+STRETCH = np.array([[2.5, -1.5], [-1.5, 2.5]])
+HALVE = np.array([[0.75, 0.25], [0.25, 0.75]])
+
+
+def crafted_sequence(name):
+    """(items, horizon, t) of one crafted sequence."""
+    I2 = np.eye(2)
+    if name == "rises_before_the_bound":
+        # anchor 3: delta 1.9e-6, then 7.6e-6, both above the bound's reach
+        return [J2, I2, I2, J2 + 2.0 ** -20 * TILT, STRETCH, J2, J2, STRETCH, I2], 9, 1.5
+    if name == "bounded_then_growing":
+        # anchor 4: delta 2.7e-12, 1.1e-11, 4.4e-11 (bounded), then
+        # 1.7e-10, which rises 1.3e-10 over the exact delta before it but
+        # only 8.7e-11 over that step's bound
+        near = J2 + 3 * 2.0 ** -41 * TILT
+        return [J2, I2, I2, I2, near, STRETCH, STRETCH, STRETCH,
+                J2, STRETCH, STRETCH, STRETCH], 12, 1.5
+    if name == "ends_high_after_anchor_0":
+        # anchor 2: delta 1, then 0 from J/2 on; anchor 4: 1/2, then 1/4
+        return [J2, I2, I2, J2, HALVE, HALVE], 6, DEFAULT_ROW_SUM_TOL
+    raise ValueError(name)
+
+
+def frozen_report_at(monkeypatch, seq, horizon, t):
+    """The frozen copy's report with items judged at t and each one-item
+    block within the slack weak_ergodicity_diagnostic gives it."""
+    block_tol = products._product_slack(seq.n, t, [1 + (2 * seq.n - 1) * t])
+    monkeypatch.setitem(globals(), "is_stochastic", lambda A: products.is_stochastic(A, t))
+    monkeypatch.setitem(globals(), "ergodicity_coefficient",
+                        lambda A, norm: products.ergodicity_coefficient(A, norm, block_tol))
+    return frozen_weak_ergodicity_diagnostic(seq, horizon)
+
+
+@pytest.mark.parametrize("name, verdict", [
+    ("rises_before_the_bound", "violated_nonincrease"),
+    ("bounded_then_growing", "violated_nonincrease"),
+    ("ends_high_after_anchor_0", "inconclusive"),
+])
+def test_weak_ergodicity_verdict_rests_on_the_verdict_only_anchors(monkeypatch, name, verdict):
+    items, horizon, t = crafted_sequence(name)
+    seq = MatrixSequence(items=items)
+    rep = weak_ergodicity_diagnostic(seq, horizon, row_sum_tol=t)
+    _, block_len, anchors, partial, by_anchor, sums, want = frozen_report_at(
+        monkeypatch, seq, horizon, t)
+    assert rep.verdict == want == verdict
+    assert not partial.any() and rep.delta_of_partial_products.tobytes() == partial.tobytes()
+    assert rep.block_len == block_len == 1 and rep.anchors == anchors
+    assert rep.block_mu_c_partial_sums.tobytes() == sums.tobytes()
+    # the verdict comes from one verdict-only anchor alone
+    assert sum(np.any(np.diff(s) > 1e-10) or s[-1] > DELTA_ZERO_THRESHOLD
+               for s in by_anchor.values()) == 1
+
+
+def test_weak_ergodicity_takes_delta_again_after_a_bounded_step(caplog):
+    items, horizon, t = crafted_sequence("bounded_then_growing")
+    P = list(products._partial_products(MatrixSequence(items=items[4:])))
+    d = [delta(p) for p in P]
+    b = [matcore._delta_bound(p) for p in P]
+    # step 3 of anchor 4 is the first past the bound; it rises more than
+    # 1e-10 over the exact delta of step 2, not over step 2's bound
+    assert max(b[:3]) <= 1e-10 < b[3] and d[3] > 2 * d[2]
+    assert d[3] - b[2] <= 1e-10 < d[3] - d[2]
+    caplog.set_level(logging.INFO, logger="contractlab.products")
+    rep = weak_ergodicity_diagnostic(MatrixSequence(items=items), horizon, row_sum_tol=t)
+    assert rep.verdict == "violated_nonincrease"
+    # steps 3 and 2 take _delta; the rest of either anchor only the bound
+    assert [r.getMessage() for r in caplog.records] == [
+        "anchor 4: delta bound <= 1e-10 from step 4 on; 2 exact sweeps in 8 steps",
+        "anchor 8: delta bound <= 1e-10 from step 0 on; 0 exact sweeps in 4 steps",
+    ]
