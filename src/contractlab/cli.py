@@ -441,35 +441,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--row-sum-tol", type=float, default=DEFAULT_ROW_SUM_TOL,
                         help="constant row sum tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
+    norm = argparse.ArgumentParser(add_help=False)
+    norm.add_argument("--norm", choices=KINDS, default="linf")
+    norm.add_argument("--weights", help="weight vector: file path or comma-separated list")
 
     p = sub.add_parser("analyze", help="structural and coefficient report for matrices")
     p.add_argument("matrix", nargs="+")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("contractivity", help="coefficient under a chosen norm")
+    p = sub.add_parser("contractivity", parents=[norm], help="coefficient under a chosen norm")
     p.add_argument("matrix")
-    p.add_argument("--norm", choices=KINDS, default="linf")
-    p.add_argument("--weights", help="weight vector: file path or comma-separated list")
     p.set_defaults(func=cmd_contractivity)
 
-    p = sub.add_parser("product", help="coefficient of a matrix product vs the factor bound")
+    p = sub.add_parser("product", parents=[norm],
+                       help="coefficient of a matrix product vs the factor bound")
     p.add_argument("sequence", help="sequence spec file")
-    p.add_argument("--norm", choices=KINDS, default="linf")
-    p.add_argument("--weights")
     p.set_defaults(func=cmd_product)
 
-    p = sub.add_parser("ergodicity", help="finite-horizon weak-ergodicity diagnostic")
+    p = sub.add_parser("ergodicity", parents=[norm],
+                       help="finite-horizon weak-ergodicity diagnostic")
     p.add_argument("sequence")
-    p.add_argument("--norm", choices=KINDS, default="linf")
-    p.add_argument("--weights")
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--block-len", type=int, default=None)
     p.set_defaults(func=cmd_ergodicity)
 
     p = sub.add_parser("simulate", help="run a coupled map lattice from a config file")
     p.add_argument("config")
-    p.add_argument("--norm", choices=KINDS, default="linf")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--norm", choices=KINDS, default="linf", help="ignored if the config sets norm")
+    p.add_argument("--steps", type=int, default=100, help="ignored if the config sets steps")
     p.add_argument("--sync-tol", type=float, default=DEFAULT_SYNC_TOL)
     p.add_argument("--csv", help="also write a (k, d, bound) CSV")
     p.add_argument("--full-state", action="store_true",

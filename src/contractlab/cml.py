@@ -211,20 +211,18 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int, norm: Norm | None = No
         diverged=used <= steps)
 
 
-def check_sync_condition(c_values, rho_values, horizon: int | None = None) -> dict:
-    """Running products of c(A_k) * rho_k and a finite-horizon verdict on
-    whether they reach (numerically) zero.  Signs are checked per factor:
-    c < 0 with rho = 0 gives c * rho = -0.0, which check_convergence_condition
-    accepts."""
+def check_sync_condition(c_values, rho_values) -> dict:
+    """Running products of c(A_k) * rho_k and a verdict on whether they
+    reach (numerically) zero within the steps given.  Signs are checked
+    per factor: c < 0 with rho = 0 gives c * rho = -0.0, which
+    check_convergence_condition accepts."""
     c_values = np.asarray(c_values, dtype=float)
     rho_values = np.asarray(rho_values, dtype=float)
     if c_values.shape != rho_values.shape:
         raise ValueError("sequences must have equal length")
     if np.any(c_values < 0) or np.any(rho_values < 0):
         raise ValueError("inputs must be nonnegative")
-    if horizon is not None and horizon > c_values.size:
-        raise ValueError("horizon exceeds sequence length")
-    conv = check_convergence_condition(c_values * rho_values, horizon)
+    conv = check_convergence_condition(c_values * rho_values)
     return {
         "criterion_holds_over_horizon": conv["converges_to_zero_over_horizon"],
         "running_product": conv["running_products"],

@@ -135,14 +135,14 @@ def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> Co
                    bound_only=True)
 
 
-def contractivity_linf(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
-    """contractivity(A, linf(), row_sum_tol)."""
-    return contractivity(A, linf(), row_sum_tol)
+def contractivity_linf(A) -> ContractivityReport:
+    """contractivity(A, linf())."""
+    return contractivity(A, linf())
 
 
-def contractivity_l2(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
-    """contractivity(A, l2(), row_sum_tol)."""
-    return contractivity(A, l2(), row_sum_tol)
+def contractivity_l2(A) -> ContractivityReport:
+    """contractivity(A, l2())."""
+    return contractivity(A, l2())
 
 
 def coefficients(matrices, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> list:

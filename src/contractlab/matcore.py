@@ -186,8 +186,8 @@ def mu_delta(A) -> tuple[float, float]:
 
 
 def _delta(a: np.ndarray) -> float:
-    """delta of a finite square float64 array, taken as it is: no copy and
-    no validation, for callers whose arrays are finite by construction."""
+    """delta of a square float64 array, taken as it is: no copy and no
+    validation.  An entry that is not finite makes the result not finite."""
     return float(_row_pairs(a, _positive_part_of_difference).max())
 
 

@@ -40,6 +40,7 @@ DELTA_ZERO_THRESHOLD = 1e-8
 NONINCREASE_TOL = 1e-10  # the most an anchored delta series may rise in one step
 ENUMERATION_BUDGET = 10 ** 6
 HYPOTHESIS_TOL = 1e-9  # slack on scrambling_product_theorem_check's hypotheses
+EXTRA_EDGE_PROB = 0.3  # chance of each off-tree edge a generated row has room for
 
 log = logging.getLogger(__name__)
 
@@ -63,8 +64,7 @@ def _max_nonzeros(n: int, min_entry: float) -> int:
     return max_nonzeros
 
 
-def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05,
-                                    extra_edge_prob: float = 0.3) -> Matrix:
+def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05) -> Matrix:
     """Random stochastic matrix with positive diagonal whose interaction
     digraph contains a spanning directed tree.
 
@@ -94,15 +94,14 @@ def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05,
     rows, cols = np.nonzero(~support)  # each row's free columns, ascending
     bounds = np.concatenate(([0], np.cumsum(n - nnz)))
     # row i draws for its free columns bounds[i]:ends[i], as many as it has
-    # room for; a slot past the room is never drawn, and inf never keeps
-    # it, whatever extra_edge_prob is
+    # room for; a slot past the room is never drawn, and its inf never keeps it
     ends = np.minimum(bounds[1:], bounds[:-1] + (max_nonzeros - nnz)).tolist()
     bounds = bounds.tolist()
     draws = np.full(cols.size, np.inf)
     for start, stop, end in zip(bounds, bounds[1:], ends):
         rng.shuffle(cols[start:stop])
         rng.random(out=draws[start:end])
-    keep = draws < extra_edge_prob
+    keep = draws < EXTRA_EDGE_PROB
     support[rows[keep], cols[keep]] = True
 
     rows, cols = np.nonzero(support)
@@ -263,15 +262,13 @@ def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float,
     return rep.c, float(np.cumprod(c_values)[-1])  # left to right
 
 
-def check_convergence_condition(c_values, horizon: int | None = None) -> dict:
-    """Running products of the per-step coefficients and a finite-horizon
-    verdict on whether they reach (numerically) zero.  A surrogate for an
-    asymptotic condition, never a proof."""
+def check_convergence_condition(c_values) -> dict:
+    """Running products of the per-step coefficients and a verdict on
+    whether they reach (numerically) zero within the steps given.  A
+    surrogate for an asymptotic condition, never a proof."""
     c_values = np.asarray(c_values, dtype=float)
     if np.any(c_values < 0):
         raise ValueError("coefficients must be nonnegative")
-    if horizon is not None:
-        c_values = c_values[:horizon]
     running = np.cumprod(c_values)
     return {
         "converges_to_zero_over_horizon":
@@ -393,6 +390,15 @@ class ErgodicityReport:
         }
 
 
+def _anchored_delta(acc: np.ndarray, anchor: int, step: int) -> float:
+    """_delta of acc, the product of items anchor..anchor + step; ValueError
+    if acc overflowed, which is checked only where delta is not finite."""
+    d = _delta(acc)
+    if not (math.isfinite(d) or np.isfinite(acc).all()):
+        raise ValueError(f"product of items {anchor}..{anchor + step} is not finite")
+    return d
+
+
 def _verdict_only_anchor(seq: MatrixSequence, anchor: int,
                          horizon: int) -> tuple[bool, bool]:
     """(whether the delta series of the growing products of items
@@ -423,7 +429,7 @@ def _verdict_only_anchor(seq: MatrixSequence, anchor: int,
         if kept is not None:
             last, kept = _delta(kept), None
             sweeps += 1
-        d = _delta(acc)
+        d = _anchored_delta(acc, anchor, step)
         sweeps += 1
         rises = rises or (last is not None and d - last > NONINCREASE_TOL)
         last = d
@@ -452,6 +458,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     seq.n fails before any item is fetched.  Each block's product is
     judged within _product_slack, with the norms that acceptance implies:
     entries >= -t and row sums within t of 1 give ||F||_inf <= 1 + (2n - 1) t.
+    An anchored product that overflows raises ValueError, as a block does.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -469,9 +476,8 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
             raise ValueError(f"sequence item {k} is not stochastic")
 
     anchors = sorted({0, horizon // 3, (2 * horizon) // 3})
-    # a product of validated stochastic factors is finite
-    series = np.array([_delta(acc) for acc in
-                       _partial_products(seq[k] for k in range(horizon))])
+    series = np.array([_anchored_delta(acc, 0, step) for step, acc in
+                       enumerate(_partial_products(seq[k] for k in range(horizon)))])
     nonincrease_ok = not np.any(np.diff(series) > NONINCREASE_TOL)
     ends_at_zero = series[-1] <= DELTA_ZERO_THRESHOLD
     for r in anchors[1:]:

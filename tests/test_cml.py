@@ -260,19 +260,16 @@ def test_check_sync_condition():
     assert not out["criterion_holds_over_horizon"]
     with pytest.raises(ValueError):
         check_sync_condition([0.9], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        check_sync_condition([0.9] * 5, [1.0] * 5, horizon=10)
     # c * rho is -0.0 here, which a sign check on the product lets through
     with pytest.raises(ValueError):
         check_sync_condition([0.5, -0.1], [1.0, 0.0])
-
-
-def test_check_sync_condition_horizon_truncates():
-    # the factor past the horizon would lift the product back to 1
-    out = check_sync_condition([1e-13, 1e13], [1.0, 1.0], horizon=1)
+    # the verdict is over the steps given: a shorter horizon is a slice,
+    # and the factor past it would lift the product back to 1
+    c_values, rho_values = [1e-13, 1e13], [1.0, 1.0]
+    out = check_sync_condition(c_values[:1], rho_values[:1])
     assert out["running_product"].tolist() == [1e-13]
     assert out["criterion_holds_over_horizon"]
-    assert not check_sync_condition([1e-13, 1e13], [1.0, 1.0])["criterion_holds_over_horizon"]
+    assert not check_sync_condition(c_values, rho_values)["criterion_holds_over_horizon"]
 
 
 def test_check_sync_corollary():

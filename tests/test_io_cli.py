@@ -18,8 +18,10 @@ from contractlab import (
     MatrixSequence,
     Norm,
     cli,
+    contractivity,
     contractivity_l2,
     contractivity_linf,
+    linf,
     make_map,
     product,
     product_contractivity_bound,
@@ -598,7 +600,7 @@ def test_cli_product_of_accepted_items_is_accepted(tmp_path, capsys, monkeypatch
     full = product(load_sequence(spec), 0, repeat - 1)
     assert calls[1].a.tolist() == full.a.tolist()
     doc = json.loads(out)
-    assert doc["c_exact"] == float(f"{contractivity_linf(full, 1e-3).c:.12g}")
+    assert doc["c_exact"] == float(f"{contractivity(full, linf(), 1e-3).c:.12g}")
 
 
 def test_cli_product_of_drifting_items_exceeds_the_factor_bound(tmp_path, capsys):
@@ -667,6 +669,18 @@ def test_cli_ergodicity_block_slack_past_the_float_range(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--row-sum-tol", "1e300", "ergodicity", spec,
                              "--horizon", "5", "--block-len", "5")
     assert (code, err) == (0, "") and json.loads(out)["block_mu_c_partial_sums"]
+
+
+@pytest.mark.parametrize("block_len", ["1", "2"])
+def test_cli_ergodicity_overflowing_product_exits_2(tmp_path, capsys, block_len):
+    # H is accepted at 1e300 and H H overflows: anchor 0 names the product
+    # of items 0..1 before any block is judged, whatever the block length
+    write(tmp_path, "H.json", json.dumps({"rows": [[1e200, -1e200], [0, 1]]}))
+    spec = write(tmp_path, "hseq.json", json.dumps({"matrices": ["H.json"], "repeat": 4}))
+    code, out, err = run_cli(capsys, "--row-sum-tol", "1e300", "ergodicity", spec,
+                             "--horizon", "4", "--block-len", block_len)
+    assert (code, out) == (2, "")
+    assert err == "error: product of items 0..1 is not finite\n"
 
 
 @pytest.mark.parametrize("command", ["contractivity", "product", "ergodicity", "simulate"])
@@ -775,6 +789,20 @@ def generated_report(tmp_path, capsys, **fields):
                            "--horizon", "3")
     assert code == 0
     return out
+
+
+@pytest.mark.parametrize("tol, code", [("0", 2), ("1e-15", 0)])
+def test_cli_generated_row_sums_miss_one_by_rounding(tmp_path, capsys, tol, code):
+    # a generated row sums to 1 within 2 ulps, not exactly: at t = 0 the
+    # first item fails, and 1e-15 covers every item
+    spec = generator_spec(tmp_path, n=30, seed=5)
+    miss = np.abs(load_sequence(spec)[0].a.sum(axis=1) - 1.0).max()
+    assert 0 < miss <= 4.5e-16
+    result = run_cli(capsys, "--row-sum-tol", tol, "ergodicity", spec, "--horizon", "30")
+    if code:
+        assert result == (2, "", "error: sequence item 0 is not stochastic\n")
+    else:
+        assert result[0] == 0 and result[2] == "" and json.loads(result[1])
 
 
 @pytest.mark.parametrize("n, message", [
@@ -1123,6 +1151,23 @@ def test_cli_simulate_steps_below_one_exits_2(tmp_path, capsys, source, steps):
     code, out, err = run_cli(capsys, "simulate", path, *argv)
     assert code == 2 and out == ""
     assert "steps must be >= 1" in err and "Traceback" not in err
+
+
+def test_cli_simulate_steps_and_norm_flags_are_fallbacks(tmp_path, capsys):
+    def summary(argv=(), **fields):
+        code, out, err = run_cli(capsys, "simulate",
+                                 write_simulate_config(tmp_path, "matrix", **fields), *argv)
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    flags = ["--steps", "3", "--norm", "l2"]
+    # the config's fields win over the flags
+    own = summary(steps=5, norm="linf")
+    assert summary(flags, steps=5, norm="linf") == own and own["steps"] == 5
+    # the flags fill the fields the config leaves out
+    flagged = summary(flags, steps=None, norm=None)
+    assert flagged == summary(steps=3, norm="l2") and flagged["steps"] == 3
+    assert flagged["final_distance"] != summary(steps=3, norm="linf")["final_distance"]
 
 
 @pytest.mark.parametrize("source", ["matrix", "generator"])

@@ -176,9 +176,10 @@ def test_generator_output_properties():
         assert has_spanning_directed_tree(interaction_digraph(A))[0]
 
 
-def scalar_spanning_tree(n, rng, min_entry=0.05, extra_edge_prob=0.3):
+def scalar_spanning_tree(n, rng, min_entry=0.05):
     """Frozen scalar form of random_stochastic_spanning_tree: sets, lists
-    and one scalar draw at a time.  Reference for the draw order."""
+    and one scalar draw at a time, keeping each extra edge with
+    probability 0.3.  Reference for the draw order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     max_nonzeros = int(1.0 / min_entry)
@@ -195,7 +196,7 @@ def scalar_spanning_tree(n, rng, min_entry=0.05, extra_edge_prob=0.3):
         others = [j for j in range(n) if j not in support[i]]
         rng.shuffle(others)
         for j in others[:room]:
-            if rng.random() < extra_edge_prob:
+            if rng.random() < 0.3:
                 support[i].add(j)
     a = np.zeros((n, n))
     for i in range(n):
@@ -211,18 +212,17 @@ def scalar_spanning_tree(n, rng, min_entry=0.05, extra_edge_prob=0.3):
 def test_generator_matches_scalar_oracle(n):
     for min_entry in (0.004, 0.05, 0.2, 0.5, 1.0):
         for seed in range(4):
-            for extra_edge_prob in (0.3, 1.0):
-                rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-                if n > 1 and min_entry > 0.5:
-                    for f, g in ((random_stochastic_spanning_tree, rng),
-                                 (scalar_spanning_tree, ref_rng)):
-                        with pytest.raises(ValueError, match="too large"):
-                            f(n, g, min_entry, extra_edge_prob)
-                    continue
-                A = random_stochastic_spanning_tree(n, rng, min_entry, extra_edge_prob)
-                ref = scalar_spanning_tree(n, ref_rng, min_entry, extra_edge_prob)
-                assert A.a.tobytes() == ref.tobytes()
-                assert rng.random() == ref_rng.random()  # same share of the stream
+            rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            if n > 1 and min_entry > 0.5:
+                for f, g in ((random_stochastic_spanning_tree, rng),
+                             (scalar_spanning_tree, ref_rng)):
+                    with pytest.raises(ValueError, match="too large"):
+                        f(n, g, min_entry)
+                continue
+            A = random_stochastic_spanning_tree(n, rng, min_entry)
+            ref = scalar_spanning_tree(n, ref_rng, min_entry)
+            assert A.a.tobytes() == ref.tobytes()
+            assert rng.random() == ref_rng.random()  # same share of the stream
 
 
 @pytest.mark.parametrize("n, min_entry", [
@@ -514,6 +514,20 @@ def test_weak_ergodicity_diagnostic_verdicts():
     assert np.all(rep.delta_of_partial_products
                   <= (1.0 - mu(A4)) ** ks + 1e-10)
     assert np.all(np.diff(rep.block_mu_c_partial_sums) >= -1e-12)
+
+
+def test_weak_ergodicity_names_an_overflowing_verdict_only_product():
+    # H e = e exactly, so anchor 0's products stay at J, while H^21 has
+    # 2^1050: the anchor at 20 overflows at its 21st item, H accepted at 2^50
+    J = np.full((2, 2), 0.5)
+    H = np.array([[2.0 ** 50, 1 - 2.0 ** 50], [0.0, 1.0]])
+    seq = seq_of(J, *[H] * 59)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^product of items 20\.\.40 is not finite$"):
+            weak_ergodicity_diagnostic(seq, 60, row_sum_tol=2.0 ** 50)
+    # finite products: a verdict, no error
+    rep = weak_ergodicity_diagnostic(seq_of(J, *[H] * 19), 20, row_sum_tol=2.0 ** 50)
+    assert not rep.delta_of_partial_products.any()
 
 
 def test_weak_ergodicity_requires_stochastic():
