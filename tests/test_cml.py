@@ -263,6 +263,9 @@ def test_check_sync_condition():
     # c * rho is -0.0 here, which a sign check on the product lets through
     with pytest.raises(ValueError):
         check_sync_condition([0.5, -0.1], [1.0, 0.0])
+
+
+def test_check_sync_condition_horizon_truncates():
     # the verdict is over the steps given: a shorter horizon is a slice,
     # and the factor past it would lift the product back to 1
     c_values, rho_values = [1e-13, 1e13], [1.0, 1.0]
