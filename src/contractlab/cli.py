@@ -343,35 +343,31 @@ def cmd_simulate(args) -> int:
     config = io.load_object(args.config)
     base = Path(args.config).parent
     try:
-        steps = products.integer(config.get("steps", args.steps), "steps")
+        # the config alone describes the run
+        products.check_fields(config, ("matrix", "sequence", "map", "x0", "steps", "norm",
+                                       "weights"), "field")
+        if "matrix" in config and "sequence" in config:
+            raise ValueError("fields 'matrix' and 'sequence' exclude each other")
+        steps = products.integer(config.get("steps", 100), "steps")
         if steps < 1:
-            raise io.InputError(f"{args.config}: steps must be >= 1, got {steps}")
+            raise ValueError(f"steps must be >= 1, got {steps}")
         if "sequence" in config:
             seq = io.load_sequence(base / config["sequence"])
         elif "matrix" in config:
             A = io.load_matrix(base / config["matrix"])
             seq = products.MatrixSequence(items=[A] * steps)
         else:
-            raise io.InputError(f"{args.config}: field 'matrix' or 'sequence' required")
-        map_spec = config.get("map")
-        if map_spec is None:
-            raise io.InputError(f"{args.config}: field 'map' required")
-        mp = cml.make_map(map_spec)
-        x0 = config.get("x0")
-        if x0 is None:
-            raise io.InputError(f"{args.config}: field 'x0' required")
+            raise ValueError("field 'matrix' or 'sequence' required")
+        for name in ("map", "x0"):
+            if config.get(name) is None:
+                raise ValueError(f"field {name!r} required")
+        mp, x0 = cml.make_map(config["map"]), config["x0"]
         x0 = (io.load_vector(base / x0) if isinstance(x0, str)
               else io.json_vector(x0, f"{args.config}: field 'x0'"))
         weights = config.get("weights")
         if weights is not None:
             weights = io.json_vector(weights, f"{args.config}: field 'weights'")
-        norm = norm_from_name(config.get("norm", args.norm), weights)
-        trace_path = config.get("trace")
-        if trace_path is not None:
-            # open() would take an integer for a file descriptor
-            if not isinstance(trace_path, str):
-                raise io.InputError(f"{args.config}: field 'trace' must be a path string")
-            trace_path = base / trace_path
+        norm = norm_from_name(config.get("norm", "linf"), weights)
     except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, io.InputError):
             raise
@@ -390,7 +386,7 @@ def cmd_simulate(args) -> int:
         bounds = repeat("none") if trace.bound is None else _text12(trace.bound)
         for k, (d, b) in enumerate(zip(_text12(trace.distances), bounds)):
             log.debug("record %d: d %s, bound %s", k, d, b)
-    _write_trace(trace, args.output or trace_path, args.csv, args.full_state)
+    _write_trace(trace, args.output, args.csv, args.full_state)
     summary = dict(trace.summary(), input=str(args.config))
     if summary["synchronized_at"] is None:
         summary["note"] = "not synchronized within horizon"
@@ -466,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ergodicity)
 
     p = sub.add_parser("simulate", help="run a coupled map lattice from a config file")
-    p.add_argument("config")
-    p.add_argument("--norm", choices=KINDS, default="linf", help="ignored if the config sets norm")
-    p.add_argument("--steps", type=int, default=100, help="ignored if the config sets steps")
+    p.add_argument("config", help="JSON config: matrix or sequence, map, x0, and optional "
+                                  "steps (default 100), norm (default linf) and weights; "
+                                  "any other field exits 2")
     p.add_argument("--sync-tol", type=float, default=DEFAULT_SYNC_TOL)
     p.add_argument("--csv", help="also write a (k, d, bound) CSV")
     p.add_argument("--full-state", action="store_true",

@@ -16,11 +16,13 @@ import numpy as np
 
 from .contractivity import RowSumError, coefficients
 from .matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_SYNC_TOL, row_sum_profile
-from .products import MatrixSequence, check_convergence_condition
+from .products import MatrixSequence, check_convergence_condition, check_fields
 from .projections import Norm, _weights_for, linf, project_columns
 
 DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
 BLOCK = 64  # steps taken between two tests for a non-finite state
+_MAP_PARAMETERS = {"logistic": ("a",), "tent": ("s",), "affine": ("a", "b"),
+                  "custom_table": ("xs", "ys")}
 
 
 @dataclass(frozen=True)
@@ -42,12 +44,16 @@ def make_map(spec: dict) -> MapDef:
     {"kind": "custom_table", "xs": [...], "ys": [...]} piecewise linear,
     flat outside xs, so rho = its largest segment slope exactly.  Parameters are real
     numbers, and table entries lists of them: a bool or a string such as
-    "3.9" is not one.  A spec that is not a dict, or whose parameters of
-    its kind are missing or not numbers, raises ValueError.
+    "3.9" is not one.  A spec that is not a dict, whose parameters of its
+    kind are missing or not numbers, or that holds a parameter its kind
+    does not take, raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("map spec must be an object")
     kind = spec.get("kind")
+    if not (isinstance(kind, str) and kind in _MAP_PARAMETERS):
+        raise ValueError(f"unknown map kind {kind!r}")
+    check_fields(spec, ("kind", *_MAP_PARAMETERS[kind]), f"{kind} map parameter")
 
     def param(name):
         if name not in spec:
@@ -83,16 +89,14 @@ def make_map(spec: dict) -> MapDef:
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("affine parameters must be finite")
         return MapDef(kind, lambda x: a * x + b, rho=abs(a), domain=None)
-    if kind == "custom_table":
-        xs, ys = table("xs"), table("ys")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("table entries must be finite")
-        if xs.size < 2 or xs.size != ys.size or np.any(np.diff(xs) <= 0):
-            raise ValueError("table needs >= 2 strictly increasing abscissae")
-        rho = float(np.abs(np.diff(ys) / np.diff(xs)).max())
-        return MapDef(kind, lambda x: np.interp(x, xs, ys), rho=rho,
-                      domain=(float(xs[0]), float(xs[-1])))
-    raise ValueError(f"unknown map kind {kind!r}")
+    xs, ys = table("xs"), table("ys")  # custom_table
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("table entries must be finite")
+    if xs.size < 2 or xs.size != ys.size or np.any(np.diff(xs) <= 0):
+        raise ValueError("table needs >= 2 strictly increasing abscissae")
+    rho = float(np.abs(np.diff(ys) / np.diff(xs)).max())
+    return MapDef(kind, lambda x: np.interp(x, xs, ys), rho=rho,
+                  domain=(float(xs[0]), float(xs[-1])))
 
 
 def _is_real(value) -> bool:

@@ -153,12 +153,20 @@ def parse_weights(text: str) -> np.ndarray:
 def load_sequence(path) -> MatrixSequence:
     """Sequence spec: {"matrices": [paths], "repeat": k} or
     {"generator": {"kind": ..., "n": ..., "seed": ..., "min_entry": ...}}.
-    Relative matrix paths are resolved against the spec file."""
-    from .products import MatrixSequence, integer
+    Relative matrix paths are resolved against the spec file.  Any other
+    field, or 'generator' beside 'matrices' or 'repeat', is an error."""
+    from .products import MatrixSequence, check_fields, integer
 
     path = Path(path)
     doc = load_object(path)
+    try:
+        check_fields(doc, ("generator", "matrices", "repeat"), "field")
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if "generator" in doc:
+        listed = [name for name in ("matrices", "repeat") if name in doc]
+        if listed:
+            raise InputError(f"{path}: fields 'generator' and {listed[0]!r} exclude each other")
         if not isinstance(doc["generator"], dict):
             raise InputError(f"{path}: 'generator' must be an object")
         try:

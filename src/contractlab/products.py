@@ -31,8 +31,9 @@ import numpy as np
 
 from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, _delta, _delta_bound,
-                      _gamma, as_matrix, is_scrambling, is_stochastic, mu, nonzero_pattern)
+from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, MatrixError, _delta,
+                      _delta_bound, _gamma, as_matrix, is_scrambling, is_stochastic, mu,
+                      nonzero_pattern)
 from .projections import Norm, _weights_for, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
@@ -129,6 +130,15 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_fields(doc: dict, known, what: str) -> None:
+    """Raise ValueError naming each key of doc, a spec read from JSON,
+    outside known: a misspelt field would otherwise be dropped unread."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what}{'s' if len(unknown) > 1 else ''} "
+                         + ", ".join(map(repr, unknown)))
+
+
 @dataclass
 class MatrixSequence:
     """Finite list of matrices, or a seeded generator producing item k on
@@ -152,6 +162,7 @@ class MatrixSequence:
             spec = self.generator
             if spec.get("kind") != "random_stochastic_spanning_tree":
                 raise ValueError(f"unknown generator kind {spec.get('kind')!r}")
+            check_fields(spec, ("kind", "n", "seed", "min_entry"), "field")
             self.n = integer(spec["n"], "n")
             self._seed = integer(spec.get("seed", 0), "seed")
             if self.n < 1:
@@ -227,7 +238,10 @@ def _judged_product(factors, norm: Norm, t: float):
 
 
 def _product_report(factors, norm: Norm, t: float):
-    P = _full_product(factors)
+    try:
+        P = _full_product(factors)
+    except MatrixError as exc:  # each factor is a finite Matrix: the product overflowed
+        raise ValueError(f"product of items 0..{len(factors) - 1} is not finite") from exc
     norms = [float(np.abs(F.a).sum(axis=1).max()) for F in factors]
     return P, contractivity(P, norm, _product_slack(P.n, t, norms))
 

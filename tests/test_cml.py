@@ -60,6 +60,11 @@ def test_make_map_validation():
         make_map({"kind": "custom_table", "xs": [0.0, 0.0], "ys": [1.0, 2.0]})
     with pytest.raises(ValueError):
         make_map({"kind": "nope"})
+    # a parameter its kind does not take is named, not dropped
+    with pytest.raises(ValueError, match="unknown logistic map parameter 's'"):
+        make_map({"kind": "logistic", "a": 3.9, "s": 2})
+    with pytest.raises(ValueError, match="unknown tent map parameters 'a', 'b'"):
+        make_map({"kind": "tent", "s": 1.0, "a": 1, "b": 2})
     # not a dict, or missing a parameter of its kind: ValueError, not KeyError
     for spec in ("logistic", {"kind": "logistic"}, {"kind": "affine", "a": 1.0},
                  {"kind": "custom_table", "xs": [0.0, 1.0]}):

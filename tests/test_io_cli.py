@@ -398,8 +398,8 @@ WEIGHTS_WITHOUT_WL2 = {
                                  "--weights", "1,2,3"],
     "simulate-config": lambda tmp_path: ["simulate", write_simulate_config(
         tmp_path, "matrix", norm="l2", weights=[1, 2, 3])],
-    "simulate-flag": lambda tmp_path: ["simulate", write_simulate_config(
-        tmp_path, "matrix", weights=[1, 2, 3]), "--norm", "linf"],
+    "simulate-default-norm": lambda tmp_path: ["simulate", write_simulate_config(
+        tmp_path, "matrix", weights=[1, 2, 3])],
 }
 
 
@@ -488,22 +488,6 @@ def test_cli_simulate_trace_records_match_library(tmp_path, capsys):
         assert set(rec) == {"k", "d", "bound"} and rec["k"] == k
         assert rec["d"] == float(f"{expected.distances[k]:.12g}")
         assert rec["bound"] == float(f"{expected.bound[k]:.12g}")
-
-
-def test_cli_simulate_trace_path_relative_to_config(tmp_path, capsys, monkeypatch):
-    cfg, work = tmp_path / "cfg", tmp_path / "work"
-    cfg.mkdir()
-    work.mkdir()
-    a4_json(cfg)
-    config = write(cfg, "sim.json", json.dumps({**SIMULATE_CONFIG, "trace": "t.jsonl"}))
-    monkeypatch.chdir(work)
-    code, _, _ = run_cli(capsys, "simulate", config)
-    assert code == 0
-    assert len((cfg / "t.jsonl").read_text().splitlines()) == 6
-    assert not (work / "t.jsonl").exists()
-    # --output stays relative to the working directory
-    code, _, _ = run_cli(capsys, "--output", "o.jsonl", "simulate", config)
-    assert code == 0 and (work / "o.jsonl").exists() and not (cfg / "o.jsonl").exists()
 
 
 def test_cli_simulate_full_state(tmp_path, capsys):
@@ -683,6 +667,16 @@ def test_cli_ergodicity_overflowing_product_exits_2(tmp_path, capsys, block_len)
     assert err == "error: product of items 0..1 is not finite\n"
 
 
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+def test_cli_product_overflowing_product_exits_2(tmp_path, capsys, norm):
+    # each H is accepted at 1e300; their product of items 0..3 is not finite
+    write(tmp_path, "H.json", json.dumps({"rows": [[1e200, -1e200], [0, 1]]}))
+    spec = write(tmp_path, "hseq.json", json.dumps({"matrices": ["H.json"], "repeat": 4}))
+    code, out, err = run_cli(capsys, "--row-sum-tol", "1e300", "product", spec, "--norm", norm)
+    assert (code, out) == (2, "")
+    assert err == "error: product of items 0..3 is not finite\n"
+
+
 @pytest.mark.parametrize("command", ["contractivity", "product", "ergodicity", "simulate"])
 def test_cli_wrong_weight_count_is_one_error(tmp_path, capsys, command):
     a4_json(tmp_path)
@@ -782,6 +776,24 @@ def assert_field_error(code, out, err, path, message):
 def generator_spec(tmp_path, **fields):
     return write(tmp_path, "gen.json", json.dumps({"generator": {
         "kind": "random_stochastic_spanning_tree", "n": 3, "seed": 1, **fields}}))
+
+
+GENERATOR = {"kind": "random_stochastic_spanning_tree", "n": 3, "seed": 1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"generator": GENERATOR, "matrices": ["a4.json"]},
+     "fields 'generator' and 'matrices' exclude each other"),
+    ({"generator": GENERATOR, "repeat": 2}, "fields 'generator' and 'repeat' exclude each other"),
+    ({"matrices": ["a4.json"], "repaet": 2}, "unknown field 'repaet'"),
+    ({"generator": {**GENERATOR, "sed": 3}}, "bad generator spec (unknown field 'sed')"),
+    ({"generator": {**GENERATOR, "min_entyr": 0.1}},
+     "bad generator spec (unknown field 'min_entyr')"),
+], ids=["generator-and-matrices", "generator-and-repeat", "repaet", "sed", "min_entyr"])
+def test_cli_sequence_spec_field_errors(tmp_path, capsys, doc, message):
+    a4_json(tmp_path)
+    spec = write(tmp_path, "seq.json", json.dumps(doc))
+    assert_field_error(*run_cli(capsys, "ergodicity", spec, "--horizon", "2"), spec, message)
 
 
 def generated_report(tmp_path, capsys, **fields):
@@ -937,7 +949,7 @@ def test_every_norm_option_offers_the_kinds_norm_accepts():
                        if isinstance(action, argparse._SubParsersAction))
     offered = {name: action.choices for name, p in subcommands.items()
                for action in p._actions if "--norm" in action.option_strings}
-    assert sorted(offered) == ["contractivity", "ergodicity", "product", "simulate"]
+    assert sorted(offered) == ["contractivity", "ergodicity", "product"]
     assert all(list(choices) == ["linf", "l2", "l1", "wl2"] for choices in offered.values())
     for kind in ["linf", "l2", "l1"]:
         Norm(kind)
@@ -1093,7 +1105,8 @@ SIMULATE_CONFIG = {"matrix": "a4.json", "map": {"kind": "logistic", "a": 3.9},
     {"map": "logistic"},
     {"steps": float("inf")},  # written as Infinity, which parses like 1e999
     {"matrix": None, "sequence": "seq.json"},  # 2 matrices, 5 steps
-    {"trace": 99999},  # open() takes an int for a file descriptor
+    # unknown fields: the JSONL trace is named by --output only
+    {"trace": 99999},
     {"trace": ["trace.jsonl"]},
 ], ids=lambda c: json.dumps(c))
 def test_cli_simulate_malformed_config_exits_2(tmp_path, capsys, change):
@@ -1140,34 +1153,45 @@ def write_simulate_config(tmp_path, source, **fields):
     return write(tmp_path, "sim.json", json.dumps(config))
 
 
-@pytest.mark.parametrize("source", ["matrix", "generator", "option"])
+@pytest.mark.parametrize("source", ["matrix", "generator"])
 @pytest.mark.parametrize("steps", [0, -3])
 def test_cli_simulate_steps_below_one_exits_2(tmp_path, capsys, source, steps):
-    if source == "option":
-        path = write_simulate_config(tmp_path, "matrix", steps=None)
-        argv = ["--steps", str(steps)]
-    else:
-        path, argv = write_simulate_config(tmp_path, source, steps=steps), []
-    code, out, err = run_cli(capsys, "simulate", path, *argv)
+    path = write_simulate_config(tmp_path, source, steps=steps)
+    code, out, err = run_cli(capsys, "simulate", path)
     assert code == 2 and out == ""
     assert "steps must be >= 1" in err and "Traceback" not in err
 
 
-def test_cli_simulate_steps_and_norm_flags_are_fallbacks(tmp_path, capsys):
-    def summary(argv=(), **fields):
-        code, out, err = run_cli(capsys, "simulate",
-                                 write_simulate_config(tmp_path, "matrix", **fields), *argv)
-        assert (code, err) == (0, "")
-        return json.loads(out)
+@pytest.mark.parametrize("flag, value", [("--steps", "3"), ("--norm", "l2")])
+def test_cli_simulate_steps_and_norm_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    path = write_simulate_config(tmp_path, "matrix")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", path, flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"unrecognized arguments: {flag} {value}" in err
 
-    flags = ["--steps", "3", "--norm", "l2"]
-    # the config's fields win over the flags
-    own = summary(steps=5, norm="linf")
-    assert summary(flags, steps=5, norm="linf") == own and own["steps"] == 5
-    # the flags fill the fields the config leaves out
-    flagged = summary(flags, steps=None, norm=None)
-    assert flagged == summary(steps=3, norm="l2") and flagged["steps"] == 3
-    assert flagged["final_distance"] != summary(steps=3, norm="linf")["final_distance"]
+
+def test_cli_simulate_defaults_are_100_steps_under_linf(tmp_path, capsys):
+    def summary(**fields):
+        code, out, err = run_cli(capsys, "simulate",
+                                 write_simulate_config(tmp_path, "matrix", **fields))
+        assert (code, err) == (0, "")
+        return {k: v for k, v in json.loads(out).items() if k != "input"}
+
+    assert summary(steps=None, norm=None) == summary(steps=100, norm="linf")
+    assert summary(steps=None)["steps"] == 100
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"trace": "t.jsonl"}, "unknown field 'trace'"),
+    ({"stpes": 7}, "unknown field 'stpes'"),
+    ({"stpes": 7, "nrom": "l2"}, "unknown fields 'stpes', 'nrom'"),
+    ({"sequence": "seq.json"}, "fields 'matrix' and 'sequence' exclude each other"),
+    ({"map": {"kind": "logistic", "a": 3.9, "s": 2}}, "unknown logistic map parameter 's'"),
+], ids=["trace", "stpes", "two-unknown", "matrix-and-sequence", "map-parameter"])
+def test_cli_simulate_config_field_errors(tmp_path, capsys, fields, message):
+    path = write_simulate_config(tmp_path, "matrix", **fields)
+    assert_field_error(*run_cli(capsys, "simulate", path), path, message)
 
 
 @pytest.mark.parametrize("source", ["matrix", "generator"])
