@@ -4,19 +4,13 @@ bounds under Euclidean norms, graph necessary conditions, product and
 weak-ergodicity diagnostics, and a coupled map lattice simulator.
 Digraphs are plain n x n bool adjacency arrays.
 
-The package re-exports the function ``contractivity``, which shadows the
-submodule of the same name: ``import contractlab.contractivity as C``
-binds the function.  Reach the module with
-``importlib.import_module("contractlab.contractivity")`` or import names
-from it (``from contractlab.contractivity import contractivity_l2``).
-
-Importing the package loads ``matcore``, ``graphs``, ``projections`` and
-``contractivity``, which every command uses.  The names re-exported from
-``products`` and ``cml`` (``product``, ``MatrixSequence``, ``simulate``,
-...) are lazy: the first access to one imports its module (PEP 562), and
-``dir(contractlab)`` lists them all the same.  ``contractivity`` stays
-eager, bound to the function: were it lazy, the later import of the
-submodule would bind the package attribute to the module instead.
+Each name lives in the module that defines it and is imported from
+there: ``matcore`` (``Matrix``, ``mu``, ``delta``, ``is_scrambling``),
+``graphs``, ``projections`` (the norms), ``contractivity`` (the
+coefficients, ``decompose_affine``), ``products`` (``MatrixSequence``,
+``product``, ``weak_ergodicity_diagnostic``) and ``cml`` (``simulate``),
+as in ``from contractlab.cml import simulate``.  Importing the package
+itself loads numpy and none of these modules.
 """
 
 
@@ -37,7 +31,10 @@ def _load_numpy() -> None:
     import os
     import sys
 
-    if "numpy" in sys.modules or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+    if "numpy" in sys.modules:
+        return
+    if "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+        import numpy
         return
     os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
     try:
@@ -48,79 +45,5 @@ def _load_numpy() -> None:
 
 _load_numpy()
 del _load_numpy
-
-from .matcore import (
-    Matrix,
-    RowSumProfile,
-    as_matrix,
-    delta,
-    is_scrambling,
-    is_stochastic,
-    mu,
-    row_sum_profile,
-)
-from .graphs import (
-    has_spanning_directed_tree,
-    interaction_digraph,
-    is_irreducible,
-)
-from .projections import (
-    Norm,
-    Projection,
-    distance_to_diagonal,
-    l1,
-    l2,
-    linf,
-    project,
-    weighted_l2,
-)
-from .contractivity import (
-    AffineDecomposition,
-    ContractivityReport,
-    contractivity,
-    contractivity_l2,
-    contractivity_linf,
-    decompose_affine,
-    is_paracontractive_l2,
-    is_pseudocontractive_stochastic_linf,
-    spectral_norm_2,
-)
-
-# the names re-exported lazily, each with its module; see __getattr__
-_LAZY = dict.fromkeys((
-    "ErgodicityReport",
-    "MatrixSequence",
-    "check_convergence_condition",
-    "ergodicity_coefficient",
-    "min_contractive_product_length",
-    "product",
-    "product_contractivity_bound",
-    "random_stochastic_spanning_tree",
-    "scrambling_product_theorem_check",
-    "weak_ergodicity_diagnostic",
-), "products") | dict.fromkeys((
-    "MapDef",
-    "SimTrace",
-    "check_sync_condition",
-    "check_sync_corollary",
-    "make_map",
-    "simulate",
-), "cml")
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ from .matcore import (
     mu_delta,
     row_sum_profile,
 )
-from .projections import KINDS, norm_from_name
+from .projections import KINDS, Norm
 
 if TYPE_CHECKING:
     from .cml import SimTrace
@@ -124,13 +124,13 @@ def _emit(doc, args) -> None:
 
 def _norm_from_args(args):
     """The norm of --norm and --weights; weights with another norm than
-    wl2 are rejected by norm_from_name before they are parsed."""
+    wl2 are rejected by Norm before they are parsed."""
     weights = args.weights
     if args.norm == "wl2":
         if not weights:
             raise io.InputError("--norm wl2 requires --weights")
         weights = io.parse_weights(weights)
-    return norm_from_name(args.norm, weights)
+    return Norm(args.norm, weights)
 
 
 def _log_sequence(path, seq) -> None:
@@ -179,7 +179,7 @@ def _analysis_report(path, zero_tol, row_sum_tol) -> dict:
     }
     if profile.is_constant:
         reps = {"linf": _linf_report(profile.r, m),
-                "l2": contractivity(A, norm_from_name("l2"), row_sum_tol)}
+                "l2": contractivity(A, Norm("l2"), row_sum_tol)}
         report["c_linf"] = reps["linf"].c
         report["c_l2"] = reps["l2"].c
         report["classification"] = {name: _classification(rep) for name, rep in reps.items()}
@@ -367,7 +367,7 @@ def cmd_simulate(args) -> int:
         weights = config.get("weights")
         if weights is not None:
             weights = io.json_vector(weights, f"{args.config}: field 'weights'")
-        norm = norm_from_name(config.get("norm", "linf"), weights)
+        norm = Norm(config.get("norm", "linf"), weights)
     except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, io.InputError):
             raise

@@ -230,15 +230,12 @@ def decompose_affine(A, x, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> AffineDe
     ax = A.a @ x
     xstar_alpha = project(ax, linf()).alpha - project(x, linf()).alpha
     xstar = np.full(n, xstar_alpha)
-    y = ax - xstar
     lo, hi = int(np.argmin(x)), int(np.argmax(x))
-    if x[hi] - x[lo] <= 1e-14:
+    if x[hi] == x[lo]:
         B = np.full((n, n), 1.0 / n)
-        xstar = ax - B @ x
-        return AffineDecomposition(B=Matrix(B), xstar=xstar)
-    lam = (x[hi] - y) / (x[hi] - x[lo])
-    lam = np.clip(lam, 0.0, 1.0)
-    B = np.zeros((n, n))
-    B[:, lo] = lam
-    B[:, hi] += 1.0 - lam
+    else:
+        lam = np.clip((x[hi] - (ax - xstar)) / (x[hi] - x[lo]), 0.0, 1.0)
+        B = np.zeros((n, n))
+        B[:, lo] = lam
+        B[:, hi] += 1.0 - lam
     return AffineDecomposition(B=Matrix(B), xstar=xstar)

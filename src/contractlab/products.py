@@ -199,9 +199,16 @@ def _partial_products(factors):
         yield acc
 
 
-def _full_product(factors) -> Matrix:
-    """F_last ... F_0; the partial products are not kept."""
-    return Matrix(deque(_partial_products(factors), maxlen=1).pop())
+def _full_product(factors, first: int) -> Matrix:
+    """F_last ... F_first, the factors being items first, first + 1, ...;
+    the partial products are not kept.  ValueError naming the items if
+    the product overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        last, P = deque(enumerate(_partial_products(factors), first), maxlen=1).pop()
+    try:
+        return Matrix(P)
+    except MatrixError as exc:  # each factor is a finite Matrix: the product overflowed
+        raise ValueError(f"product of items {first}..{last} is not finite") from exc
 
 
 def _product_slack(n: int, t: float, norms) -> float:
@@ -238,10 +245,7 @@ def _judged_product(factors, norm: Norm, t: float):
 
 
 def _product_report(factors, norm: Norm, t: float):
-    try:
-        P = _full_product(factors)
-    except MatrixError as exc:  # each factor is a finite Matrix: the product overflowed
-        raise ValueError(f"product of items 0..{len(factors) - 1} is not finite") from exc
+    P = _full_product(factors, 0)
     norms = [float(np.abs(F.a).sum(axis=1).max()) for F in factors]
     return P, contractivity(P, norm, _product_slack(P.n, t, norms))
 
@@ -252,7 +256,7 @@ def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
         raise IndexError(f"invalid index range [{frm}, {to}]")
     if seq.items is not None and to >= len(seq.items):
         raise IndexError(f"index {to} out of range")
-    return _full_product(seq[k] for k in range(frm, to + 1))
+    return _full_product((seq[k] for k in range(frm, to + 1)), frm)
 
 
 def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float, float]:
@@ -339,15 +343,14 @@ def scrambling_product_theorem_check(seq: MatrixSequence, epsilon: float,
 
 
 def min_contractive_product_length(H, norm_q: Norm, max_m: int,
-                                   predicate: str = "contractive",
-                                   budget: int = ENUMERATION_BUDGET) -> int | None:
+                                   predicate: str = "contractive") -> int | None:
     """Smallest m <= max_m such that every length-m product over the
     family H satisfies the predicate ('contractive' under norm_q, or
     'scrambling'), or None if no such m is found.
 
     All |H|^m orderings are enumerated; raises BudgetError when a level
-    would exceed the enumeration budget.  Under 'contractive' each member
-    of H is judged first, and each ordering's product within
+    would exceed ENUMERATION_BUDGET orderings.  Under 'contractive' each
+    member of H is judged first, and each ordering's product within
     _product_slack, as in _judged_product.
     """
     H = [as_matrix(m) for m in H]
@@ -358,10 +361,10 @@ def min_contractive_product_length(H, norm_q: Norm, max_m: int,
     if predicate == "contractive":
         coefficients(H, norm_q)  # raises, naming the first member that fails
     holds = ((lambda F: _product_report(F, norm_q, DEFAULT_ROW_SUM_TOL)[1].is_set_contractive)
-             if predicate == "contractive" else lambda F: is_scrambling(_full_product(F)))
+             if predicate == "contractive" else lambda F: is_scrambling(_full_product(F, 0)))
     for m in range(1, max_m + 1):
-        if len(H) ** m > budget:
-            raise BudgetError(f"|H|^{m} exceeds enumeration budget {budget}")
+        if len(H) ** m > ENUMERATION_BUDGET:
+            raise BudgetError(f"|H|^{m} exceeds enumeration budget {ENUMERATION_BUDGET}")
         if all(holds(combo) for combo in itertools.product(H, repeat=m)):
             return m
     return None

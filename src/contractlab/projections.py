@@ -33,9 +33,9 @@ class Norm:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise NormError(f"unknown norm kind {self.kind!r}")
         if self.kind == WL2:
+            if self.weights is None:
+                raise NormError("wl2 norm requires weights")
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise NormError("weighted norm requires a finite positive weight vector")
@@ -43,7 +43,9 @@ class Norm:
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
-            raise NormError(f"norm {self.kind!r} takes no weights")
+            raise NormError("weights apply only to the wl2 norm")
+        elif self.kind not in KINDS:
+            raise NormError(f"unknown norm kind {self.kind!r}")
 
     def __str__(self):
         return self.kind
@@ -63,16 +65,6 @@ def l1() -> Norm:
 
 def weighted_l2(w) -> Norm:
     return Norm(WL2, np.asarray(w, dtype=float))
-
-
-def norm_from_name(name: str, weights=None) -> Norm:
-    if name == WL2:
-        if weights is None:
-            raise NormError("wl2 norm requires weights")
-        return weighted_l2(weights)
-    if weights is not None:
-        raise NormError("weights apply only to the wl2 norm")
-    return Norm(name)
 
 
 @dataclass(frozen=True)

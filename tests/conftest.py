@@ -1,9 +1,9 @@
-import importlib
 import sys
 
 import numpy as np
 
-from contractlab import Matrix
+from contractlab.contractivity import contractivity
+from contractlab.matcore import Matrix
 
 
 def random_nonneg_row_sum(n, rng, r=None, density=1.0):
@@ -42,11 +42,10 @@ def random_doubly_constant(n, rng, r=None):
 
 def counting_coefficient(monkeypatch):
     """Wrap the dispatch contractivity, which computes every coefficient,
-    where the package's submodules bind it.  Return the list of its matrix
-    arguments, one entry per coefficient computed.  Calls through the
-    package namespace are not counted."""
+    where the package's modules bind it.  Return the list of its matrix
+    arguments, one entry per coefficient computed."""
     calls = []
-    original = importlib.import_module("contractlab.contractivity").contractivity
+    original = contractivity
 
     def counting(A, *args, **kwargs):
         calls.append(A)

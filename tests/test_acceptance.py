@@ -7,26 +7,17 @@ with ``pytest -s`` or in the captured output of a failing run).
 import numpy as np
 import pytest
 
-from contractlab import (
-    Matrix,
+from contractlab.cml import make_map, simulate
+from contractlab.contractivity import contractivity_l2, contractivity_linf, decompose_affine
+from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
+from contractlab.matcore import Matrix, delta, is_scrambling, is_stochastic, mu
+from contractlab.products import (
     MatrixSequence,
-    contractivity_l2,
-    contractivity_linf,
-    decompose_affine,
-    delta,
     ergodicity_coefficient,
-    has_spanning_directed_tree,
-    interaction_digraph,
-    is_scrambling,
-    is_stochastic,
-    l2,
-    linf,
-    make_map,
-    mu,
     product,
     scrambling_product_theorem_check,
-    simulate,
 )
+from contractlab.projections import l2, linf
 from contractlab.reference import A4, run_reference_checks
 
 from conftest import (

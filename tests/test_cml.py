@@ -3,20 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from contractlab import (
-    Matrix,
-    MatrixSequence,
-    check_sync_condition,
-    check_sync_corollary,
-    make_map,
-    simulate,
+from contractlab import cml
+from contractlab.cml import MapDef, check_sync_condition, check_sync_corollary, make_map, simulate
+from contractlab.contractivity import RowSumError, coefficients, contractivity
+from contractlab.matcore import DEFAULT_SYNC_TOL, Matrix
+from contractlab.products import MatrixSequence
+from contractlab.projections import (
+    distance_to_diagonal,
+    l1,
+    l2,
+    linf,
+    project_columns,
+    weighted_l2,
 )
-from contractlab import cml, contractivity
-from contractlab.cml import MapDef
-from contractlab.contractivity import RowSumError, coefficients
-from contractlab.matcore import DEFAULT_SYNC_TOL
-from contractlab.projections import distance_to_diagonal, project_columns
-from contractlab import l1, l2, linf, weighted_l2
 from contractlab.reference import A4
 
 from conftest import counting_coefficient

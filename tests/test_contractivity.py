@@ -1,25 +1,20 @@
 import numpy as np
 import pytest
 
-from contractlab import (
-    Matrix,
-    MatrixSequence,
+from contractlab.contractivity import (
+    RowSumError,
+    attained_lower_bound,
     contractivity,
     contractivity_l2,
     contractivity_linf,
     decompose_affine,
-    delta,
     is_paracontractive_l2,
     is_pseudocontractive_stochastic_linf,
-    is_scrambling,
-    is_stochastic,
-    mu,
-    product_contractivity_bound,
     spectral_norm_2,
 )
-from contractlab.contractivity import RowSumError, attained_lower_bound
-from contractlab.projections import project_columns
-from contractlab import l1, l2, linf, weighted_l2
+from contractlab.matcore import Matrix, delta, is_scrambling, is_stochastic, mu
+from contractlab.products import MatrixSequence, product_contractivity_bound
+from contractlab.projections import l1, l2, linf, project_columns, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5, M0, W4
 
 from conftest import (
@@ -375,6 +370,28 @@ def test_decompose_affine_examples():
     x = np.array([0.0, 1.0, -0.5])
     dec = decompose_affine(np.eye(3), x)
     assert np.abs(dec.B.a @ x + dec.xstar - x).max() < 1e-12
+
+
+MIXING = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]])
+
+
+def test_decompose_affine_independent_of_the_scale_of_x():
+    # scaling by a power of two is exact: x spread by 2**-50 is not constant
+    x = np.array([0.0, 1.0, 0.5])
+    dec = decompose_affine(MIXING, x)
+    small = decompose_affine(MIXING, x * 2.0**-50)
+    assert np.array_equal(small.B.a, dec.B.a)
+    assert np.ptp(dec.xstar) == 0.0 and np.ptp(small.xstar) == 0.0
+    assert small.xstar[0] == dec.xstar[0] * 2.0**-50
+
+
+def test_decompose_affine_constant_x_keeps_a_constant_xstar():
+    # row sums 1 and 1 + 1e-10, accepted at the default tolerance
+    A = MIXING.copy()
+    A[1, 1] += 1e-10
+    dec = decompose_affine(A, np.full(3, 0.5))
+    assert np.array_equal(dec.B.a, np.full((3, 3), 1.0 / 3.0))
+    assert np.ptp(dec.xstar) == 0.0
 
 
 def test_decompose_affine_postconditions():

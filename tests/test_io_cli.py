@@ -14,20 +14,9 @@ import numpy as np
 import pytest
 
 import contractlab
-from contractlab import (
-    MatrixSequence,
-    Norm,
-    cli,
-    contractivity,
-    contractivity_l2,
-    contractivity_linf,
-    linf,
-    make_map,
-    product,
-    product_contractivity_bound,
-    simulate,
-    weak_ergodicity_diagnostic,
-)
+from contractlab import cli
+from contractlab.cml import DEFAULT_SYNC_TOL, make_map, simulate
+from contractlab.contractivity import contractivity, contractivity_l2, contractivity_linf
 from contractlab.io import (
     InputError,
     load_matrix,
@@ -36,9 +25,14 @@ from contractlab.io import (
     load_vector,
     parse_weights,
 )
-from contractlab.cml import DEFAULT_SYNC_TOL
-from contractlab.projections import NormError
 from contractlab.matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL
+from contractlab.products import (
+    MatrixSequence,
+    product,
+    product_contractivity_bound,
+    weak_ergodicity_diagnostic,
+)
+from contractlab.projections import Norm, NormError, linf
 from contractlab.reference import A1, A4, MATRICES, W4
 
 from conftest import counting_coefficient, random_doubly_constant

@@ -4,18 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contractlab import (
+from contractlab import matcore
+from contractlab.graphs import interaction_digraph
+from contractlab.matcore import (
     Matrix,
-    MatrixSequence,
+    MatrixError,
     delta,
-    interaction_digraph,
     is_scrambling,
     is_stochastic,
     mu,
+    mu_delta,
+    nonzero_pattern,
     row_sum_profile,
 )
-from contractlab import matcore
-from contractlab.matcore import MatrixError, mu_delta, nonzero_pattern
+from contractlab.products import MatrixSequence
 from contractlab.reference import A1, A3, A4
 
 from conftest import delta_halfsum, random_nonneg_row_sum, random_stochastic

@@ -1,34 +1,43 @@
 import logging
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from contractlab import (
-    Matrix,
-    MatrixSequence,
-    check_convergence_condition,
+from contractlab import matcore, products
+from contractlab.contractivity import (
+    RowSumError,
+    contractivity,
     contractivity_l2,
     contractivity_linf,
+)
+from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
+from contractlab.matcore import (
+    DEFAULT_ROW_SUM_TOL,
+    Matrix,
+    _UNIT_ROUNDOFF,
     delta,
-    ergodicity_coefficient,
     is_stochastic,
-    min_contractive_product_length,
     mu,
+    nonzero_pattern,
+    row_sum_profile,
+)
+from contractlab.products import (
+    BudgetError,
+    DELTA_ZERO_THRESHOLD,
+    MatrixSequence,
+    check_convergence_condition,
+    ergodicity_coefficient,
+    min_contractive_product_length,
     product,
     product_contractivity_bound,
     random_stochastic_spanning_tree,
     scrambling_product_theorem_check,
     weak_ergodicity_diagnostic,
 )
-from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
-from contractlab.contractivity import RowSumError, contractivity
-from contractlab.matcore import (DEFAULT_ROW_SUM_TOL, _UNIT_ROUNDOFF, nonzero_pattern,
-                                 row_sum_profile)
-from contractlab import l2, linf, weighted_l2
-from contractlab import matcore, products
-from contractlab.products import DELTA_ZERO_THRESHOLD, BudgetError
+from contractlab.projections import l2, linf, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5
 
 from conftest import counting_coefficient, random_doubly_constant, random_stochastic
@@ -56,6 +65,19 @@ def test_product_index_errors():
     with pytest.raises(ValueError):
         MatrixSequence(items=[np.eye(2), np.eye(3)])
 
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_product_names_its_items_when_it_overflows(action):
+    # each H is finite, while H H holds 1e400: a ValueError naming the
+    # items and no numpy warning, also with warnings as errors
+    seq = seq_of(*[[[1e200, -1e200], [0.0, 1.0]]] * 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        for frm in (0, 1):
+            with pytest.raises(ValueError, match=rf"^product of items {frm}\.\.3 is not finite$"):
+                product(seq, frm, 3)
+    assert caught == []
 
 def frozen_product(seq, frm, to):
     """Frozen copy of product as it was when the walk started from I."""
@@ -436,10 +458,11 @@ def test_min_contractive_product_length():
     assert min_contractive_product_length([A3.a], linf(), 10) == 2
     assert min_contractive_product_length([A3.a], linf(), 10,
                                           predicate="scrambling") == 2
-    with pytest.raises(BudgetError):
-        # A2 in the family keeps every level non-contractive, so the
-        # search runs until 2^m overflows the budget
-        min_contractive_product_length([A2.a, A3.a], linf(), 30, budget=100)
+    # A2 in the family keeps every level non-contractive, so the search
+    # runs until 2^m overflows the budget of 10^6 orderings; each level's
+    # first ordering, A2^m, fails at once
+    with pytest.raises(BudgetError, match=r"^\|H\|\^20 exceeds enumeration budget 1000000$"):
+        min_contractive_product_length([A2.a, A3.a], linf(), 30)
 
 
 def test_min_length_mixed_family():

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from contractlab import Norm, distance_to_diagonal, l1, l2, linf, project, weighted_l2
-from contractlab.projections import NormError, norm_from_name, project_columns
+from contractlab.projections import Norm, distance_to_diagonal, l1, l2, linf, project, weighted_l2
+from contractlab.projections import NormError, project_columns
 
 from conftest import norm_of
 
@@ -50,17 +50,18 @@ def test_weighted_projection_coefficient():
 def test_weight_normalization_and_validation():
     norm = weighted_l2([2.0, 4.0])
     assert norm.weights.max() == 1.0
-    with pytest.raises(NormError):
+    with pytest.raises(NormError, match="^weighted norm requires a finite positive weight vector$"):
         weighted_l2([1.0, -1.0])
+    with pytest.raises(NormError, match="^wl2 norm requires weights$"):
+        Norm("wl2")
     with pytest.raises(NormError):
         project([1.0, 2.0, 3.0], weighted_l2([1.0, 1.0]))  # length mismatch
 
 
 @pytest.mark.parametrize("name", ["linf", "l2", "l1"])
 def test_norm_from_name_rejects_weights_without_wl2(name):
-    assert norm_from_name(name) == Norm(name)
-    with pytest.raises(NormError, match="weights apply only to the wl2 norm"):
-        norm_from_name(name, [1.0, 2.0])
+    with pytest.raises(NormError, match="^weights apply only to the wl2 norm$"):
+        Norm(name, [1.0, 2.0])
 
 
 def test_input_validation():
