@@ -16,9 +16,10 @@ modules and objects, numpy's among them: about 40 ms per process, a
 tenth of a short command, for no output.  ``main`` is the in-process
 entry and ends nothing.
 
-Start-up loads only what every command uses.  ``products`` (product,
-ergodicity, simulate), ``cml`` (simulate) and ``reference``
-(reproduce-paper) are imported by the commands that run them.
+Start-up loads only what every command uses.  ``io`` reads every input
+file, and imports ``products`` (product, ergodicity, simulate) and
+``cml`` (simulate) to read a sequence spec or a simulation config;
+``reference`` is imported by reproduce-paper.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ _TRACED = (mu,)
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 # not __name__, which is "__main__" under python -m contractlab.cli
 log = logging.getLogger("contractlab.cli")
@@ -338,40 +340,9 @@ def _write_trace(trace: SimTrace, jsonl_path, csv_path, full_state: bool) -> Non
 
 
 def cmd_simulate(args) -> int:
-    from . import cml, products
+    from . import cml
 
-    config = io.load_object(args.config)
-    base = Path(args.config).parent
-    try:
-        # the config alone describes the run
-        products.check_fields(config, ("matrix", "sequence", "map", "x0", "steps", "norm",
-                                       "weights"), "field")
-        if "matrix" in config and "sequence" in config:
-            raise ValueError("fields 'matrix' and 'sequence' exclude each other")
-        steps = products.integer(config.get("steps", 100), "steps")
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        if "sequence" in config:
-            seq = io.load_sequence(base / config["sequence"])
-        elif "matrix" in config:
-            A = io.load_matrix(base / config["matrix"])
-            seq = products.MatrixSequence(items=[A] * steps)
-        else:
-            raise ValueError("field 'matrix' or 'sequence' required")
-        for name in ("map", "x0"):
-            if config.get(name) is None:
-                raise ValueError(f"field {name!r} required")
-        mp, x0 = cml.make_map(config["map"]), config["x0"]
-        x0 = (io.load_vector(base / x0) if isinstance(x0, str)
-              else io.json_vector(x0, f"{args.config}: field 'x0'"))
-        weights = config.get("weights")
-        if weights is not None:
-            weights = io.json_vector(weights, f"{args.config}: field 'weights'")
-        norm = Norm(config.get("norm", "linf"), weights)
-    except (ValueError, TypeError, OverflowError) as exc:
-        if isinstance(exc, io.InputError):
-            raise
-        raise io.InputError(f"{args.config}: {exc}") from exc
+    seq, mp, x0, steps, norm = io.load_simulation(args.config)
     trace = cml.simulate(seq, mp, x0, steps, norm=norm, sync_tol=args.sync_tol,
                          row_sum_tol=args.row_sum_tol)
     if trace.synchronized_at is not None:
@@ -493,11 +464,14 @@ def _check_tolerances(args) -> None:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("CONTRACTLAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("CONTRACTLAB_LOG", "WARNING")
+        if level.upper() not in LOG_LEVELS:
+            raise io.InputError(f"CONTRACTLAB_LOG must be one of {', '.join(LOG_LEVELS)}, "
+                                f"got {level!r}")
+        logging.basicConfig(level=level.upper())
         _check_tolerances(args)
         # a finite entry near the float limit overflows in a sum or a
         # difference; the reports render the result as null

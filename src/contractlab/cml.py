@@ -9,14 +9,14 @@ not nonnegativity.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contractivity import RowSumError, coefficients
+from .io import check_fields, is_real
 from .matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_SYNC_TOL, row_sum_profile
-from .products import MatrixSequence, check_convergence_condition, check_fields
+from .products import MatrixSequence, check_convergence_condition
 from .projections import Norm, _weights_for, linf, project_columns
 
 DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
@@ -62,7 +62,7 @@ def make_map(spec: dict) -> MapDef:
 
     def number(name):
         value = param(name)
-        if not _is_real(value):
+        if not is_real(value):
             raise ValueError(f"{kind} map parameter {name!r} must be a number, got {value!r}")
         return float(value)
 
@@ -70,7 +70,7 @@ def make_map(spec: dict) -> MapDef:
         values = param(name)
         if isinstance(values, np.ndarray):
             values = values.tolist()
-        if not (isinstance(values, (list, tuple)) and all(map(_is_real, values))):
+        if not (isinstance(values, (list, tuple)) and all(map(is_real, values))):
             raise ValueError(f"{kind} map parameter {name!r} must be a list of numbers")
         return np.array(values, dtype=float)
 
@@ -97,11 +97,6 @@ def make_map(spec: dict) -> MapDef:
     rho = float(np.abs(np.diff(ys) / np.diff(xs)).max())
     return MapDef(kind, lambda x: np.interp(x, xs, ys), rho=rho,
                   domain=(float(xs[0]), float(xs[-1])))
-
-
-def _is_real(value) -> bool:
-    """True for a real number: a bool, Python's or numpy's, is none."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

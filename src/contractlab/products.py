@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ import numpy as np
 
 from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
+from .io import check_fields, integer, is_real
 from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, MatrixError, _delta,
                       _delta_bound, _gamma, as_matrix, is_scrambling, is_stochastic, mu,
                       nonzero_pattern)
@@ -119,26 +119,6 @@ def random_stochastic_spanning_tree(n: int, rng, min_entry: float = 0.05) -> Mat
     return Matrix(a)
 
 
-def integer(value, name: str) -> int:
-    """value as an int: an integer, or a float with an integral value
-    such as 30.0.  A fractional or non-finite number, a bool or any other
-    type raises ValueError naming the field."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def check_fields(doc: dict, known, what: str) -> None:
-    """Raise ValueError naming each key of doc, a spec read from JSON,
-    outside known: a misspelt field would otherwise be dropped unread."""
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise ValueError(f"unknown {what}{'s' if len(unknown) > 1 else ''} "
-                         + ", ".join(map(repr, unknown)))
-
-
 @dataclass
 class MatrixSequence:
     """Finite list of matrices, or a seeded generator producing item k on
@@ -170,7 +150,7 @@ class MatrixSequence:
             if self._seed < 0:
                 raise ValueError(f"seed must be >= 0, got {self._seed}")
             min_entry = spec.get("min_entry", 0.05)
-            if isinstance(min_entry, bool) or not isinstance(min_entry, numbers.Real):
+            if not is_real(min_entry):
                 raise ValueError(f"min_entry must be a real number, got {min_entry!r}")
             self._min_entry = float(min_entry)
             _max_nonzeros(self.n, self._min_entry)  # the generator's range rule, at load

@@ -127,6 +127,34 @@ def test_cli_analyze_json_string_entry_exits_2(tmp_path, capsys):
                    "(expected JSON numbers, found boolean, string)\n")
 
 
+# a JSON integer past the float range; a repeat of 1e19 is past the index
+# range, and a CSV cell of 200000 digits past the csv module's field limit
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "big.json"],
+    ["analyze", "big.csv"],
+    ["decompose", "a4.json", "x.json"],
+    ["contractivity", "a4.json", "--norm", "wl2", "--weights", "x.json"],
+    ["product", "rep.json"],
+    ["ergodicity", "rep.json", "--horizon", "2"],
+], ids=" ".join)
+def test_cli_oversized_number_exits_2_naming_the_file(tmp_path, capsys, argv):
+    # the error names the last file of argv, the one holding the number
+    a4_json(tmp_path)
+    write(tmp_path, "big.json", '{"rows": [[%s]]}' % BIG)
+    write(tmp_path, "x.json", "[%s, 1, 1]" % BIG)
+    write(tmp_path, "rep.json", '{"matrices": ["a4.json"], "repeat": 1e19}')
+    write(tmp_path, "big.csv", "1" * 200000 + ",0\n0,1\n")
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    named = [a for a in argv if a.endswith((".json", ".csv"))][-1]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_load_sequence_matrix_list(tmp_path):
     a4_json(tmp_path)
     spec = write(tmp_path, "seq.json",
@@ -1182,7 +1210,10 @@ def test_cli_simulate_defaults_are_100_steps_under_linf(tmp_path, capsys):
     ({"stpes": 7, "nrom": "l2"}, "unknown fields 'stpes', 'nrom'"),
     ({"sequence": "seq.json"}, "fields 'matrix' and 'sequence' exclude each other"),
     ({"map": {"kind": "logistic", "a": 3.9, "s": 2}}, "unknown logistic map parameter 's'"),
-], ids=["trace", "stpes", "two-unknown", "matrix-and-sequence", "map-parameter"])
+    ({"matrix": 5}, "field 'matrix' must be a path, got 5"),
+    ({"matrix": None, "sequence": 5}, "field 'sequence' must be a path, got 5"),
+], ids=["trace", "stpes", "two-unknown", "matrix-and-sequence", "map-parameter",
+        "matrix-not-a-path", "sequence-not-a-path"])
 def test_cli_simulate_config_field_errors(tmp_path, capsys, fields, message):
     path = write_simulate_config(tmp_path, "matrix", **fields)
     assert_field_error(*run_cli(capsys, "simulate", path), path, message)
@@ -1584,6 +1615,22 @@ def test_cli_process_logs_load_and_method_at_info(tmp_path, name):
     res = run_cli_process(*argv, CONTRACTLAB_LOG="INFO")
     assert res.returncode == 0 and json.loads(res.stdout)
     assert res.stderr.splitlines() == [f"INFO:contractlab.cli:{line}" for line in lines]
+
+
+@pytest.mark.parametrize("level", ["basic_format", "verbose"])
+def test_cli_process_unknown_log_level_exits_2(tmp_path, level):
+    # basic_format names a logging attribute that is no level; verbose none
+    res = run_cli_process("analyze", a4_json(tmp_path), CONTRACTLAB_LOG=level)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == ("error: CONTRACTLAB_LOG must be one of DEBUG, INFO, WARNING, "
+                          f"ERROR, CRITICAL, got {level!r}\n")
+
+
+def test_cli_process_log_level_in_any_case(tmp_path):
+    path = a4_json(tmp_path)
+    res = run_cli_process("analyze", path, CONTRACTLAB_LOG="info")
+    assert res.returncode == 0 and json.loads(res.stdout)
+    assert f"INFO:contractlab.cli:loaded matrix {path}: n = 3" in res.stderr.splitlines()
 
 
 def test_cli_process_logs_nothing_by_default(tmp_path):
