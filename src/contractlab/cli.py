@@ -42,6 +42,7 @@ from . import io
 from .contractivity import (
     _linf_report,
     attained_lower_bound,
+    coefficients,
     contractivity,
     decompose_affine,
 )
@@ -245,7 +246,8 @@ def cmd_product(args) -> int:
         raise io.InputError(f"{args.sequence}: product needs a finite list of matrices")
     _log_sequence(args.sequence, seq)
     norm = _norm_from_args(args)
-    c_values, full, rep = products._judged_product(seq.items, norm, args.row_sum_tol)
+    c_values = coefficients(seq.items, norm, args.row_sum_tol)  # raises naming an item
+    full, rep = products._product_report(seq.items, norm, args.row_sum_tol)
     conv = products.check_convergence_condition(c_values)
     _log_method(rep)
     doc = {

@@ -70,6 +70,12 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def exceeds_index(rows: int, cols: int) -> bool:
+    """True when a rows x cols float64 array has more bytes than np.intp
+    can index: numpy cannot make it, whatever the memory."""
+    return rows * cols * np.dtype(float).itemsize > np.iinfo(np.intp).max
+
+
 def check_fields(doc: dict, known, what: str) -> None:
     """Raise ValueError naming each key of doc, a spec read from JSON,
     outside known: a misspelt field would otherwise be dropped unread."""
@@ -225,9 +231,14 @@ def load_simulation(path) -> tuple:
         if "sequence" in config:
             seq = load_sequence(path.parent / config["sequence"])
         elif "matrix" in config:
-            seq = MatrixSequence(items=[load_matrix(path.parent / config["matrix"])] * steps)
+            seq = load_matrix(path.parent / config["matrix"])
         else:
             raise ValueError("field 'matrix' or 'sequence' required")
+        if exceeds_index(steps + 1, seq.n):  # checked before a matrix is repeated
+            raise ValueError("steps too large: a (steps + 1) x n float64 state array "
+                             "has more bytes than numpy can index")
+        if "matrix" in config:
+            seq = MatrixSequence(items=[seq] * steps)
         for name in ("map", "x0"):
             if config.get(name) is None:
                 raise ValueError(f"field {name!r} required")

@@ -1,5 +1,5 @@
-"""Finite and infinite products of matrices: submultiplicativity of the
-contractivity coefficient, finite-horizon convergence diagnostics, the
+"""Finite and infinite products of matrices: the coefficient of a
+product of accepted items, finite-horizon convergence diagnostics, the
 scrambling-product bound r^(n-1) - eps^(n-1), minimal contractive product
 length over a finite family, and weak-ergodicity bookkeeping.
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .contractivity import coefficients, contractivity
 from .graphs import has_spanning_directed_tree, interaction_digraph
-from .io import check_fields, integer, is_real
+from .io import check_fields, exceeds_index, integer, is_real
 from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, MatrixError, _delta,
                       _delta_bound, _gamma, as_matrix, is_scrambling, is_stochastic, mu,
                       nonzero_pattern)
@@ -154,6 +154,9 @@ class MatrixSequence:
                 raise ValueError(f"min_entry must be a real number, got {min_entry!r}")
             self._min_entry = float(min_entry)
             _max_nonzeros(self.n, self._min_entry)  # the generator's range rule, at load
+            if exceeds_index(self.n, self.n):
+                raise ValueError("n too large: an n x n float64 matrix has more bytes "
+                                 "than numpy can index")
             self._cache = {}
 
     def __getitem__(self, k: int) -> Matrix:
@@ -218,13 +221,14 @@ def _product_slack(n: int, t: float, norms) -> float:
     return slack if slack == slack else math.inf  # nan from 0 * inf
 
 
-def _judged_product(factors, norm: Norm, t: float):
-    """(the factors' coefficients, each judged at t in order, their
-    product P = F_last ... F_0, P's report within _product_slack)."""
-    return coefficients(factors, norm, t), *_product_report(factors, norm, t)
-
-
 def _product_report(factors, norm: Norm, t: float):
+    """(P = F_last ... F_0, P's report within _product_slack), for factors
+    already judged at t.  Under the max norm c(P) exceeds the product of
+    the factors' c only by their row-sum drift, as c = r - mu takes the
+    mean row sum r: 16 copies of [[0.6000009, 0.2, 0.2], [0.2, 0.6, 0.2],
+    [0.2, 0.2, 0.6]] at t = 1e-6 (``contractlab --row-sum-tol 1e-6
+    product``) give 9.29e-07 against 4.30e-07.  Under the Euclidean norms
+    each c is an upper bound, and P's can exceed the product."""
     P = _full_product(factors, 0)
     norms = [float(np.abs(F.a).sum(axis=1).max()) for F in factors]
     return P, contractivity(P, norm, _product_slack(P.n, t, norms))
@@ -237,27 +241,6 @@ def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
     if seq.items is not None and to >= len(seq.items):
         raise IndexError(f"index {to} out of range")
     return _full_product((seq[k] for k in range(frm, to + 1)), frm)
-
-
-def product_contractivity_bound(seq: MatrixSequence, norm: Norm) -> tuple[float, float]:
-    """(coefficient of the full product, product of per-factor
-    coefficients).  Under the max norm both are exact, and the first
-    exceeds the second only through the items' row-sum drift: for items
-    whose row sums are exactly constant it never does.  Items that pass
-    only within the tolerance can reverse the order, as c = r - mu takes
-    r, the mean row sum, and the product's mean is not the product of the
-    items' means.  16 copies of [[0.6000000009, 0.2, 0.2], [0.2, 0.6, 0.2],
-    [0.2, 0.2, 0.6]] give 4.300e-07 against 4.295e-07 here, and with a
-    first entry of 0.6000009, judged at t = 1e-6 (``contractlab
-    --row-sum-tol 1e-6 product``), 9.29e-07 against 4.30e-07.  Under
-    the Euclidean norms every coefficient is an upper bound
-    ||W^(1/2) A W^(-1) K||_2 on the sup, and the product's can exceed the
-    product of the factors', so there the comparison is diagnostic.  Each
-    factor is judged before the product, as in _judged_product."""
-    if seq.items is None:
-        raise ValueError("requires a finite sequence")
-    c_values, _, rep = _judged_product(seq.items, norm, DEFAULT_ROW_SUM_TOL)
-    return rep.c, float(np.cumprod(c_values)[-1])  # left to right
 
 
 def check_convergence_condition(c_values) -> dict:
@@ -331,7 +314,7 @@ def min_contractive_product_length(H, norm_q: Norm, max_m: int,
     All |H|^m orderings are enumerated; raises BudgetError when a level
     would exceed ENUMERATION_BUDGET orderings.  Under 'contractive' each
     member of H is judged first, and each ordering's product within
-    _product_slack, as in _judged_product.
+    _product_slack, as in ``contractlab product``.
     """
     H = [as_matrix(m) for m in H]
     if not H:

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -29,7 +30,6 @@ from contractlab.matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL
 from contractlab.products import (
     MatrixSequence,
     product,
-    product_contractivity_bound,
     weak_ergodicity_diagnostic,
 )
 from contractlab.projections import Norm, NormError, linf
@@ -592,21 +592,31 @@ def test_cli_ergodicity_judges_a_block_within_its_items_slack(tmp_path, capsys):
 DRIFTING = [[0.6000009, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
 # row sums within 9e-7 of 1, and 1.2e-6 from their mean
 SPREAD_DIAGONAL = [[1.0000009, 0, 0], [0, 0.9999991, 0], [0, 0, 0.9999991]]
+# a first row that sums to 1 + 9e-10: within the default 1e-9 of the mean
+R3_ITEM = [[0.6000000009, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
 
 
-@pytest.mark.parametrize("repeat", [12, 16])
-def test_cli_product_of_accepted_items_is_accepted(tmp_path, capsys, monkeypatch, repeat):
-    write(tmp_path, "drift.json", json.dumps({"rows": DRIFTING}))
-    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["drift.json"], "repeat": repeat}))
+@pytest.mark.parametrize("rows, flags, repeat", [
+    pytest.param(DRIFTING, ["--row-sum-tol", "1e-6"], 12, id="12"),
+    pytest.param(DRIFTING, ["--row-sum-tol", "1e-6"], 16, id="16"),
+    pytest.param(R3_ITEM, [], 8, id="R3-8"),
+    pytest.param(R3_ITEM, [], 20, id="R3-20"),
+])
+def test_cli_product_of_accepted_items_is_accepted(tmp_path, capsys, monkeypatch, rows, flags,
+                                                   repeat):
+    write(tmp_path, "item.json", json.dumps({"rows": rows}))
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["item.json"], "repeat": repeat}))
     calls = counting_coefficient(monkeypatch)
-    code, out, err = run_cli(capsys, "--row-sum-tol", "1e-6", "product", spec)
+    code, out, err = run_cli(capsys, *flags, "product", spec)
     assert (code, err) == (0, "")
     # the item's coefficient first, then the product's
-    assert len(calls) == 2 and calls[0].a.tolist() == DRIFTING
+    assert len(calls) == 2 and calls[0].a.tolist() == rows
     full = product(load_sequence(spec), 0, repeat - 1)
     assert calls[1].a.tolist() == full.a.tolist()
     doc = json.loads(out)
     assert doc["c_exact"] == float(f"{contractivity(full, linf(), 1e-3).c:.12g}")
+    c_item = contractivity(np.array(rows), linf(), 1e-6).c
+    assert doc["c_bound"] == pytest.approx(c_item ** repeat, rel=1e-11)
 
 
 def test_cli_product_of_drifting_items_exceeds_the_factor_bound(tmp_path, capsys):
@@ -630,15 +640,18 @@ def test_cli_ergodicity_block_of_one_accepted_item(tmp_path, capsys):
 
 
 def test_cli_product_names_an_item_off_by_twice_the_tolerance(tmp_path, capsys):
-    # far.json's row sums are 2e-6 apart; ergodicity's case is in
+    # far.json's row sums are 2e-6 apart at --row-sum-tol 1e-6, and 2.9e-9
+    # apart at the default 1e-9; ergodicity's case is in
     # test_cli_ergodicity_judges_a_block_within_its_items_slack
-    write(tmp_path, "drift.json", json.dumps({"rows": DRIFTING}))
-    write(tmp_path, "far.json", json.dumps({"rows": [[0.600002, 0.2, 0.2], *DRIFTING[1:]]}))
-    spec = write(tmp_path, "seq.json", json.dumps(
-        {"matrices": ["drift.json", "far.json", "drift.json"]}))
-    code, out, err = run_cli(capsys, "--row-sum-tol", "1e-6", "product", spec)
-    assert (code, out) == (2, "")
-    assert err == "error: item 1: matrix does not have constant row sums\n"
+    for rows, far, flags in ((DRIFTING, 0.600002, ["--row-sum-tol", "1e-6"]),
+                             (R3_ITEM, 0.6000000029, [])):
+        write(tmp_path, "drift.json", json.dumps({"rows": rows}))
+        write(tmp_path, "far.json", json.dumps({"rows": [[far, 0.2, 0.2], *rows[1:]]}))
+        spec = write(tmp_path, "seq.json", json.dumps(
+            {"matrices": ["drift.json", "far.json", "drift.json"]}))
+        code, out, err = run_cli(capsys, *flags, "product", spec)
+        assert (code, out) == (2, "")
+        assert err == "error: item 1: matrix does not have constant row sums\n"
 
 
 def exactly_stochastic(rng, n):
@@ -844,6 +857,9 @@ def test_cli_generated_row_sums_miss_one_by_rounding(tmp_path, capsys, tol, code
     (True, "n must be an integer, got True"),
     ("3", "n must be an integer, got '3'"),
     (0, "n must be >= 1, got 0"),
+    # an n x n float64 item has more bytes than np.intp indexes
+    pytest.param(10 ** 400, "bad generator spec (n too large: an n x n float64 matrix has "
+                            "more bytes than numpy can index)", id="10**400"),
 ])
 def test_cli_generator_n_must_be_a_positive_integer(tmp_path, capsys, n, message):
     spec = generator_spec(tmp_path, n=n)
@@ -852,6 +868,15 @@ def test_cli_generator_n_must_be_a_positive_integer(tmp_path, capsys, n, message
     exact = generated_report(tmp_path, capsys, n=5)
     assert generated_report(tmp_path, capsys, n=5.0) == exact
     assert json.loads(exact)["block_len"] == 4
+
+
+def test_generator_n_limit_is_numpys_index_range():
+    # the largest n whose n x n float64 item numpy can index loads (no item
+    # is drawn at load); one more is rejected
+    n = math.isqrt(np.iinfo(np.intp).max // 8)
+    assert MatrixSequence(generator={**GENERATOR, "n": n}).n == n
+    with pytest.raises(ValueError, match="^n too large: "):
+        MatrixSequence(generator={**GENERATOR, "n": n + 1})
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -932,11 +957,15 @@ NORM_ARGS = {
 
 def test_cli_product_matches_library_bound(tmp_path, capsys):
     a4_json(tmp_path)
-    write(tmp_path, "mix.json", json.dumps({"rows": (0.5 * A4.a + 0.5 * np.eye(3)).tolist()}))
+    mix = 0.5 * A4.a + 0.5 * np.eye(3)
+    write(tmp_path, "mix.json", json.dumps({"rows": mix.tolist()}))
     spec = write(tmp_path, "seq.json", json.dumps(
         {"matrices": ["a4.json", "mix.json", "a4.json"]}))
     for kind, (flags, norm) in NORM_ARGS.items():
-        c_exact, c_bound = product_contractivity_bound(load_sequence(spec), norm)
+        # the numpy product in application order, and each item's coefficient
+        c_exact = contractivity(A4.a @ (mix @ A4.a), norm).c
+        c_a4, c_mix = contractivity(A4, norm).c, contractivity(mix, norm).c
+        c_bound = c_a4 * c_mix * c_a4
         code, out, _ = run_cli(capsys, "product", spec, "--norm", kind, *flags)
         assert code == 0
         doc = json.loads(out)
@@ -1221,12 +1250,71 @@ def test_cli_simulate_config_field_errors(tmp_path, capsys, fields, message):
 
 @pytest.mark.parametrize("source", ["matrix", "generator"])
 def test_cli_simulate_out_of_memory_exits_2(tmp_path, capsys, source):
-    # 10**15 steps cannot be allocated: the matrix list or the state array
-    # exceeds the address space, so nothing is actually filled
-    path = write_simulate_config(tmp_path, source, steps=10 ** 15)
-    code, out, err = run_cli(capsys, "simulate", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+    # 10**15 steps, or the most numpy can index, cannot be allocated: the
+    # matrix list or the state array exceeds the address space, so nothing
+    # is actually filled
+    for steps in (10 ** 15, MAX_STEPS):
+        path = write_simulate_config(tmp_path, source, steps=steps)
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+
+
+# the most steps whose (steps + 1) x 3 float64 state array numpy can index
+MAX_STEPS = np.iinfo(np.intp).max // (3 * 8) - 1
+
+
+@pytest.mark.parametrize("source", ["matrix", "generator"])
+@pytest.mark.parametrize("steps", [10 ** 19, MAX_STEPS + 1], ids=["1e19", "limit+1"])
+def test_cli_simulate_steps_past_the_index_range_names_the_field(tmp_path, capsys, source,
+                                                                 steps):
+    path = write_simulate_config(tmp_path, source, steps=steps)
+    assert_field_error(*run_cli(capsys, "simulate", path), path,
+                       "steps too large: a (steps + 1) x n float64 state array has more "
+                       "bytes than numpy can index")
+
+
+TENT = '"map": {"kind": "tent", "s": 1.0}'
+X0 = '"x0": [0.1, 0.5, 0.9]'
+# inputs that each exit 2 with one stderr line naming the file at fault,
+# or horizon: (files written beside a4.json and seq.json, argv, named)
+INPUT_ERRORS = {
+    "spec-array": ({"bad.json": '["a4.json"]'}, ["product", "bad.json"], "bad.json"),
+    "matrix-without-rows": ({"bad.json": '{"cols": [[1]]}'}, ["analyze", "bad.json"],
+                            "bad.json"),
+    "matrix-empty-rows": ({"bad.json": '{"rows": []}'}, ["analyze", "bad.json"], "bad.json"),
+    "decompose-empty-vector": ({"x.json": "[]"}, ["decompose", "a4.json", "x.json"], "x.json"),
+    "weights-empty-file": ({"w.json": "[]"}, ["contractivity", "a4.json", "--norm", "wl2",
+                                              "--weights", "w.json"], "w.json"),
+    "simulate-empty-x0": ({"sim.json": '{"matrix": "a4.json", %s, "x0": []}' % TENT},
+                          ["simulate", "sim.json"], "sim.json"),
+    "simulate-no-coupling": ({"sim.json": "{%s, %s}" % (TENT, X0)}, ["simulate", "sim.json"],
+                             "sim.json"),
+    "simulate-no-map": ({"sim.json": '{"matrix": "a4.json", %s}' % X0},
+                        ["simulate", "sim.json"], "sim.json"),
+    "simulate-no-x0": ({"sim.json": '{"matrix": "a4.json", %s}' % TENT},
+                       ["simulate", "sim.json"], "sim.json"),
+    "tent-1e400": ({"sim.json": '{"matrix": "a4.json", "map": {"kind": "tent", "s": 1e400}, '
+                                '%s}' % X0}, ["simulate", "sim.json"], "sim.json"),
+    "affine-1e400": ({"sim.json": '{"matrix": "a4.json", "map": {"kind": "affine", "a": 1e400, '
+                                  '"b": 0}, %s}' % X0}, ["simulate", "sim.json"], "sim.json"),
+    "horizon-0": ({}, ["ergodicity", "seq.json", "--horizon", "0"], "horizon"),
+    "horizon-negative": ({}, ["ergodicity", "seq.json", "--horizon", "-3"], "horizon"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_cli_input_error_names_its_source(tmp_path, capsys, name):
+    files, argv, named = INPUT_ERRORS[name]
+    a4_json(tmp_path)
+    write(tmp_path, "seq.json", json.dumps({"matrices": ["a4.json"], "repeat": 3}))
+    for file, text in files.items():
+        write(tmp_path, file, text)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {tmp_path / named}: " if named.endswith(".json")
+                          else f"error: {named} ")
 
 
 def child_env(**overrides):
