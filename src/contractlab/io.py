@@ -229,16 +229,15 @@ def load_simulation(path) -> tuple:
             if not isinstance(config.get(name, ""), str):
                 raise ValueError(f"field {name!r} must be a path, got {config[name]!r}")
         if "sequence" in config:
-            seq = load_sequence(path.parent / config["sequence"])
+            coupling = load_sequence(path.parent / config["sequence"])
         elif "matrix" in config:
-            seq = load_matrix(path.parent / config["matrix"])
+            coupling = load_matrix(path.parent / config["matrix"])
         else:
             raise ValueError("field 'matrix' or 'sequence' required")
-        if exceeds_index(steps + 1, seq.n):  # checked before a matrix is repeated
+        if exceeds_index(steps + 1, coupling.n):  # checked before a matrix is repeated
             raise ValueError("steps too large: a (steps + 1) x n float64 state array "
                              "has more bytes than numpy can index")
-        if "matrix" in config:
-            seq = MatrixSequence(items=[seq] * steps)
+        seq = MatrixSequence(items=[coupling] * steps) if "matrix" in config else coupling
         for name in ("map", "x0"):
             if config.get(name) is None:
                 raise ValueError(f"field {name!r} required")
