@@ -10,6 +10,7 @@ from contractlab import matcore, products
 from contractlab.contractivity import (
     RowSumError,
     attained_lower_bound,
+    coefficients,
     contractivity,
     contractivity_l2,
     contractivity_linf,
@@ -40,7 +41,7 @@ from contractlab.products import (
 from contractlab.projections import l2, linf, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5
 
-from conftest import random_doubly_constant, random_stochastic
+from conftest import counting_coefficient, random_doubly_constant, random_stochastic
 
 
 def seq_of(*ms):
@@ -270,6 +271,34 @@ def test_product_contractivity_bound():
     assert c_exact <= contractivity_linf(A4).c ** 3 + 1e-10
     J3 = np.full((3, 3), 1.0 / 3.0)
     assert contractivity_linf(Matrix(A4.a @ J3)).c == pytest.approx(0.0, abs=1e-12)
+
+
+def test_product_contractivity_bound_computes_each_coefficient_once(monkeypatch):
+    # the items' coefficients and the product's, as contractlab product takes them
+    B = Matrix(np.full((3, 3), 0.05) + 0.85 * np.eye(3))
+    seq = MatrixSequence(items=[A4, B] * 10)
+    cs = [contractivity_linf(M).c for M in (A4, B)]
+    calls = counting_coefficient(monkeypatch)
+    c_values = coefficients(seq.items, linf())
+    _, rep = products._product_report(seq.items, linf(), DEFAULT_ROW_SUM_TOL)
+    # A4 and B once each, then the full product
+    assert len(calls) == 3 and calls[0] is A4 and calls[1] is B
+    assert rep.c == contractivity_linf(product(seq, 0, 19)).c
+    expected = 1.0
+    for k in range(20):
+        expected *= cs[k % 2]
+    assert check_convergence_condition(c_values)["running_products"][-1] == expected
+
+
+# a first row that sums to 1 + 9e-10: within the default 1e-9 of the mean
+R3_ITEM = [[0.6000000009, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
+
+
+def test_product_contractivity_bound_names_the_item_that_fails():
+    far = np.array(R3_ITEM)
+    far[0, 0] += 2e-9  # row sums 2.9e-9 apart
+    with pytest.raises(RowSumError, match="^item 1: matrix does not have constant row sums$"):
+        coefficients(seq_of(R3_ITEM, far, R3_ITEM).items, linf())
 
 
 def half_shift(n):
