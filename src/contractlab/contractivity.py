@@ -22,6 +22,7 @@ decomposition of set-nonexpansive maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,24 @@ def _report(norm: Norm, c: float, method: str, bound_only: bool = False) -> Cont
 
 def _spectral_coefficient(A: Matrix, w: np.ndarray) -> float:
     """||W^(1/2) A W^(-1) K||_2 as ||M - row means of M||_2, M = W^(1/2) A W^(-1);
-    with w = e every scaling is by 1.0, which is exact."""
-    M = np.sqrt(w)[:, None] * A.a * (1.0 / w)[None, :]
+    with w = e every scaling is by 1.0, which is exact.  Where that
+    overflows, M is formed again from A scaled by 2^-e, which puts its
+    largest entry below 1 / (4n), and the norm is scaled back: inf only
+    past the float range.  Entries that underflow there are below 2^-1000
+    of the norm."""
+    root = np.sqrt(w)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = root * A.a * (1.0 / w)[None, :]
+        M -= M.mean(axis=1, keepdims=True)
+    if np.isfinite(M).all():
+        return spectral_norm_2(M)
+    with np.errstate(divide="ignore"):  # log2(0) is -inf, below every other entry
+        top = (np.log2(np.abs(A.a)) + np.log2(root) - np.log2(w)[None, :]).max()
+    e = math.ceil(top) + math.ceil(math.log2(A.n)) + 2
+    M = root * np.ldexp(A.a, -e) / w[None, :]
     M -= M.mean(axis=1, keepdims=True)
-    return spectral_norm_2(M)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(spectral_norm_2(M), e))
 
 
 def _linf_report(r: float, mu_value: float) -> ContractivityReport:
@@ -234,7 +249,11 @@ def decompose_affine(A, x, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> AffineDe
     if x[hi] == x[lo]:
         B = np.full((n, n), 1.0 / n)
     else:
-        lam = np.clip((x[hi] - (ax - xstar)) / (x[hi] - x[lo]), 0.0, 1.0)
+        # halving is exact, and the halves' spread is finite where x's is not
+        with np.errstate(over="ignore"):
+            s = 1.0 if np.isfinite(x[hi] - x[lo]) else 0.5
+        y, z = s * x, s * (ax - xstar)
+        lam = np.clip((y[hi] - z) / (y[hi] - y[lo]), 0.0, 1.0)
         B = np.zeros((n, n))
         B[:, lo] = lam
         B[:, hi] += 1.0 - lam

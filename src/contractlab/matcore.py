@@ -38,8 +38,9 @@ all sit at rounding level, mu_delta makes the full delta sweep.  ``analyze`` cal
 fallback; ``weak_ergodicity_diagnostic`` calls ``_delta`` on anchored
 products at the rounding floor, where the table would only add a sweep.
 ``_delta_bound`` bounds the computed delta from above by the summed
-column spreads, in one n x n pass: where that bound is small enough, the
-diagnostic's verdict-only anchors need no sweep at all.
+column spreads, in one n x n pass: where that bound is small enough, a
+product of the diagnostic's anchors past 0 enters its series as the
+bound, with no sweep at all.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ A product's row sums are judged only after each item passed at the
 tolerance t, and then within ``_product_slack``, the drift such items
 allow.
 
-The weak-ergodicity diagnostic reports the delta series of anchor 0 and
-decides its verdict from two more anchors, whose series it does not
-keep: there a product whose ``_delta_bound`` is at most NONINCREASE_TOL
-settles its step in O(n^2), and only the others take the n^3 ``_delta``.
+The weak-ergodicity diagnostic walks one delta series per anchor and
+judges all of them by one rule.  It reports anchor 0's series; in the
+others a product whose ``_delta_bound`` is at most NONINCREASE_TOL enters
+as that bound, in O(n^2), and only the rest take the n^3 ``_delta``.
 """
 
 from __future__ import annotations
@@ -370,53 +370,47 @@ class ErgodicityReport:
         }
 
 
-def _anchored_delta(acc: np.ndarray, anchor: int, step: int) -> float:
-    """_delta of acc, the product of items anchor..anchor + step; ValueError
-    if acc overflowed, which is checked only where delta is not finite."""
-    d = _delta(acc)
-    if not (math.isfinite(d) or np.isfinite(acc).all()):
-        raise ValueError(f"product of items {anchor}..{anchor + step} is not finite")
-    return d
+def _anchored_series(seq: MatrixSequence, anchor: int, horizon: int,
+                     settle: bool) -> np.ndarray:
+    """delta of each growing product of items anchor..horizon - 1;
+    ValueError naming the items of a product that overflowed, which is
+    checked only where delta is not finite.
 
-
-def _verdict_only_anchor(seq: MatrixSequence, anchor: int,
-                         horizon: int) -> tuple[bool, bool]:
-    """(whether the delta series of the growing products of items
-    anchor..horizon - 1 rises by more than NONINCREASE_TOL in some step,
-    whether it ends at most DELTA_ZERO_THRESHOLD), decided exactly as the
-    full series would decide them.
-
-    A product P with _delta_bound(P) <= NONINCREASE_TOL has delta(P) at
-    most that bound, so its step rises by fl(delta(P) - previous) <=
-    delta(P) <= NONINCREASE_TOL (every delta is >= 0) and, if last, it
-    ends below the threshold: its bound is all it takes.  Every other
-    product takes _delta, and so does the product before it when that
-    one was only bounded; it is the one product kept.  Logs at INFO the
-    step (0 at the anchor) from which the bound held to the end, and the
-    number of _delta sweeps.
+    With settle, a product whose _delta_bound b is at most NONINCREASE_TOL
+    enters as b, and the product just before one that is not so bounded
+    takes _delta; logs at INFO the step (0 at the anchor) from which the
+    bound held to the end, and the number of _delta sweeps.  The verdict's
+    rule decides on this series as on the exact one, every delta and bound
+    being >= 0: a step into a bounded product rises by fl(b - previous) <=
+    b <= NONINCREASE_TOL, a step out of one starts from an exact delta, and
+    a series that ends at a bound ends below DELTA_ZERO_THRESHOLD.
     """
-    rises = False
-    last = None  # the previous step's delta; None when it was only bounded
-    kept = None  # the previous product, while only its bound is known
+    series = []
+    kept = None  # the previous product, while the series holds only its bound
     held_from = None
     sweeps = 0
     for step, acc in enumerate(_partial_products(seq[k] for k in range(anchor, horizon))):
-        if _delta_bound(acc) <= NONINCREASE_TOL:
-            kept, last = acc, None
-            held_from = step if held_from is None else held_from
-            continue
-        held_from = None
-        if kept is not None:
-            last, kept = _delta(kept), None
-            sweeps += 1
-        d = _anchored_delta(acc, anchor, step)
+        if settle:
+            b = _delta_bound(acc)
+            if b <= NONINCREASE_TOL:
+                series.append(b)
+                kept = acc
+                held_from = step if held_from is None else held_from
+                continue
+            held_from = None
+            if kept is not None:
+                series[-1], kept = _delta(kept), None
+                sweeps += 1
+        d = _delta(acc)
+        if not (math.isfinite(d) or np.isfinite(acc).all()):
+            raise ValueError(f"product of items {anchor}..{anchor + step} is not finite")
+        series.append(d)
         sweeps += 1
-        rises = rises or (last is not None and d - last > NONINCREASE_TOL)
-        last = d
-    log.info("anchor %d: delta bound <= %g %s; %d exact sweeps in %d steps",
-             anchor, NONINCREASE_TOL,
-             "never" if held_from is None else f"from step {held_from} on", sweeps, step + 1)
-    return rises, last is None or last <= DELTA_ZERO_THRESHOLD
+    if settle:
+        log.info("anchor %d: delta bound <= %g %s; %d exact sweeps in %d steps",
+                 anchor, NONINCREASE_TOL,
+                 "never" if held_from is None else f"from step {held_from} on", sweeps, step + 1)
+    return np.array(series)
 
 
 def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
@@ -431,9 +425,9 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
     The verdict is a diagnostic, never a proof: 'violated_nonincrease'
     when some anchored delta series rises by more than NONINCREASE_TOL in
     one step, else 'consistent' when every series ends below the zero
-    threshold.  The report holds anchor 0's series; the anchors at
-    horizon // 3 and 2 horizon // 3 only take part in the verdict, which
-    _verdict_only_anchor decides as their full series would.  Every item is
+    threshold.  Each anchor, 0, horizon // 3 and 2 horizon // 3, is one
+    _anchored_series; the report holds anchor 0's, in which every product
+    takes _delta, and the others settle their bounded steps.  Every item is
     judged stochastic within t = row_sum_tol; a weight count other than
     seq.n fails before any item is fetched.  Each block's product is
     judged within _product_slack, with the norms that acceptance implies:
@@ -456,14 +450,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
             raise ValueError(f"sequence item {k} is not stochastic")
 
     anchors = sorted({0, horizon // 3, (2 * horizon) // 3})
-    series = np.array([_anchored_delta(acc, 0, step) for step, acc in
-                       enumerate(_partial_products(seq[k] for k in range(horizon)))])
-    nonincrease_ok = not np.any(np.diff(series) > NONINCREASE_TOL)
-    ends_at_zero = series[-1] <= DELTA_ZERO_THRESHOLD
-    for r in anchors[1:]:
-        rises, ends = _verdict_only_anchor(seq, r, horizon)
-        nonincrease_ok = nonincrease_ok and not rises
-        ends_at_zero = ends_at_zero and ends
+    walks = [_anchored_series(seq, r, horizon, settle=r > 0) for r in anchors]
 
     sums = []
     total = 0.0
@@ -477,14 +464,14 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
             raise type(exc)(f"block of items {start}..{stop}: {exc}") from exc
         sums.append(total)
 
-    if not nonincrease_ok:
+    if any(np.any(np.diff(s) > NONINCREASE_TOL) for s in walks):
         verdict = "violated_nonincrease"
-    elif ends_at_zero:
+    elif all(s[-1] <= DELTA_ZERO_THRESHOLD for s in walks):
         verdict = "consistent_with_weak_ergodicity"
     else:
         verdict = "inconclusive"
     return ErgodicityReport(
         horizon=horizon, block_len=block_len, anchors=tuple(anchors),
-        delta_of_partial_products=series,
+        delta_of_partial_products=walks[0],
         block_mu_c_partial_sums=np.asarray(sums),
         verdict=verdict)

@@ -102,6 +102,24 @@ def test_weighted_bound_validation():
         contractivity(A4, weighted_l2([1.0, 1.0]))
 
 
+def test_weighted_bound_past_the_float_range_of_its_matrix():
+    # W^(1/2) A W^(-1) overflows for A 2^1020, whose row 0 (weight 1) sums
+    # past 2^1024: the bound is still A's times 2^1020, to rounding
+    rng = np.random.default_rng(35)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        A = random_stochastic(n, rng).a
+        w = np.concatenate(([1.0], rng.uniform(2.0 ** -10, 2.0 ** -6, n - 1)))
+        assert (A[0] / w).sum() > 16.0
+        big = contractivity(A * 2.0 ** 1020, weighted_l2(w), 1e300)  # rows off by ulps
+        assert big.c == pytest.approx(contractivity(A, weighted_l2(w)).c * 2.0 ** 1020,
+                                      rel=1e-12)
+    # a bound past the float range is inf, and neither verdict holds
+    C = np.array([[2e10, -1e10, 0.0], [0.0, 1e10, 0.0], [0.0, 0.0, 1e10]])
+    rep = contractivity(C, weighted_l2([1.0, 1e-300, 1.0]))
+    assert rep.c == np.inf and not rep.is_set_nonexpansive and not rep.is_set_contractive
+
+
 def test_binary_oracle_matches_linf_closed_form():
     assert binary_contractivity(A1) == pytest.approx(
         contractivity_linf(A1).c, abs=1e-12)
@@ -383,6 +401,17 @@ def test_decompose_affine_independent_of_the_scale_of_x():
     assert np.array_equal(small.B.a, dec.B.a)
     assert np.ptp(dec.xstar) == 0.0 and np.ptp(small.xstar) == 0.0
     assert small.xstar[0] == dec.xstar[0] * 2.0**-50
+
+
+def test_decompose_affine_weights_survive_an_overflowing_spread():
+    # x[0] - x[1] overflows; the weights come from the halves of x, and x / 4,
+    # whose spread is finite, gives the same B bit for bit
+    D = np.array([[0.5, 0.5], [0.25, 0.75]])
+    x = np.array([1e308, -1e308])
+    dec = decompose_affine(D, x)
+    assert dec.B.a.tolist() == [[0.625, 0.375], [0.375, 0.625]]
+    assert np.abs(dec.B.a @ x + dec.xstar - D @ x).max() <= 1e-15 * 1e308
+    assert np.array_equal(decompose_affine(D, x / 4).B.a, dec.B.a)
 
 
 def test_decompose_affine_constant_x_keeps_a_constant_xstar():

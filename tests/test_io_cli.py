@@ -539,6 +539,18 @@ def test_cli_decompose(tmp_path, capsys):
     assert doc["B_stochastic"] and doc["residual_linf"] < 1e-10
 
 
+def test_cli_wl2_bound_past_the_float_range_is_null(tmp_path, capsys):
+    # W^(1/2) C W^(-1) holds -1e310: the bound is inf, printed null
+    C = write(tmp_path, "C.json", json.dumps(
+        {"rows": [[2e10, -1e10, 0], [0, 1e10, 0], [0, 0, 1e10]]}))
+    code, out, err = run_cli(capsys, "contractivity", C, "--norm", "wl2",
+                             "--weights", "1,1e-300,1")
+    assert code == 0 and err == "" and len(out.splitlines()) == 1
+    doc = json.loads(out)
+    assert doc["c"] is None
+    assert doc["set_nonexpansive"] is False and doc["set_contractive"] is False
+
+
 def test_cli_decompose_keeps_zero_tol(tmp_path, capsys):
     # B mixes columns 0 and 2; rows 0 and 2 put 7.5e-05 on the other one
     path = write(tmp_path, "near.json", json.dumps({"rows": NEARLY_IDENTITY}))
@@ -1551,7 +1563,7 @@ def test_cli_ergodicity_logs_load_parameters_and_verdict(tmp_path, capsys, caplo
 
     caplog.set_level(logging.INFO, logger="contractlab")
     never = "delta bound <= 1e-10 never"
-    # one line per verdict-only anchor: the step from which its delta
+    # one line per anchor past 0: the step from which its delta
     # bound held to the end, and the exact delta sweeps taken
     for spec, loaded, argv, anchors, anchor_lines in [
         (generated, "n = 4, generator random_stochastic_spanning_tree, seed 7",

@@ -14,6 +14,7 @@ from contractlab.contractivity import (
     contractivity,
     contractivity_l2,
     contractivity_linf,
+    spectral_norm_2,
 )
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
 from contractlab.matcore import (
@@ -517,6 +518,28 @@ def test_one_minus_mu_c_multiplicative_bound():
         assert lhs <= rhs + 1e-10
 
 
+GEN3 = {"kind": "random_stochastic_spanning_tree", "n": 3}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MatrixSequence(), ValueError, "^provide exactly one of items or generator$"),
+    (lambda: MatrixSequence(items=[A4.a], generator=GEN3), ValueError,
+     "^provide exactly one of items or generator$"),
+    (lambda: MatrixSequence(generator=GEN3)[-1], IndexError, "^-1$"),
+    (lambda: min_contractive_product_length([], linf(), 3), ValueError,
+     "^family must be nonempty$"),
+    (lambda: min_contractive_product_length([A4], linf(), 3, "mixing"), ValueError,
+     "^unknown predicate 'mixing'$"),
+    (lambda: spectral_norm_2(np.ones(3)), ValueError, "^expected a 2-d array$"),
+    (lambda: spectral_norm_2(np.array([[1.0, np.inf]])), ValueError,
+     "^entries must be finite$"),
+], ids=["no-source", "two-sources", "generated-index-minus-1", "empty-family",
+        "unknown-predicate", "1-d-array", "inf-entry"])
+def test_library_rejects_malformed_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_weak_ergodicity_diagnostic_verdicts():
     J3 = np.full((3, 3), 1.0 / 3.0)
     rep = weak_ergodicity_diagnostic(seq_of(*[J3] * 10), horizon=10)
@@ -642,7 +665,7 @@ def test_weak_ergodicity_matches_frozen_copy_on_item_lists():
 
 
 # Listed n = 2 sequences whose item 0 is the exact rank-one J/2, so anchor
-# 0's series is all 0 and the verdict rests on the verdict-only anchors.
+# 0's series is all 0 and the verdict rests on the anchors past 0.
 # Every entry is dyadic, so every product from anchor 0 is J/2 exactly.
 # STRETCH has row sums 1 and entries down to -1.5: it passes at t = 1.5
 # and stretches the difference of two rows 4-fold, so delta grows 4x per
@@ -697,9 +720,40 @@ def test_weak_ergodicity_verdict_rests_on_the_verdict_only_anchors(monkeypatch, 
     assert not partial.any() and rep.delta_of_partial_products.tobytes() == partial.tobytes()
     assert rep.block_len == block_len == 1 and rep.anchors == anchors
     assert rep.block_mu_c_partial_sums.tobytes() == sums.tobytes()
-    # the verdict comes from one verdict-only anchor alone
+    # the verdict comes from one anchor past 0 alone
     assert sum(np.any(np.diff(s) > 1e-10) or s[-1] > DELTA_ZERO_THRESHOLD
                for s in by_anchor.values()) == 1
+
+
+def rule(series):
+    """(rises, ends at zero): the verdict's rule on one anchored series."""
+    return (bool(np.any(np.diff(series) > products.NONINCREASE_TOL)),
+            bool(series[-1] <= DELTA_ZERO_THRESHOLD))
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_settled_series_decides_as_the_exact_series(n):
+    seq = MatrixSequence(generator={"kind": "random_stochastic_spanning_tree",
+                                    "n": n, "seed": 3})
+    crafted = [crafted_sequence(name) for name in
+               ("rises_before_the_bound", "bounded_then_growing", "ends_high_after_anchor_0")]
+    cases = [(seq, anchor, 300) for anchor in (0, 100, 200)]
+    cases += [(MatrixSequence(items=items), anchor, horizon)
+              for items, horizon, _ in crafted for anchor in range(horizon)]
+    bounds_taken = 0
+    for seq_, anchor, horizon in cases:
+        exact = products._anchored_series(seq_, anchor, horizon, settle=False)
+        settled = products._anchored_series(seq_, anchor, horizon, settle=True)
+        P = products._partial_products(seq_[k] for k in range(anchor, horizon))
+        assert exact.tolist() == [delta(Matrix(p)) for p in P]
+        # a bound stands in for delta only at most NONINCREASE_TOL, and only
+        # where the next product is bounded too or there is none
+        bounded = settled != exact
+        assert np.all(settled[bounded] <= 1e-10) and np.all(settled[bounded] >= exact[bounded])
+        assert not np.any(bounded[:-1] & (settled[1:] > 1e-10))
+        assert rule(settled) == rule(exact)
+        bounds_taken += bounded.sum()
+    assert bounds_taken > 0
 
 
 def test_weak_ergodicity_takes_delta_again_after_a_bounded_step(caplog):
