@@ -370,13 +370,13 @@ class ErgodicityReport:
         }
 
 
-def _anchored_series(seq: MatrixSequence, anchor: int, horizon: int,
-                     settle: bool) -> np.ndarray:
+def _anchored_series(seq: MatrixSequence, anchor: int, horizon: int) -> np.ndarray:
     """delta of each growing product of items anchor..horizon - 1;
     ValueError naming the items of a product that overflowed, which is
     checked only where delta is not finite.
 
-    With settle, a product whose _delta_bound b is at most NONINCREASE_TOL
+    Anchor 0's series is reported, so each of its products takes _delta.
+    Past anchor 0, a product whose _delta_bound b is at most NONINCREASE_TOL
     enters as b, and the product just before one that is not so bounded
     takes _delta; logs at INFO the step (0 at the anchor) from which the
     bound held to the end, and the number of _delta sweeps.  The verdict's
@@ -385,6 +385,7 @@ def _anchored_series(seq: MatrixSequence, anchor: int, horizon: int,
     b <= NONINCREASE_TOL, a step out of one starts from an exact delta, and
     a series that ends at a bound ends below DELTA_ZERO_THRESHOLD.
     """
+    settle = anchor > 0
     series = []
     kept = None  # the previous product, while the series holds only its bound
     held_from = None
@@ -450,7 +451,7 @@ def weak_ergodicity_diagnostic(seq: MatrixSequence, horizon: int,
             raise ValueError(f"sequence item {k} is not stochastic")
 
     anchors = sorted({0, horizon // 3, (2 * horizon) // 3})
-    walks = [_anchored_series(seq, r, horizon, settle=r > 0) for r in anchors]
+    walks = [_anchored_series(seq, r, horizon) for r in anchors]
 
     sums = []
     total = 0.0

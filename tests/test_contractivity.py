@@ -103,21 +103,21 @@ def test_weighted_bound_validation():
 
 
 def test_weighted_bound_past_the_float_range_of_its_matrix():
-    # W^(1/2) A W^(-1) overflows for A 2^1020, whose row 0 (weight 1) sums
-    # past 2^1024: the bound is still A's times 2^1020, to rounding
+    # where W^(1/2) A W^(-1) less its row means is not finite the bound is
+    # inf, and neither verdict holds
     rng = np.random.default_rng(35)
     for _ in range(50):
         n = int(rng.integers(2, 7))
         A = random_stochastic(n, rng).a
         w = np.concatenate(([1.0], rng.uniform(2.0 ** -10, 2.0 ** -6, n - 1)))
-        assert (A[0] / w).sum() > 16.0
-        big = contractivity(A * 2.0 ** 1020, weighted_l2(w), 1e300)  # rows off by ulps
-        assert big.c == pytest.approx(contractivity(A, weighted_l2(w)).c * 2.0 ** 1020,
-                                      rel=1e-12)
-    # a bound past the float range is inf, and neither verdict holds
+        assert (A[0] / w).sum() > 16.0  # row 0 of M for A 2^1020 sums past 2^1024
+        assert contractivity(A * 2.0 ** 1020, weighted_l2(w), 1e300).c == np.inf
     C = np.array([[2e10, -1e10, 0.0], [0.0, 1e10, 0.0], [0.0, 0.0, 1e10]])
-    rep = contractivity(C, weighted_l2([1.0, 1e-300, 1.0]))
-    assert rep.c == np.inf and not rep.is_set_nonexpansive and not rep.is_set_contractive
+    # C fixes e1 - e2, so c >= 1 under every norm; 1 / 5e-324 is inf
+    D = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+    for A, w in [(C, [1.0, 1e-300, 1.0]), (D, [1.0, 5e-324, 1.0])]:
+        rep = contractivity(A, weighted_l2(w))
+        assert rep.c == np.inf and not rep.is_set_nonexpansive and not rep.is_set_contractive
 
 
 def test_binary_oracle_matches_linf_closed_form():

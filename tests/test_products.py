@@ -742,13 +742,14 @@ def test_settled_series_decides_as_the_exact_series(n):
               for items, horizon, _ in crafted for anchor in range(horizon)]
     bounds_taken = 0
     for seq_, anchor, horizon in cases:
-        exact = products._anchored_series(seq_, anchor, horizon, settle=False)
-        settled = products._anchored_series(seq_, anchor, horizon, settle=True)
+        settled = products._anchored_series(seq_, anchor, horizon)
         P = products._partial_products(seq_[k] for k in range(anchor, horizon))
-        assert exact.tolist() == [delta(Matrix(p)) for p in P]
-        # a bound stands in for delta only at most NONINCREASE_TOL, and only
-        # where the next product is bounded too or there is none
+        exact = np.array([delta(Matrix(p)) for p in P])
+        # anchor 0 takes delta everywhere; past it a bound stands in for delta
+        # only at most NONINCREASE_TOL, and only where the next product is
+        # bounded too or there is none
         bounded = settled != exact
+        assert anchor > 0 or not bounded.any()
         assert np.all(settled[bounded] <= 1e-10) and np.all(settled[bounded] >= exact[bounded])
         assert not np.any(bounded[:-1] & (settled[1:] > 1e-10))
         assert rule(settled) == rule(exact)
