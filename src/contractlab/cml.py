@@ -1,6 +1,6 @@
 """Coupled map lattice simulator x(k+1) = A_k F_k(x(k)) with distance
 tracking to the synchronization manifold (the diagonal span) and the
-product criterion c(A_k) * rho_k for global synchronization.
+envelope d(x(0)) * prod c(A_k) * rho_k that bounds that distance.
 
 F_k applies a scalar map elementwise; rho_k is its Lipschitz constant on
 the declared domain.  The coupling matrices need constant row sums but
@@ -16,7 +16,7 @@ import numpy as np
 from .contractivity import RowSumError, coefficients
 from .io import check_fields, is_real
 from .matcore import DEFAULT_ROW_SUM_TOL, DEFAULT_SYNC_TOL, row_sum_profile
-from .products import MatrixSequence, check_convergence_condition
+from .products import MatrixSequence
 from .projections import Norm, _weights_for, linf, project_columns
 
 DOMAIN_TOL = 1e-12  # slack before a state counts as outside its map's domain
@@ -208,36 +208,3 @@ def simulate(A_seq: MatrixSequence, maps, x0, steps: int, norm: Norm | None = No
         envelope_valid_until=domain_exits[0] if domain_exits else None,
         domain_exits=domain_exits,
         diverged=used <= steps)
-
-
-def check_sync_condition(c_values, rho_values) -> dict:
-    """Running products of c(A_k) * rho_k and a verdict on whether they
-    reach (numerically) zero within the steps given.  Signs are checked
-    per factor: c < 0 with rho = 0 gives c * rho = -0.0, which
-    check_convergence_condition accepts."""
-    c_values = np.asarray(c_values, dtype=float)
-    rho_values = np.asarray(rho_values, dtype=float)
-    if c_values.shape != rho_values.shape:
-        raise ValueError("sequences must have equal length")
-    if np.any(c_values < 0) or np.any(rho_values < 0):
-        raise ValueError("inputs must be nonnegative")
-    conv = check_convergence_condition(c_values * rho_values)
-    return {
-        "criterion_holds_over_horizon": conv["converges_to_zero_over_horizon"],
-        "running_product": conv["running_products"],
-    }
-
-
-def check_sync_corollary(A_seq: MatrixSequence, rho_values) -> bool:
-    """Max-norm sufficient condition: sup_k r(A_k) - mu(A_k) - 1/rho_k < 0,
-    evaluated over the provided finite family."""
-    rho_values = np.asarray(rho_values, dtype=float)
-    if np.any(rho_values <= 0):
-        raise ValueError("Lipschitz constants must be positive")
-    count = rho_values.size
-    if A_seq.items is not None and len(A_seq.items) != count:
-        raise ValueError("need one Lipschitz constant per matrix")
-    # raises RowSumError for non-constant row sums
-    c_values = coefficients([A_seq[k] for k in range(count)], linf())
-    worst = max((c - 1.0 / rho for c, rho in zip(c_values, rho_values)), default=-np.inf)
-    return bool(worst < 0)

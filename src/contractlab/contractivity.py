@@ -16,8 +16,7 @@ once; spectral norms come from the LAPACK SVD through numpy, so a
 non-converging SVD surfaces as np.linalg.LinAlgError.
 
 Also provides the ratio attained at one x, the maximizer under l2 and
-wl2, the spectral paracontractivity check, and the affine stochastic
-decomposition of set-nonexpansive maps.
+wl2, and the affine stochastic decomposition of set-nonexpansive maps.
 """
 
 from __future__ import annotations
@@ -30,16 +29,12 @@ from .matcore import (
     DEFAULT_ROW_SUM_TOL,
     Matrix,
     as_matrix,
-    is_scrambling,
-    is_stochastic,
     mu,
     row_sum_profile,
 )
 from .projections import LINF, L1, L2, Norm, _weights_for, l2, linf, project, project_columns
 
 _EXACT_TOL = 1e-12
-_UNIT_SV_TOL = 1e-8  # is_paracontractive_l2: |s - 1| below it counts as s = 1
-_FIXED_TOL = 1e-6  # is_paracontractive_l2: B fixes V1 when ||B V1 - V1|| is below it
 
 
 class RowSumError(ValueError):
@@ -183,33 +178,6 @@ def attained_lower_bound(A, norm: Norm) -> float:
     x = np.linalg.eigh(M.T @ M)[1][:, -1] / root
     _, (d_in, d_out) = project_columns(np.column_stack((x, A.a @ x)), norm)
     return float(d_out / d_in) if d_in > 0 else 0.0
-
-
-def is_paracontractive_l2(B) -> bool:
-    """Spectral test of the paracontracting property under the Euclidean
-    norm: ||Bx|| < ||x|| exactly for the non-fixed points x.
-
-    For linear B with ||B||_2 <= 1, ||Bx|| = ||x|| exactly on V1, the
-    right singular subspace for singular value 1, which contains the fixed
-    points; so B is paracontracting iff it also fixes V1 pointwise.  One
-    SVD gives ||B||_2 and V1; the residual B V1 - V1 is measured in the
-    Frobenius norm, which bounds its 2-norm and needs no second SVD.
-    """
-    B = as_matrix(B)
-    _, s, Vt = np.linalg.svd(B.a)
-    if s[0] > 1.0 + _UNIT_SV_TOL:
-        return False
-    V1 = Vt[np.abs(s - 1.0) < _UNIT_SV_TOL].T
-    return bool(np.linalg.norm(B.a @ V1 - V1) < _FIXED_TOL)
-
-
-def is_pseudocontractive_stochastic_linf(A) -> bool:
-    """For stochastic A, pseudocontractivity under the max norm is
-    equivalent to the scrambling property."""
-    A = as_matrix(A)
-    if not is_stochastic(A):
-        raise ValueError("matrix must be stochastic")
-    return is_scrambling(A)
 
 
 def decompose_affine(A, x, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> AffineDecomposition:

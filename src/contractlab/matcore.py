@@ -270,7 +270,9 @@ def row_sum_profile(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> RowSumProfil
         raise ValueError(f"row_sum_tol must be nonnegative, got {row_sum_tol}")
     A = as_matrix(A)
     sums = A.a.sum(axis=1)
-    r = float(sums.mean())
+    # halved and doubled exactly, so two finite sums near the float range
+    # cannot add up to inf
+    r = float((sums / 2).mean() * 2)
     constant = bool(np.abs(sums - r).max() <= row_sum_tol)
     return RowSumProfile(sums=sums, is_constant=constant, r=r if constant else None)
 

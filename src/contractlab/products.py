@@ -1,7 +1,6 @@
 """Finite and infinite products of matrices: the coefficient of a
-product of accepted items, finite-horizon convergence diagnostics, the
-scrambling-product bound r^(n-1) - eps^(n-1), minimal contractive product
-length over a finite family, and weak-ergodicity bookkeeping.
+product of accepted items, finite-horizon convergence diagnostics, and
+weak-ergodicity bookkeeping.
 
 Composition convention: sequence index k is application time in
 x(k+1) = A_k x(k), so the composite operator over [a, b] is
@@ -28,26 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contractivity import coefficients, contractivity
-from .graphs import has_spanning_directed_tree, interaction_digraph
+from .contractivity import contractivity
 from .io import check_fields, exceeds_index, integer, is_real
-from .matcore import (DEFAULT_ROW_SUM_TOL, DEFAULT_ZERO_TOL, Matrix, MatrixError, _delta,
-                      _delta_bound, _gamma, as_matrix, is_scrambling, is_stochastic, mu,
-                      nonzero_pattern)
+from .matcore import (DEFAULT_ROW_SUM_TOL, Matrix, MatrixError, _delta, _delta_bound, _gamma,
+                      as_matrix, is_stochastic)
 from .projections import Norm, _weights_for, linf
 
 PRODUCT_ZERO_THRESHOLD = 1e-12
 DELTA_ZERO_THRESHOLD = 1e-8
 NONINCREASE_TOL = 1e-10  # the most an anchored delta series may rise in one step
-ENUMERATION_BUDGET = 10 ** 6
-HYPOTHESIS_TOL = 1e-9  # slack on scrambling_product_theorem_check's hypotheses
 EXTRA_EDGE_PROB = 0.3  # chance of each off-tree edge a generated row has room for
 
 log = logging.getLogger(__name__)
-
-
-class BudgetError(RuntimeError):
-    """Exhaustive enumeration would exceed the product budget."""
 
 
 def _max_nonzeros(n: int, min_entry: float) -> int:
@@ -256,81 +247,6 @@ def check_convergence_condition(c_values) -> dict:
             bool(running.size and running[-1] < PRODUCT_ZERO_THRESHOLD),
         "running_products": running,
     }
-
-
-@dataclass(frozen=True)
-class ScramblingProductCheck:
-    hypotheses_hold: bool
-    failures: tuple
-    product_is_scrambling: bool
-    mu_product: float
-    mu_lower_bound: float
-    c_bound: float
-
-
-def scrambling_product_theorem_check(seq: MatrixSequence, epsilon: float,
-                                     r: float) -> ScramblingProductCheck:
-    """Check the hypotheses (nonnegative, positive diagonal, nonzero
-    entries >= epsilon, row sums <= r, spanning directed tree) on each of
-    the first n-1 factors, form their product P, and report whether P is
-    scrambling together with mu(P) >= epsilon^(n-1) and the coefficient
-    bound r^(n-1) - epsilon^(n-1)."""
-    n = seq.n
-    need = max(1, n - 1)
-    if seq.items is not None and len(seq.items) < need:
-        raise ValueError(f"need at least {need} matrices")
-    failures = []
-    for k in range(need):
-        m = seq[k]
-        a = m.a
-        if np.any(a < -HYPOTHESIS_TOL):
-            failures.append((k, "negative entry"))
-        if np.any(np.diag(a) <= DEFAULT_ZERO_TOL):
-            failures.append((k, "nonpositive diagonal"))
-        nz = nonzero_pattern(m)
-        if np.any(a[nz] < epsilon - HYPOTHESIS_TOL):
-            failures.append((k, "nonzero entry below epsilon"))
-        if np.any(a.sum(axis=1) > r + HYPOTHESIS_TOL):
-            failures.append((k, "row sum above r"))
-        if not has_spanning_directed_tree(interaction_digraph(m))[0]:
-            failures.append((k, "no spanning directed tree"))
-    P = product(seq, 0, need - 1)
-    return ScramblingProductCheck(
-        hypotheses_hold=not failures,
-        failures=tuple(failures),
-        product_is_scrambling=is_scrambling(P),
-        mu_product=mu(P),
-        mu_lower_bound=epsilon ** (n - 1),
-        c_bound=r ** (n - 1) - epsilon ** (n - 1),
-    )
-
-
-def min_contractive_product_length(H, norm_q: Norm, max_m: int,
-                                   predicate: str = "contractive") -> int | None:
-    """Smallest m <= max_m such that every length-m product over the
-    family H satisfies the predicate ('contractive' under norm_q, or
-    'scrambling'), or None if no such m is found.
-
-    All |H|^m orderings are enumerated; raises BudgetError when a level
-    would exceed ENUMERATION_BUDGET orderings.  Under 'contractive' each
-    member of H is judged first, and each ordering's product within
-    _product_slack, as in ``contractlab product``.
-    """
-    H = [as_matrix(m) for m in H]
-    if not H:
-        raise ValueError("family must be nonempty")
-    if predicate not in ("contractive", "scrambling"):
-        raise ValueError(f"unknown predicate {predicate!r}")
-    if predicate == "contractive":
-        coefficients(H, norm_q)  # raises, naming the first member that fails
-    holds = ((lambda F: _product_report(F, norm_q, DEFAULT_ROW_SUM_TOL)[1].is_set_contractive)
-             if predicate == "contractive" else lambda F: is_scrambling(_full_product(F, 0)))
-    for m in range(1, max_m + 1):
-        if len(H) ** m > ENUMERATION_BUDGET:
-            raise BudgetError(f"|H|^{m} exceeds enumeration budget {ENUMERATION_BUDGET}")
-        if all(holds(combo) for combo in itertools.product(H, repeat=m)):
-            return m
-    return None
 
 
 def ergodicity_coefficient(A, norm: Norm | None = None,

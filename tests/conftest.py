@@ -3,7 +3,9 @@ import sys
 import numpy as np
 
 from contractlab.contractivity import contractivity
-from contractlab.matcore import Matrix
+from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
+from contractlab.matcore import Matrix, is_scrambling, mu
+from contractlab.projections import linf
 
 
 def random_nonneg_row_sum(n, rng, r=None, density=1.0):
@@ -56,6 +58,38 @@ def counting_coefficient(monkeypatch):
             for attr in [k for k, v in vars(mod).items() if v is original]:
                 monkeypatch.setattr(mod, attr, counting)
     return calls
+
+
+def scrambling_product_theorem_failures(A, epsilon, r, tol=1e-9):
+    """The hypotheses of the scrambling-product theorem that the item A
+    breaks, each within tol: entries >= 0, a positive diagonal, nonzero
+    entries >= epsilon, row sums <= r, and a spanning directed tree in
+    its interaction digraph."""
+    a = _array(A)
+    broken = {
+        "negative entry": np.any(a < -tol),
+        "nonpositive diagonal": np.any(np.diag(a) <= 0),
+        "nonzero entry below epsilon": np.any(a[a != 0] < epsilon - tol),
+        "row sum above r": np.any(a.sum(axis=1) > r + tol),
+        "no spanning directed tree":
+            not has_spanning_directed_tree(interaction_digraph(Matrix(a)))[0],
+    }
+    return tuple(name for name, fails in broken.items() if fails)
+
+
+def check_scrambling_product_theorem(seq, epsilon, r):
+    """Assert the scrambling-product theorem on the n x n sequence seq:
+    each of its first max(1, n - 1) items meets the hypotheses, and their
+    product P is scrambling, with mu(P) >= epsilon^(n-1) and c_linf(P) <=
+    r^(n-1) - epsilon^(n-1)."""
+    n = seq.n
+    P = np.eye(n)
+    for k in range(max(1, n - 1)):
+        assert not scrambling_product_theorem_failures(seq[k], epsilon, r), (k, seq[k].a)
+        P = seq[k].a @ P
+    assert is_scrambling(P), P
+    assert mu(P) >= epsilon ** (n - 1) - 1e-12, P
+    assert contractivity(P, linf()).c <= r ** (n - 1) - epsilon ** (n - 1) + 1e-10, P
 
 
 # Oracles for the tests, written with plain numpy and sharing no code with

@@ -11,17 +11,13 @@ from contractlab.cml import make_map, simulate
 from contractlab.contractivity import contractivity_l2, contractivity_linf, decompose_affine
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
 from contractlab.matcore import Matrix, delta, is_scrambling, is_stochastic, mu
-from contractlab.products import (
-    MatrixSequence,
-    ergodicity_coefficient,
-    product,
-    scrambling_product_theorem_check,
-)
+from contractlab.products import MatrixSequence, ergodicity_coefficient
 from contractlab.projections import l2, linf
 from contractlab.reference import A4, run_reference_checks
 
 from conftest import (
     binary_contractivity,
+    check_scrambling_product_theorem,
     random_doubly_constant,
     random_nonneg_row_sum,
     random_stochastic,
@@ -138,12 +134,7 @@ def test_criterion_6_scrambling_product_theorem():
             seq = MatrixSequence(generator={
                 "kind": "random_stochastic_spanning_tree", "n": n,
                 "seed": seed, "min_entry": 0.08})
-            chk = scrambling_product_theorem_check(seq, epsilon=0.08, r=1.0)
-            assert chk.hypotheses_hold, (seed, chk.failures)
-            assert chk.product_is_scrambling, seed
-            assert chk.mu_product >= chk.mu_lower_bound - 1e-12, seed
-            P = product(seq, 0, max(0, n - 2))
-            assert contractivity_linf(P).c <= chk.c_bound + 1e-10, seed
+            check_scrambling_product_theorem(seq, epsilon=0.08, r=1.0)
     _criterion(6, "scrambling-product theorem verified on 200 generated "
                   "sequences (scrambling + coefficient bound)", body)
 

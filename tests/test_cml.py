@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from contractlab import cml
-from contractlab.cml import MapDef, check_sync_condition, check_sync_corollary, make_map, simulate
+from contractlab.cml import MapDef, make_map, simulate
 from contractlab.contractivity import RowSumError, coefficients, contractivity
 from contractlab.matcore import DEFAULT_SYNC_TOL, Matrix
-from contractlab.products import MatrixSequence
+from contractlab.products import MatrixSequence, check_convergence_condition
 from contractlab.projections import (
     distance_to_diagonal,
     l1,
@@ -18,7 +18,7 @@ from contractlab.projections import (
 )
 from contractlab.reference import A4
 
-from conftest import counting_coefficient
+from conftest import counting_coefficient, random_stochastic
 
 
 def seq_of(*ms):
@@ -256,57 +256,70 @@ def test_simulate_row_sum_tol_reaches_every_coupling_check():
     assert simulate(seq_of(A4.a, off), mp, [0.1, 0.5, 0.9], steps=2).bound is None
 
 
+def sync_corollary_holds(couplings, rho_values):
+    """The corollary's max-norm condition over a finite family of
+    couplings: max_k c(A_k) - 1/rho_k < 0, c = r - mu."""
+    c_values = coefficients(couplings, linf())
+    return max(c - 1.0 / rho for c, rho in zip(c_values, rho_values)) < 0
+
+
 def test_check_sync_condition():
-    out = check_sync_condition([0.9] * 600, [1.05] * 600)
-    assert out["criterion_holds_over_horizon"]
-    assert out["running_product"][-1] == pytest.approx((0.9 * 1.05) ** 600, rel=1e-9)
-    out = check_sync_condition([0.9] * 10, [1.2] * 10)
-    assert not out["criterion_holds_over_horizon"]
-    with pytest.raises(ValueError):
-        check_sync_condition([0.9], [1.0, 1.0])
-    # c * rho is -0.0 here, which a sign check on the product lets through
-    with pytest.raises(ValueError):
-        check_sync_condition([0.5, -0.1], [1.0, 0.0])
+    # the product criterion: simulate's envelope is d0 times the running
+    # product of c(A_k) rho_k, which reaches zero for c rho = 0.9 * 1.05
+    c = contractivity(A4, linf()).c
+    mp = make_map({"kind": "affine", "a": 1.05, "b": 0.0})
+    tr = simulate(MatrixSequence(items=[A4] * 600), mp, [0.1, 0.9, 0.4], steps=600)
+    out = check_convergence_condition([c * mp.rho] * 600)
+    assert out["converges_to_zero_over_horizon"]
+    assert out["running_products"][-1] == pytest.approx((0.9 * 1.05) ** 600, rel=1e-9)
+    np.testing.assert_allclose(tr.bound[1:] / tr.bound[0], out["running_products"], rtol=1e-9)
+    assert not check_convergence_condition([c * 1.2] * 10)["converges_to_zero_over_horizon"]
 
 
 def test_check_sync_condition_horizon_truncates():
     # the verdict is over the steps given: a shorter horizon is a slice,
     # and the factor past it would lift the product back to 1
-    c_values, rho_values = [1e-13, 1e13], [1.0, 1.0]
-    out = check_sync_condition(c_values[:1], rho_values[:1])
-    assert out["running_product"].tolist() == [1e-13]
-    assert out["criterion_holds_over_horizon"]
-    assert not check_sync_condition(c_values, rho_values)["criterion_holds_over_horizon"]
+    c_rho = np.multiply([1e-13, 1e13], [1.0, 1.0])
+    out = check_convergence_condition(c_rho[:1])
+    assert out["running_products"].tolist() == [1e-13]
+    assert out["converges_to_zero_over_horizon"]
+    assert not check_convergence_condition(c_rho)["converges_to_zero_over_horizon"]
 
 
 def test_check_sync_corollary():
     # r - mu - 1/rho = 1 - 0.1 - 1/rho < 0 iff rho < 1/0.9
-    assert check_sync_corollary(seq_of(A4.a), [1.1])
-    assert not check_sync_corollary(seq_of(A4.a), [1.2])
-    assert check_sync_corollary(seq_of(np.full((3, 3), 1.0 / 3.0)), [3.9])
-    with pytest.raises(ValueError):
-        check_sync_corollary(seq_of(A4.a), [0.0])
-    with pytest.raises(ValueError):
-        check_sync_corollary(seq_of(A4.a, A4.a), [1.0])
+    assert sync_corollary_holds([A4], [1.1])
+    assert not sync_corollary_holds([A4], [1.2])
+    assert sync_corollary_holds([Matrix(np.full((3, 3), 1.0 / 3.0))], [3.9])
     with pytest.raises(RowSumError):
-        check_sync_corollary(seq_of(A4.a, [[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]]),
+        sync_corollary_holds([A4, Matrix([[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.0, 0.0, 1.0]])],
                              [1.0, 1.0])
 
 
 def test_corollary_implies_envelope_decay():
+    # the corollary holds exactly when simulate's envelope shrinks at every
+    # step; sparser families break it with a non-scrambling item (c = 1)
     rng = np.random.default_rng(40)
     mp = make_map({"kind": "tent", "s": 1.05})
-    for seed in range(10):
-        seq = MatrixSequence(generator={
-            "kind": "random_stochastic_spanning_tree", "n": 3,
-            "seed": seed, "min_entry": 0.2})
-        items = [seq[k] for k in range(40)]
-        fin = MatrixSequence(items=[m.a for m in items])
-        if check_sync_corollary(fin, [1.05] * 40):
-            x0 = rng.uniform(0.2, 0.8, 3)
-            tr = simulate(fin, mp, x0, steps=40)
+    verdicts = []
+    for _ in range(10):
+        density = float(rng.uniform(0.7, 1.0))
+        items = [random_stochastic(3, rng, density=density) for _ in range(40)]
+        holds = sync_corollary_holds(items, [mp.rho] * 40)
+        tr = simulate(MatrixSequence(items=items), mp, rng.uniform(0.2, 0.8, 3), steps=40)
+        assert holds == bool(np.all(tr.bound[1:] < tr.bound[:-1]))
+        if holds:
             assert np.all(tr.distances <= tr.bound + 1e-10)
             assert tr.bound[-1] < tr.bound[0] + 1e-12
+        verdicts.append(holds)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_check_sync_corollary_computes_each_coefficient_once(monkeypatch):
+    calls = counting_coefficient(monkeypatch)
+    B = Matrix(np.full((3, 3), 1.0 / 3.0))
+    assert sync_corollary_holds([A4, B] * 5, [1.1] * 10)
+    assert len(calls) == 2 and calls[0] is A4 and calls[1] is B
 
 
 def test_simulate_repeated_matrix_computes_coefficient_once(monkeypatch):
@@ -346,13 +359,6 @@ def test_simulate_repeated_pair_computes_each_coefficient_once(monkeypatch):
     for k in range(20):
         expected.append(expected[-1] * cs[k % 2] * mp.rho)
     assert tr.bound.tolist() == expected
-
-
-def test_check_sync_corollary_computes_each_coefficient_once(monkeypatch):
-    calls = counting_coefficient(monkeypatch)
-    B = Matrix(np.full((3, 3), 1.0 / 3.0))
-    assert check_sync_corollary(MatrixSequence(items=[A4, B] * 5), [1.1] * 10)
-    assert len(calls) == 2 and calls[0] is A4 and calls[1] is B
 
 
 def per_step_simulate(A_seq, maps, x0, steps, norm, sync_tol=cml.DEFAULT_SYNC_TOL,

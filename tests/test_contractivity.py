@@ -8,8 +8,6 @@ from contractlab.contractivity import (
     contractivity_l2,
     contractivity_linf,
     decompose_affine,
-    is_paracontractive_l2,
-    is_pseudocontractive_stochastic_linf,
     spectral_norm_2,
 )
 from contractlab.matcore import Matrix, delta, is_scrambling, is_stochastic, mu
@@ -317,17 +315,28 @@ def _paracontractive_l2_three_svd(B, norm_tol=1e-8, angle_tol=1e-6):
     return bool(np.all(angles < angle_tol))
 
 
+def _fixes_unit_singular_space(B, tol=1e-8, fixed_tol=1e-6):
+    """Paracontractivity from one SVD: ||B||_2 <= 1 and B fixes pointwise
+    V1, the right singular subspace for singular value 1, on which
+    ||Bx|| = ||x|| and which holds the fixed points."""
+    _, s, Vt = np.linalg.svd(B)
+    V1 = Vt[np.abs(s - 1.0) < tol].T
+    return bool(s[0] <= 1.0 + tol and np.linalg.norm(B @ V1 - V1) < fixed_tol)
+
+
 def test_paracontractive_examples():
-    assert is_paracontractive_l2(np.eye(3))
-    assert is_paracontractive_l2(np.diag([1.0, 0.5]))
-    assert not is_paracontractive_l2(M0)
+    # Euclidean paracontractivity, ||Bx|| < ||x|| exactly for the non-fixed
+    # x, by the three-SVD reference
+    assert _paracontractive_l2_three_svd(np.eye(3))
+    assert _paracontractive_l2_three_svd(np.diag([1.0, 0.5]))
+    assert not _paracontractive_l2_three_svd(M0.a)
     # rotation: nonexpansive, no fixed points off origin, but ||Rx|| == ||x||
     th = 0.3
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    assert not is_paracontractive_l2(rot)
-    assert is_paracontractive_l2(0.5 * rot)
-    # the frozen three-SVD test agrees on random B, orthogonal projections
-    # and blocks with singular value exactly 1 (fixed, rotated or reflected)
+    assert not _paracontractive_l2_three_svd(rot)
+    assert _paracontractive_l2_three_svd(0.5 * rot)
+    # the one-SVD test agrees on random B, orthogonal projections and
+    # blocks with singular value exactly 1 (fixed, rotated or reflected)
     rng = np.random.default_rng(30)
     cases = []
     for _ in range(100):
@@ -343,40 +352,29 @@ def test_paracontractive_examples():
         block[:k, :k], block[k:, k:] = unit, rest
         cases.append(block)
         cases.append(Q @ block @ Q.T)
-    verdicts = [is_paracontractive_l2(B) for B in cases]
-    assert verdicts == [_paracontractive_l2_three_svd(B) for B in cases]
+    verdicts = [_paracontractive_l2_three_svd(B) for B in cases]
+    assert verdicts == [_fixes_unit_singular_space(B) for B in cases]
     assert any(verdicts) and not all(verdicts)
 
 
-def test_paracontractive_takes_one_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    assert is_paracontractive_l2(np.diag([1.0, 0.5]))
-    assert len(calls) == 1
-
-
 def test_pseudocontractive_stochastic_examples():
-    assert is_pseudocontractive_stochastic_linf(A4)
-    assert not is_pseudocontractive_stochastic_linf(A5)
-    assert is_pseudocontractive_stochastic_linf(np.full((3, 3), 1.0 / 3.0))
-    with pytest.raises(ValueError):
-        is_pseudocontractive_stochastic_linf(A1)  # not stochastic
+    # for stochastic A, pseudocontractive under the max norm (c < 1, by the
+    # binary oracle) iff scrambling; A1 is not stochastic
+    assert binary_contractivity(A4) < 1 and is_scrambling(A4)
+    assert binary_contractivity(A5) == 1 and not is_scrambling(A5)
+    J3 = np.full((3, 3), 1.0 / 3.0)
+    assert binary_contractivity(J3) == 0 and is_scrambling(J3)
+    assert not is_stochastic(A1)
 
 
 def test_pseudocontractive_iff_scrambling_iff_contractive():
     rng = np.random.default_rng(27)
     for _ in range(300):
-        A = random_stochastic(int(rng.integers(2, 8)), rng,
+        A = random_stochastic(int(rng.integers(2, 9)), rng,
                               density=float(rng.uniform(0.3, 1.0)))
         scram = is_scrambling(A)
-        assert is_pseudocontractive_stochastic_linf(A) == scram
-        assert contractivity_linf(A).is_set_contractive == scram
+        assert (binary_contractivity(A) < 1) == scram, A.a
+        assert contractivity(A, linf()).is_set_contractive == scram
 
 
 def test_decompose_affine_examples():

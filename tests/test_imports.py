@@ -47,6 +47,34 @@ def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+def unreferenced_public_names(sources) -> set[str]:
+    """Public module-level functions and classes of the sources that no
+    name, attribute or import alias in any of them refers to."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    referenced = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    return defined - referenced
+
+
+def test_library_holds_no_code_that_nothing_runs():
+    # the package's own code reaches every public function and class but
+    # these.  bench/tracer.py wraps the first four by name until its counts
+    # move to contractivity.contractivity.  l1 is the constructor of the
+    # --norm l1 kind, beside linf and l2; the CLI builds Norm(kind) itself
+    assert unreferenced_public_names(
+        p.read_text() for p in PACKAGE.glob("*.py")) == {
+        "contractivity_linf", "contractivity_l2", "distance_to_diagonal", "delta", "l1"}
+
+
 SPY = """
 import json, os, subprocess, sys
 
@@ -166,15 +194,12 @@ EXPORTS = {
                     "project", "weighted_l2"],
     "contractivity": [
         "AffineDecomposition", "ContractivityReport", "contractivity", "contractivity_l2",
-        "contractivity_linf", "decompose_affine",
-        "is_paracontractive_l2", "is_pseudocontractive_stochastic_linf", "spectral_norm_2"],
+        "contractivity_linf", "decompose_affine", "spectral_norm_2"],
     "products": [
         "ErgodicityReport", "MatrixSequence", "check_convergence_condition",
-        "ergodicity_coefficient", "min_contractive_product_length", "product",
-        "random_stochastic_spanning_tree", "scrambling_product_theorem_check",
+        "ergodicity_coefficient", "product", "random_stochastic_spanning_tree",
         "weak_ergodicity_diagnostic"],
-    "cml": ["MapDef", "SimTrace", "check_sync_condition", "check_sync_corollary",
-            "make_map", "simulate"],
+    "cml": ["MapDef", "SimTrace", "make_map", "simulate"],
 }
 NAMESPACE = """
 import importlib, json, sys
@@ -221,7 +246,7 @@ def test_public_names_unchanged_and_products_cml_lazy(order):
     # repeats none of them: importing it loads numpy alone, products and cml
     # included in what stays unloaded, and in either import order the
     # package attribute ``contractivity`` is the module
-    assert sum(map(len, EXPORTS.values())) == 43
+    assert sum(map(len, EXPORTS.values())) == 37
     assert fresh(NAMESPACE, order, json.dumps(EXPORTS)) == {
         "loaded_at_import": ["numpy"],
         "in_package_at_import": [],

@@ -373,7 +373,19 @@ def test_cli_contractivity_without_constant_row_sums_exits_2(tmp_path, capsys, n
     assert err == "error: matrix does not have constant row sums\n"
 
 
-HALF = {"rows": [[0.5, 0.5], [0.5, 0.5]]}  # J/2: synchronizes any lattice at step 1
+@pytest.mark.parametrize("norm", ["linf", "l1", "l2"])
+def test_cli_contractivity_row_sums_near_the_float_range(tmp_path, capsys, norm):
+    # two finite row sums of 1e308 have a mean of 1e308, though their sum is inf
+    p = write(tmp_path, "big.json", json.dumps({"rows": [[1e308, 0], [0, 1e308]]}))
+    code, out, err = run_cli(capsys, "contractivity", p, "--norm", norm)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["c"] == 1e308
+    code, out, err = run_cli(capsys, "analyze", p)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["r"] == 1e308
+
+
+HALF ={"rows": [[0.5, 0.5], [0.5, 0.5]]}  # J/2: synchronizes any lattice at step 1
 
 
 @pytest.mark.parametrize("argv", [

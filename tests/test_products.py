@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import warnings
@@ -22,27 +23,31 @@ from contractlab.matcore import (
     Matrix,
     _UNIT_ROUNDOFF,
     delta,
+    is_scrambling,
     is_stochastic,
     mu,
     nonzero_pattern,
     row_sum_profile,
 )
 from contractlab.products import (
-    BudgetError,
     DELTA_ZERO_THRESHOLD,
     MatrixSequence,
     check_convergence_condition,
     ergodicity_coefficient,
-    min_contractive_product_length,
     product,
     random_stochastic_spanning_tree,
-    scrambling_product_theorem_check,
     weak_ergodicity_diagnostic,
 )
 from contractlab.projections import l2, linf, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5
 
-from conftest import counting_coefficient, random_doubly_constant, random_stochastic
+from conftest import (
+    check_scrambling_product_theorem,
+    counting_coefficient,
+    random_doubly_constant,
+    random_stochastic,
+    scrambling_product_theorem_failures,
+)
 
 
 def seq_of(*ms):
@@ -307,14 +312,39 @@ def half_shift(n):
     return 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
 
 
+def min_product_length(H, holds, max_m):
+    """Smallest m <= max_m such that every length-m ordering of the family
+    H holds, or None; all |H|^m orderings are enumerated."""
+    return next((m for m in range(1, max_m + 1)
+                 if all(map(holds, itertools.product(H, repeat=m)))), None)
+
+
+def ordered_product(factors):
+    """F_last ... F_0 by numpy matmuls."""
+    P = np.eye(len(factors[0]))
+    for F in factors:
+        P = F @ P
+    return Matrix(P)
+
+
+def contracts(factors):
+    return contractivity(ordered_product(factors), linf()).is_set_contractive
+
+
 def test_min_contractive_product_length_judges_products_within_the_slack():
+    # the path of `contractlab product`: each item is judged at the default
+    # tolerance, and the product within the slack the items allow
+    def reported_contractive(factors):
+        return products._product_report([Matrix(F) for F in factors], linf(),
+                                        DEFAULT_ROW_SUM_TOL)[1].is_set_contractive
+
     F = half_shift(40)
-    assert min_contractive_product_length([F], linf(), 40) == 20
+    assert min_product_length([F], reported_contractive, 40) == 20
     F[0, 0] += 9e-10  # row 0 sums to 1 + 9e-10: the item passes at 1e-9
-    assert min_contractive_product_length([F], linf(), 40) == 20
-    # each member is judged before any product
-    with pytest.raises(RowSumError, match="^item 1: "):
-        min_contractive_product_length([A4.a, [[0.5, 0.5], [0.2, 0.7]]], linf(), 3)
+    contractivity(F, linf())
+    with pytest.raises(RowSumError):  # F^20 without the slack
+        contractivity(np.linalg.matrix_power(F, 20), linf())
+    assert min_product_length([F], reported_contractive, 40) == 20
 
 
 def test_product_slack_values():
@@ -412,23 +442,19 @@ def test_scrambling_product_theorem_random_instances():
         seq = MatrixSequence(generator={
             "kind": "random_stochastic_spanning_tree", "n": n,
             "seed": seed, "min_entry": 0.08})
-        chk = scrambling_product_theorem_check(seq, epsilon=0.08, r=1.0)
-        assert chk.hypotheses_hold
-        assert chk.product_is_scrambling
-        assert chk.mu_product >= chk.mu_lower_bound - 1e-12
-        P = product(seq, 0, max(0, n - 2))
-        assert contractivity_linf(P).c <= chk.c_bound + 1e-10
+        check_scrambling_product_theorem(seq, epsilon=0.08, r=1.0)
 
 
 def test_scrambling_product_theorem_bad_hypotheses():
-    zero_diag = np.array([[0.0, 1.0], [1.0, 0.0]])
-    chk = scrambling_product_theorem_check(seq_of(zero_diag), epsilon=0.5, r=1.0)
-    assert not chk.hypotheses_hold
-    assert any(reason == "nonpositive diagonal" for _, reason in chk.failures)
-    with pytest.raises(ValueError):
-        scrambling_product_theorem_check(seq_of(np.eye(3)), epsilon=0.1, r=1.0)
+    # the swap breaks only the positive diagonal, and its product is not
+    # scrambling: the theorem needs that hypothesis
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert scrambling_product_theorem_failures(swap, epsilon=0.5, r=1.0) == (
+        "nonpositive diagonal",)
+    assert not is_scrambling(swap)
 
 
+# each hypothesis the checks assert on generated items can fail
 @pytest.mark.parametrize("a, epsilon, r, reasons", [
     ([[1.1, -0.1], [0.4, 0.6]], 0.4, 1.0, ("negative entry", "nonzero entry below epsilon")),
     ([[0.9, 0.1], [0.4, 0.6]], 0.4, 1.0, ("nonzero entry below epsilon",)),
@@ -436,38 +462,26 @@ def test_scrambling_product_theorem_bad_hypotheses():
     ([[1.0, 0.0], [0.0, 1.0]], 0.4, 1.0, ("no spanning directed tree",)),
 ])
 def test_scrambling_product_theorem_failure_reasons(a, epsilon, r, reasons):
-    chk = scrambling_product_theorem_check(seq_of(np.array(a)), epsilon=epsilon, r=r)
-    assert not chk.hypotheses_hold
-    assert chk.failures == tuple((0, reason) for reason in reasons)
+    assert scrambling_product_theorem_failures(np.array(a), epsilon, r) == reasons
 
 
 def test_scrambling_product_theorem_n2_single_item():
     A = np.array([[0.6, 0.4], [0.4, 0.6]])
-    chk = scrambling_product_theorem_check(seq_of(A), epsilon=0.4, r=1.0)
-    assert chk.hypotheses_hold and chk.product_is_scrambling
-    assert chk.mu_product >= 0.4 - 1e-12
+    check_scrambling_product_theorem(seq_of(A), epsilon=0.4, r=1.0)
 
 
 def test_min_contractive_product_length():
     J3 = np.full((3, 3), 1.0 / 3.0)
-    assert min_contractive_product_length([J3], linf(), 5) == 1
+    assert min_product_length([J3], contracts, 5) == 1
     # absorbing rows keep A2 powers non-scrambling forever
-    assert min_contractive_product_length([A2.a], linf(), 10) is None
-    assert min_contractive_product_length([A3.a], linf(), 10) == 2
-    assert min_contractive_product_length([A3.a], linf(), 10,
-                                          predicate="scrambling") == 2
-    # A2 in the family keeps every level non-contractive, so the search
-    # runs until 2^m overflows the budget of 10^6 orderings; each level's
-    # first ordering, A2^m, fails at once
-    with pytest.raises(BudgetError, match=r"^\|H\|\^20 exceeds enumeration budget 1000000$"):
-        min_contractive_product_length([A2.a, A3.a], linf(), 30)
+    assert min_product_length([A2.a], contracts, 10) is None
+    assert min_product_length([A3.a], contracts, 10) == 2
+    assert min_product_length([A3.a], lambda F: is_scrambling(ordered_product(F)), 10) == 2
 
 
 def test_min_length_mixed_family():
-    import itertools
-
-    m = min_contractive_product_length([A3.a, A4.a], linf(), 8)
-    assert m is not None
+    m = min_product_length([A3.a, A4.a], contracts, 8)
+    assert m == 2
     # every ordering of length m contracts, and some ordering of length
     # m - 1 does not (minimality)
     for combo in itertools.product([A3.a, A4.a], repeat=m):
@@ -475,10 +489,9 @@ def test_min_length_mixed_family():
         for f in combo:
             P = f @ P
         assert contractivity_linf(Matrix(P)).is_set_contractive
-    if m > 1:
-        assert any(
-            not contractivity_linf(Matrix(np.linalg.multi_dot(list(combo) + [np.eye(3)]))).is_set_contractive
-            for combo in itertools.product([A3.a, A4.a], repeat=m - 1))
+    assert any(
+        not contractivity_linf(Matrix(np.linalg.multi_dot(list(combo) + [np.eye(3)]))).is_set_contractive
+        for combo in itertools.product([A3.a, A4.a], repeat=m - 1))
 
 
 def test_ergodicity_coefficient():
@@ -526,15 +539,10 @@ GEN3 = {"kind": "random_stochastic_spanning_tree", "n": 3}
     (lambda: MatrixSequence(items=[A4.a], generator=GEN3), ValueError,
      "^provide exactly one of items or generator$"),
     (lambda: MatrixSequence(generator=GEN3)[-1], IndexError, "^-1$"),
-    (lambda: min_contractive_product_length([], linf(), 3), ValueError,
-     "^family must be nonempty$"),
-    (lambda: min_contractive_product_length([A4], linf(), 3, "mixing"), ValueError,
-     "^unknown predicate 'mixing'$"),
     (lambda: spectral_norm_2(np.ones(3)), ValueError, "^expected a 2-d array$"),
     (lambda: spectral_norm_2(np.array([[1.0, np.inf]])), ValueError,
      "^entries must be finite$"),
-], ids=["no-source", "two-sources", "generated-index-minus-1", "empty-family",
-        "unknown-predicate", "1-d-array", "inf-entry"])
+], ids=["no-source", "two-sources", "generated-index-minus-1", "1-d-array", "inf-entry"])
 def test_library_rejects_malformed_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
