@@ -248,7 +248,7 @@ def cmd_product(args) -> int:
     norm = _norm_from_args(args)
     c_values = coefficients(seq.items, norm, args.row_sum_tol)  # raises naming an item
     full, rep = products._product_report(seq.items, norm, args.row_sum_tol)
-    conv = products.check_convergence_condition(c_values)
+    running = np.cumprod(c_values)
     _log_method(rep)
     doc = {
         "input": str(args.sequence),
@@ -256,10 +256,10 @@ def cmd_product(args) -> int:
         "length": len(seq.items),
         "c_exact": rep.c,
         # the last running product is the product of the factor coefficients
-        "c_bound": conv["running_products"][-1],
+        "c_bound": running[-1],
         "per_item_c": c_values,
-        "running_products": conv["running_products"],
-        "product_numerically_zero": conv["converges_to_zero_over_horizon"],
+        "running_products": running,
+        "product_numerically_zero": bool(running[-1] < products.PRODUCT_ZERO_THRESHOLD),
         "product_scrambling": is_scrambling(full, args.zero_tol),
     }
     _emit(doc, args)

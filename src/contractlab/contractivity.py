@@ -2,11 +2,12 @@
 
 For the diagonal span X* = {alpha * e}, the coefficient
 c(A) = sup_{x not in X*} d(Ax, X*) / d(x, X*) is r - mu(A) under the
-max norm.  Under the l1 norm it is the largest l1 distance from a column
-of A to X*: d(Ax, X*) is convex in x and, with constant row sums, the
-same at x + alpha e, so its max over the unit ball B1 + span(e) of
-d(x, X*) is at a vertex +-e_j, where d(e_j, X*) = 1 (n >= 2).  Under a
-weighted Euclidean norm ||W^(1/2) A W^(-1) K||_2, K an orthonormal
+max norm, clamped at 0 so that rounding cannot make it negative.  Under
+the l1 norm it is the largest l1 distance from a column of A to X*:
+d(Ax, X*) is convex in x and, with constant row sums, the same at
+x + alpha e, so its max over the unit ball B1 + span(e) of d(x, X*) is
+at a vertex +-e_j, where d(e_j, X*) = 1 (n >= 2).  Under a weighted
+Euclidean norm ||W^(1/2) A W^(-1) K||_2, K an orthonormal
 basis of e-perp, bounds c(A) from above; its w = e case is the paper's
 Euclidean ||A K||_2, equal to c(A) when the column sums are also
 constant.  As K K^T = I - J/n, one routine computes both with no basis:
@@ -105,8 +106,10 @@ def _spectral_coefficient(A: Matrix, w: np.ndarray) -> float:
 
 def _linf_report(r: float, mu_value: float) -> ContractivityReport:
     """The max-norm report from the common row sum r and mu(A); a caller
-    that already holds mu(A) builds the report without a second pass."""
-    return _report(linf(), r - mu_value, "closed_form_linf")
+    that already holds mu(A) builds the report without a second pass.
+    mu(A) <= min_i s_i <= r exactly, so the clamp at 0 removes only
+    rounding; max keeps its first argument when it is inf or nan."""
+    return _report(linf(), max(r - mu_value, 0.0), "closed_form_linf")
 
 
 def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> ContractivityReport:
@@ -125,8 +128,7 @@ def contractivity(A, norm: Norm, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> Co
     if norm.kind == L1:
         return _report(norm, project_columns(A.a, norm)[1].max(), "closed_form_l1")
     if norm.kind == L2:
-        col_sums = A.a.sum(axis=0)
-        exact = np.abs(col_sums - col_sums.mean()).max() <= row_sum_tol
+        exact = row_sum_profile(A.a.T, row_sum_tol).is_constant  # column sums
         return _report(norm, _spectral_coefficient(A, np.ones(A.n)), "spectral_l2",
                        bound_only=not exact)
     return _report(norm, _spectral_coefficient(A, _weights_for(norm, A.n)), "weighted_bound",

@@ -271,8 +271,9 @@ def row_sum_profile(A, row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> RowSumProfil
     A = as_matrix(A)
     sums = A.a.sum(axis=1)
     # halved and doubled exactly, so two finite sums near the float range
-    # cannot add up to inf
-    r = float((sums / 2).mean() * 2)
+    # cannot add up to inf; the mean lies between the least and the greatest
+    # sum, so the clamp removes only rounding, and equal sums give r exactly
+    r = min(max(float((sums / 2).mean() * 2), float(sums.min())), float(sums.max()))
     constant = bool(np.abs(sums - r).max() <= row_sum_tol)
     return RowSumProfile(sums=sums, is_constant=constant, r=r if constant else None)
 

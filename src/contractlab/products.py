@@ -1,6 +1,5 @@
 """Finite and infinite products of matrices: the coefficient of a
-product of accepted items, finite-horizon convergence diagnostics, and
-weak-ergodicity bookkeeping.
+product of accepted items, and weak-ergodicity bookkeeping.
 
 Composition convention: sequence index k is application time in
 x(k+1) = A_k x(k), so the composite operator over [a, b] is
@@ -234,27 +233,12 @@ def product(seq: MatrixSequence, frm: int, to: int) -> Matrix:
     return _full_product((seq[k] for k in range(frm, to + 1)), frm)
 
 
-def check_convergence_condition(c_values) -> dict:
-    """Running products of the per-step coefficients and a verdict on
-    whether they reach (numerically) zero within the steps given.  A
-    surrogate for an asymptotic condition, never a proof."""
-    c_values = np.asarray(c_values, dtype=float)
-    if np.any(c_values < 0):
-        raise ValueError("coefficients must be nonnegative")
-    running = np.cumprod(c_values)
-    return {
-        "converges_to_zero_over_horizon":
-            bool(running.size and running[-1] < PRODUCT_ZERO_THRESHOLD),
-        "running_products": running,
-    }
-
-
 def ergodicity_coefficient(A, norm: Norm | None = None,
                            row_sum_tol: float = DEFAULT_ROW_SUM_TOL) -> float:
     """Proper coefficient of ergodicity 1 - c(A) for stochastic A that is
     set-nonexpansive under the chosen norm.  Equals 1 exactly for
-    rank-one A = e v^T.  row_sum_tol is the slack on stochasticity, on
-    the constant row sums of c(A) and on c <= 1."""
+    rank-one A = e v^T, whose c(A) is 0.  row_sum_tol is the slack on
+    stochasticity, on the constant row sums of c(A) and on c <= 1."""
     A = as_matrix(A)
     if norm is None:
         norm = linf()
@@ -263,7 +247,7 @@ def ergodicity_coefficient(A, norm: Norm | None = None,
     c = contractivity(A, norm, row_sum_tol).c
     if c > 1.0 + row_sum_tol:
         raise ValueError(f"matrix is not set-nonexpansive under this norm (c = {c:.12g})")
-    return float(min(1.0, max(0.0, 1.0 - c)))
+    return float(max(0.0, 1.0 - c))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,20 @@ def random_doubly_constant(n, rng, r=None):
     return Matrix(r * a)
 
 
+# v of a rank-one e v^T, whose c is 0: a plain mean of its five equal row
+# sums rounds 4.4e-16 below them
+RANK_ONE_V = [0.9320596866133782, 0.1149326332809052, 0.7290151170763094,
+              0.9274239286245599, 0.9679261899246464]
+
+
+def rank_one_matrices(count=300, seed=0):
+    """count rank-one e v^T, n in 2..8 and v uniform in [0, 1)^n."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        yield Matrix(np.outer(np.ones(n), rng.random(n)))
+
+
 def counting_coefficient(monkeypatch):
     """Wrap the dispatch contractivity, which computes every coefficient,
     where the package's modules bind it.  Return the list of its matrix

@@ -12,7 +12,7 @@ from contractlab.contractivity import contractivity_l2, contractivity_linf, deco
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph
 from contractlab.matcore import Matrix, delta, is_scrambling, is_stochastic, mu
 from contractlab.products import MatrixSequence, ergodicity_coefficient
-from contractlab.projections import l2, linf
+from contractlab.projections import l2
 from contractlab.reference import A4, run_reference_checks
 
 from conftest import (

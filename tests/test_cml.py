@@ -7,7 +7,7 @@ from contractlab import cml
 from contractlab.cml import MapDef, make_map, simulate
 from contractlab.contractivity import RowSumError, coefficients, contractivity
 from contractlab.matcore import DEFAULT_SYNC_TOL, Matrix
-from contractlab.products import MatrixSequence, check_convergence_condition
+from contractlab.products import PRODUCT_ZERO_THRESHOLD, MatrixSequence
 from contractlab.projections import (
     distance_to_diagonal,
     l1,
@@ -18,7 +18,7 @@ from contractlab.projections import (
 )
 from contractlab.reference import A4
 
-from conftest import counting_coefficient, random_stochastic
+from conftest import RANK_ONE_V, counting_coefficient, random_stochastic
 
 
 def seq_of(*ms):
@@ -269,21 +269,21 @@ def test_check_sync_condition():
     c = contractivity(A4, linf()).c
     mp = make_map({"kind": "affine", "a": 1.05, "b": 0.0})
     tr = simulate(MatrixSequence(items=[A4] * 600), mp, [0.1, 0.9, 0.4], steps=600)
-    out = check_convergence_condition([c * mp.rho] * 600)
-    assert out["converges_to_zero_over_horizon"]
-    assert out["running_products"][-1] == pytest.approx((0.9 * 1.05) ** 600, rel=1e-9)
-    np.testing.assert_allclose(tr.bound[1:] / tr.bound[0], out["running_products"], rtol=1e-9)
-    assert not check_convergence_condition([c * 1.2] * 10)["converges_to_zero_over_horizon"]
+    running = np.cumprod([c * mp.rho] * 600)
+    assert running[-1] < PRODUCT_ZERO_THRESHOLD
+    assert running[-1] == pytest.approx((0.9 * 1.05) ** 600, rel=1e-9)
+    np.testing.assert_allclose(tr.bound[1:] / tr.bound[0], running, rtol=1e-9)
+    assert not np.cumprod([c * 1.2] * 10)[-1] < PRODUCT_ZERO_THRESHOLD
 
 
 def test_check_sync_condition_horizon_truncates():
     # the verdict is over the steps given: a shorter horizon is a slice,
     # and the factor past it would lift the product back to 1
     c_rho = np.multiply([1e-13, 1e13], [1.0, 1.0])
-    out = check_convergence_condition(c_rho[:1])
-    assert out["running_products"].tolist() == [1e-13]
-    assert out["converges_to_zero_over_horizon"]
-    assert not check_convergence_condition(c_rho)["converges_to_zero_over_horizon"]
+    running = np.cumprod(c_rho[:1])
+    assert running.tolist() == [1e-13]
+    assert running[-1] < PRODUCT_ZERO_THRESHOLD
+    assert not np.cumprod(c_rho)[-1] < PRODUCT_ZERO_THRESHOLD
 
 
 def test_check_sync_corollary():
@@ -450,6 +450,9 @@ def _oracle_cases():
     cases["coefficient-lost-mid-run"] = (
         seq_of(A4.a, A4.a, nonconstant, A4.a),
         tent, [0.1, 0.9, 0.4], 4, linf())
+    # c = 0: the envelope is 0 from step 1
+    cases["rank-one"] = (seq_of(*[np.outer(np.ones(5), RANK_ONE_V)] * 3), logistic,
+                         [0.1, 0.2, 0.3, 0.4, 0.5], 3, linf())
     cases["generator"] = (MatrixSequence(generator={
         "kind": "random_stochastic_spanning_tree", "n": 10, "seed": 3, "min_entry": 0.05}),
         logistic, rng.random(10), 50, l2())
@@ -477,6 +480,15 @@ def test_simulate_matches_per_step_oracle(name):
     assert tr.envelope_valid_until == valid_until
     assert tr.synchronized_at == sync
     assert tr.diverged == diverged
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_simulate_bound_is_never_negative(name):
+    # a product of d0, of coefficients and of Lipschitz constants, each >= 0
+    seq, maps, x0, steps, norm = ORACLE_CASES[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = simulate(seq, maps, x0, steps, norm=norm)
+    assert tr.bound is None or not np.any(tr.bound < 0)
 
 
 def frozen_simulate(A_seq, maps, x0, steps, norm):

@@ -3,6 +3,7 @@ import pytest
 
 from contractlab.contractivity import (
     RowSumError,
+    _linf_report,
     attained_lower_bound,
     contractivity,
     contractivity_l2,
@@ -15,11 +16,13 @@ from contractlab.projections import l1, l2, linf, project_columns, weighted_l2
 from contractlab.reference import A1, A2, A3, A4, A5, M0, W4
 
 from conftest import (
+    RANK_ONE_V,
     basis_K,
     binary_contractivity,
     random_doubly_constant,
     random_nonneg_row_sum,
     random_stochastic,
+    rank_one_matrices,
     sampled_contractivity,
 )
 
@@ -127,6 +130,19 @@ def test_binary_oracle_matches_linf_closed_form():
                                   density=float(rng.uniform(0.4, 1.0)))
         assert binary_contractivity(A) == pytest.approx(
             contractivity_linf(A).c, abs=1e-12)
+
+
+def test_linf_coefficient_of_rank_one_is_zero():
+    # A x = (v . x) e lies in X* for A = e v^T, so c(A) = 0, though a plain
+    # mean of the equal row sums rounds off them for some v
+    for A in [Matrix(np.outer(np.ones(5), RANK_ONE_V)), *rank_one_matrices()]:
+        assert contractivity_linf(A).c == 0.0, A.a
+
+
+def test_linf_clamp_at_zero_keeps_inf_and_nan():
+    assert _linf_report(1.0, 1.0 + 2.0 ** -52).c == 0.0
+    assert _linf_report(0.0, -np.inf).c == np.inf
+    assert np.isnan(_linf_report(0.0, np.nan).c)
 
 
 def random_constant_row_sum(n, rng):

@@ -7,7 +7,6 @@ import pytest
 from contractlab import cli
 from contractlab.contractivity import contractivity_l2, contractivity_linf
 from contractlab.graphs import has_spanning_directed_tree, interaction_digraph, is_irreducible
-from contractlab.matcore import Matrix
 from contractlab.reference import A2, A4
 
 from conftest import adjacency, random_nonneg_row_sum

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports (``__init__``
-is left out: its ``import numpy`` is there for its side effect);
+"""Every module of the package and every test file uses each name it
+imports (``__init__`` is left out: its ``import numpy`` is there for its
+side effect);
 importing the package loads numpy with OpenBLAS's idle spin cut short
 while leaving the environment as it was, and loads none of the
 package's modules; ``import contractlab.cli`` loads only the modules
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "contractlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "contractlab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,9 +44,10 @@ def test_unused_imports_detector():
 
 
 @pytest.mark.parametrize("module", sorted(
-    p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + list(TESTS.glob("*.py"))),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(module.read_text()) == []
 
 
 def unreferenced_public_names(sources) -> set[str]:
@@ -196,9 +199,8 @@ EXPORTS = {
         "AffineDecomposition", "ContractivityReport", "contractivity", "contractivity_l2",
         "contractivity_linf", "decompose_affine", "spectral_norm_2"],
     "products": [
-        "ErgodicityReport", "MatrixSequence", "check_convergence_condition",
-        "ergodicity_coefficient", "product", "random_stochastic_spanning_tree",
-        "weak_ergodicity_diagnostic"],
+        "ErgodicityReport", "MatrixSequence", "ergodicity_coefficient", "product",
+        "random_stochastic_spanning_tree", "weak_ergodicity_diagnostic"],
     "cml": ["MapDef", "SimTrace", "make_map", "simulate"],
 }
 NAMESPACE = """
@@ -246,7 +248,7 @@ def test_public_names_unchanged_and_products_cml_lazy(order):
     # repeats none of them: importing it loads numpy alone, products and cml
     # included in what stays unloaded, and in either import order the
     # package attribute ``contractivity`` is the module
-    assert sum(map(len, EXPORTS.values())) == 37
+    assert sum(map(len, EXPORTS.values())) == 36
     assert fresh(NAMESPACE, order, json.dumps(EXPORTS)) == {
         "loaded_at_import": ["numpy"],
         "in_package_at_import": [],

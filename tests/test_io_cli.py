@@ -35,7 +35,7 @@ from contractlab.products import (
 from contractlab.projections import Norm, NormError, linf
 from contractlab.reference import A1, A4, MATRICES, W4
 
-from conftest import counting_coefficient, random_doubly_constant
+from conftest import RANK_ONE_V, counting_coefficient, random_doubly_constant, rank_one_matrices
 
 
 def write(tmp_path, name, text):
@@ -375,14 +375,35 @@ def test_cli_contractivity_without_constant_row_sums_exits_2(tmp_path, capsys, n
 
 @pytest.mark.parametrize("norm", ["linf", "l1", "l2"])
 def test_cli_contractivity_row_sums_near_the_float_range(tmp_path, capsys, norm):
-    # two finite row sums of 1e308 have a mean of 1e308, though their sum is inf
+    # two finite row sums of 1e308 have a mean of 1e308, though their sum is
+    # inf; so do the column sums, which makes the l2 coefficient exact
     p = write(tmp_path, "big.json", json.dumps({"rows": [[1e308, 0], [0, 1e308]]}))
     code, out, err = run_cli(capsys, "contractivity", p, "--norm", norm)
     assert (code, err) == (0, "")
-    assert json.loads(out)["c"] == 1e308
+    doc = json.loads(out)
+    assert (doc["c"], doc["bound_only"]) == (1e308, False) and "lower_bound" not in doc
     code, out, err = run_cli(capsys, "analyze", p)
     assert (code, err) == (0, "")
     assert json.loads(out)["r"] == 1e308
+
+
+def rank_one_json(tmp_path):
+    """R.json, holding e v^T for v = RANK_ONE_V."""
+    return write(tmp_path, "R.json", json.dumps({"rows": [RANK_ONE_V] * 5}))
+
+
+def test_cli_rank_one_coefficient_is_zero(tmp_path, capsys):
+    paths = [rank_one_json(tmp_path)] + [
+        write(tmp_path, f"r{k}.json", json.dumps({"rows": A.a.tolist()}))
+        for k, A in enumerate(rank_one_matrices())]
+    for path in paths:
+        code, out, _ = run_cli(capsys, "contractivity", path)
+        assert code == 0 and json.loads(out)["c"] == 0.0, path
+        code, out, _ = run_cli(capsys, "analyze", path)
+        assert code == 0 and json.loads(out)["c_linf"] == 0.0, path
+    # equal row sums are constant at any tolerance
+    code, out, _ = run_cli(capsys, "--row-sum-tol", "0", "contractivity", paths[0])
+    assert code == 0 and json.loads(out)["c"] == 0.0
 
 
 HALF ={"rows": [[0.5, 0.5], [0.5, 0.5]]}  # J/2: synchronizes any lattice at step 1
@@ -473,6 +494,55 @@ def test_cli_product_keeps_zero_tol(tmp_path, capsys):
     assert code == 0 and not json.loads(out)["product_scrambling"]
     code, out, _ = run_cli(capsys, "product", spec)
     assert code == 0 and json.loads(out)["product_scrambling"]
+
+
+# 2 x 2 items whose max-norm coefficients r - mu are 0.5, 1 and 2, exactly
+PRODUCT_ITEMS = {"half": [[0.75, 0.25], [0.25, 0.75]], "eye": [[1.0, 0.0], [0.0, 1.0]],
+                 "double": [[2.0, 0.0], [0.0, 2.0]]}
+
+
+@pytest.mark.parametrize("items, per_item_c, zero", [
+    (["half"] * 50, [0.5] * 50, True),
+    (["eye"] * 50, [1.0] * 50, False),
+    (["half", "double"] * 25, [0.5, 2.0] * 25, False),
+], ids=["half", "eye", "half-double"])
+def test_cli_product_running_products(tmp_path, capsys, items, per_item_c, zero):
+    # running_products is the running product of per_item_c and c_bound its
+    # last entry, numerically zero below products.PRODUCT_ZERO_THRESHOLD
+    for name, rows in PRODUCT_ITEMS.items():
+        write(tmp_path, f"{name}.json", json.dumps({"rows": rows}))
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": [f"{n}.json" for n in items]}))
+    code, out, err = run_cli(capsys, "product", spec)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    running = np.cumprod(per_item_c)
+    assert doc["per_item_c"] == per_item_c
+    assert doc["running_products"] == pytest.approx(running.tolist(), rel=1e-11)
+    assert doc["c_bound"] == pytest.approx(running[-1], rel=1e-11)
+    assert doc["product_numerically_zero"] is zero
+
+
+def test_cli_product_of_rank_one_items(tmp_path, capsys):
+    rank_one_json(tmp_path)
+    spec = write(tmp_path, "seq.json", json.dumps({"matrices": ["R.json", "R.json"]}))
+    code, out, err = run_cli(capsys, "product", spec)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["per_item_c"], doc["c_bound"]) == ([0.0, 0.0], 0.0)
+    assert doc["product_numerically_zero"]
+
+
+def test_cli_simulate_rank_one_coupling_bound_is_never_negative(tmp_path, capsys):
+    # R maps every state into X*: the envelope is d0 and then 0
+    rank_one_json(tmp_path)
+    config = write(tmp_path, "sim.json", json.dumps({
+        "matrix": "R.json", "map": {"kind": "logistic", "a": 3.9},
+        "x0": [0.1, 0.2, 0.3, 0.4, 0.5], "steps": 3}))
+    trace = tmp_path / "trace.jsonl"
+    code, _, err = run_cli(capsys, "--output", str(trace), "simulate", config)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [rec["bound"] for rec in records] == [0.2, 0.0, 0.0, 0.0]
 
 
 def test_cli_ergodicity(tmp_path, capsys):
@@ -1414,6 +1484,8 @@ def test_cli_entries_near_the_float_limit_warn_nothing(tmp_path):
         assert len(res.stderr.splitlines()) == (code == 2), (argv, res.stderr)
     doc = json.loads(run_cli_process("contractivity", cols, "--norm", "l2").stdout)
     assert (doc["bound_only"], doc["c"], doc["lower_bound"]) == (True, None, None)
+    # r - mu = 0 - (-inf): the clamp at 0 keeps inf, printed as null
+    assert json.loads(run_cli_process("contractivity", huge).stdout)["c"] is None
     reports = json.loads(run_cli_process("analyze", huge, sums, PYTHONWARNINGS="error").stdout)
     assert [(r["delta"], r["c_linf"], r["mu"]) for r in reports] == [(None, None, None),
                                                                       (0.0, None, None)]

@@ -20,7 +20,7 @@ from contractlab.matcore import (
 from contractlab.products import MatrixSequence
 from contractlab.reference import A1, A3, A4
 
-from conftest import delta_halfsum, random_nonneg_row_sum, random_stochastic
+from conftest import delta_halfsum, random_nonneg_row_sum, random_stochastic, rank_one_matrices
 
 
 def test_matrix_validation():
@@ -104,6 +104,13 @@ def test_row_sum_profile():
     assert not p.is_constant and p.r is None
     p = row_sum_profile(np.zeros((3, 3)))
     assert p.is_constant and p.r == 0.0
+
+
+def test_row_sum_profile_of_equal_sums_is_exact():
+    # the mean of n equal sums can round off them; r stays within the sums
+    for A in rank_one_matrices():
+        p = row_sum_profile(A, 0.0)
+        assert p.is_constant and p.r == p.sums[0] == mu(A), A.a
 
 
 def test_paz_inequality_random():

@@ -32,20 +32,20 @@ from contractlab.matcore import (
 from contractlab.products import (
     DELTA_ZERO_THRESHOLD,
     MatrixSequence,
-    check_convergence_condition,
     ergodicity_coefficient,
     product,
     random_stochastic_spanning_tree,
     weak_ergodicity_diagnostic,
 )
 from contractlab.projections import l2, linf, weighted_l2
-from contractlab.reference import A1, A2, A3, A4, A5
+from contractlab.reference import A1, A2, A3, A4
 
 from conftest import (
     check_scrambling_product_theorem,
     counting_coefficient,
     random_doubly_constant,
     random_stochastic,
+    rank_one_matrices,
     scrambling_product_theorem_failures,
 )
 
@@ -293,7 +293,7 @@ def test_product_contractivity_bound_computes_each_coefficient_once(monkeypatch)
     expected = 1.0
     for k in range(20):
         expected *= cs[k % 2]
-    assert check_convergence_condition(c_values)["running_products"][-1] == expected
+    assert np.cumprod(c_values)[-1] == expected
 
 
 # a first row that sums to 1 + 9e-10: within the default 1e-9 of the mean
@@ -424,18 +424,6 @@ def test_submultiplicativity_l2_doubly_constant():
         assert cab <= contractivity_l2(A).c * contractivity_l2(B).c + 1e-10
 
 
-def test_check_convergence_condition():
-    out = check_convergence_condition([0.5] * 50)
-    assert out["converges_to_zero_over_horizon"]
-    assert out["running_products"][-1] == pytest.approx(0.5 ** 50)
-    assert not check_convergence_condition([1.0] * 50)["converges_to_zero_over_horizon"]
-    out = check_convergence_condition([0.5, 2.0] * 25)
-    assert not out["converges_to_zero_over_horizon"]
-    assert out["running_products"][-1] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        check_convergence_condition([0.5, -0.1])
-
-
 def test_scrambling_product_theorem_random_instances():
     for seed in range(30):
         n = int(np.random.default_rng(seed).integers(3, 7))
@@ -504,6 +492,12 @@ def test_ergodicity_coefficient():
         ergodicity_coefficient(A1)  # not stochastic
     with pytest.raises(ValueError):
         ergodicity_coefficient(A4, l2())  # closed form exceeds 1
+
+
+def test_ergodicity_coefficient_of_rank_one_is_one():
+    # c(e v^T) = 0 at the source, so 1 - c needs no clamp from above
+    for A in rank_one_matrices():
+        assert ergodicity_coefficient(A.a / A.a[0].sum()) == 1.0, A.a
 
 
 def test_ergodicity_coefficient_properness():
